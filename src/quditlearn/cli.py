@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="Monte Carlo run, print a report")
     add_common(experiment)
     experiment.add_argument("--trials", type=int)
-    experiment.add_argument("--csv", help="also append the report to this CSV file")
+    experiment.add_argument("--csv", help="also write the report to this CSV file, replacing its contents")
 
     sweep_p = sub.add_parser("sweep", help="run a list of configs from --config, emit CSV")
     sweep_p.add_argument("--config", required=True, help="JSON list of experiment configs")

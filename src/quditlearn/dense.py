@@ -14,11 +14,12 @@ measurement.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import FieldParams
+from .field import FieldParams, roots_of_unity
 
 MAX_AMPLITUDES = 2**22
 NORM_TOL = 1e-9
@@ -28,17 +29,12 @@ class StateError(ValueError):
     """Ill-formed state or unsupported state operation."""
 
 
-_qft_cache: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=4)  # a q x q matrix is 64 MB at q = 2048
 def qft_matrix(q: int) -> np.ndarray:
-    """The q x q unitary with entries omega^(j*k) / sqrt(q)."""
-    mat = _qft_cache.get(q)
-    if mat is None:
-        idx = np.arange(q, dtype=np.int64)
-        jk = np.multiply.outer(idx, idx) % q  # reduce before exponentiating
-        mat = np.exp(2j * np.pi * jk / q) / np.sqrt(q)
-        _qft_cache[q] = mat
+    """The read-only q x q unitary with entries omega^(j*k) / sqrt(q)."""
+    idx = np.arange(q, dtype=np.int64)
+    mat = roots_of_unity(q)[np.multiply.outer(idx, idx) % q] / np.sqrt(q)
+    mat.flags.writeable = False
     return mat
 
 

@@ -42,7 +42,7 @@ from .learners import (
     sis_sample_stream,
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
-from .samples import NoiseModel, outcome_distribution, sample_stream, theoretical_bound
+from .samples import NoiseModel, outcome_distribution, require_drawable, sample_stream, theoretical_bound
 
 CSV_COLUMNS = (
     "problem", "q", "n", "v", "k", "noise", "engine", "L", "M", "p",
@@ -107,6 +107,11 @@ class ExperimentConfig:
     def effective_k(self) -> int:
         return self.noise.magnitude_bound() if self.k is None else self.k
 
+    @property
+    def effective_engine(self) -> str:
+        """The engine that runs: sis and ring-global have only the dense one."""
+        return "dense" if self.problem in ("sis", "ring-global") else self.engine
+
 
 @dataclasses.dataclass
 class ExperimentReport:
@@ -129,7 +134,7 @@ class ExperimentReport:
         fmt = lambda x: "" if x is None else repr(float(x))
         return [
             c.problem, str(c.q), str(c.n), str(c.effective_v), str(c.effective_k),
-            str(c.noise), c.engine, str(c.L), str(c.M),
+            str(c.noise), c.effective_engine, str(c.L), str(c.M),
             "" if c.p is None else str(c.p), str(self.trials), str(c.seed),
             repr(self.empirical_rate), repr(self.wilson_lo), repr(self.wilson_hi),
             fmt(self.exact_probability), fmt(self.bound_paper), fmt(self.bound_optimized),
@@ -194,12 +199,13 @@ def _build_runner(config: ExperimentConfig) -> tuple[
     secret = _draw_secret(config, _trial_rng(config.seed, 2**63))
     k = config.effective_k
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
-    if (config.engine == "dense" or config.problem in ("sis", "ring-global")) and q**registers > MAX_AMPLITUDES:
+    if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(
             f"dense engine infeasible: q^{registers} = {q**registers} exceeds the 2**22 cap"
         )
 
     if config.problem in ("lwe", "lpn"):
+        require_drawable(v, config.noise)
         errors_as = "histogram" if config.engine == "analytic" else "auto"
         exact = _expected_iteration_success(q, n, v, config.noise)
         if config.problem == "lpn":

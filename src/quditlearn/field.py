@@ -1,8 +1,9 @@
 """Prime-field arithmetic: centered representatives, inverses and roots of unity.
 
 Field elements are plain Python ints reduced to [0, q).  ``FieldParams``
-bundles a prime modulus with the complex q-th root of unity used by the
-phase arithmetic; everything here is immutable and safe to share.
+bundles a prime modulus with the complex q-th root of unity, and
+``roots_of_unity`` tables all q powers of it for the engines' phase
+arithmetic; everything here is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 MAX_Q = 2**40  # keeps element products inside 128-bit intermediates
 
@@ -76,6 +79,19 @@ class FieldParams:
         return a % self.q
 
 
+@lru_cache(maxsize=16)
+def roots_of_unity(q: int) -> np.ndarray:
+    """Read-only table of exp(2*pi*i*r/q) for r = 0..q-1.
+
+    Index it with exponents already reduced mod q: raw exponents such as
+    a*j overflow double precision long before q does.
+    """
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots.flags.writeable = False
+    return roots
+
+
+@lru_cache(maxsize=64)  # an exception is not cached, so a bad q raises on every call
 def _require_odd_prime(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ParameterError(f"centered representatives need an odd prime modulus, got {q}")

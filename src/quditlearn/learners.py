@@ -23,6 +23,7 @@ import numpy as np
 from .dense import DenseState
 from .field import ParameterError, centered, centered_abs, mod_inverse
 from .samples import (
+    ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
     _all_vectors,
@@ -195,7 +196,7 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     residual = [centered(lwr_decode(lwr_round(x, p, q), p, q) - x, q) for x in range(q)]
     qn = q**n
     s = tuple(s)
-    if qn <= 10**6:
+    if qn <= ENUMERABLE_LIMIT:
         vectors = _all_vectors(q, n)
         errors = {
             a: residual[sum(ai * si for ai, si in zip(a, s)) % q] for a in vectors

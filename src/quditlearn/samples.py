@@ -9,7 +9,9 @@ their value histogram:
 
 where c_b counts the elements of V with error b.  ``outcome_distribution``
 evaluates this in O(q * support) time without touching the q^(n+1) amplitude
-vector; the dense engine provides the independent cross-check at small sizes.
+vector, once per spec: the law is kept with the spec that it describes, so a
+spec reused across attempts pays for it once.  The dense engine provides the
+independent cross-check at small sizes.
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -23,16 +25,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .dense import DenseState, StateError
-from .field import FieldParams, ParameterError
+from .field import FieldParams, ParameterError, roots_of_unity
 
 EXPLICIT_ERROR_LIMIT = 10**6  # above this, errors are stored as a histogram
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
+MULTINOMIAL_LIMIT = 2**63 - 1  # numpy draws multinomial counts as int64
 
 _NOISE_KINDS = ("none", "bounded-uniform", "gaussian", "bernoulli", "global-shift")
 
@@ -147,6 +150,14 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
     return values, weights, np.asarray(values, dtype=np.int64), cdf
 
 
+def require_drawable(v: int, noise: NoiseModel) -> None:
+    """Reject subsets too large for per-element errors to be drawn as a histogram."""
+    if v > MULTINOMIAL_LIMIT and not (noise.is_global or noise.kind == "none"):
+        raise ParameterError(
+            f"subset size v = {v} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
+        )
+
+
 def _draw_errors(noise: NoiseModel, q: int, size: int, rng: np.random.Generator) -> np.ndarray:
     values, _, values_arr, cdf = _distribution(noise, q)
     if len(values) == 1:
@@ -163,7 +174,8 @@ class SampleSpec:
     explicit vector -> error map) and ``histogram`` (error value -> count)
     is present; the histogram form is allowed only for the full subset or
     above the explicit-map size limit, since no per-vector assignment is
-    retained there.
+    retained there.  A spec is not modified after construction: its outcome
+    law is computed on first use and kept with it.
     """
 
     fp: FieldParams
@@ -231,6 +243,10 @@ class SampleSpec:
         for e in self.errors.values():
             counts[e] = counts.get(e, 0) + 1
         return counts
+
+    @cached_property
+    def _outcome(self) -> "OutcomeDistribution":
+        return _outcome_law(self)
 
 
 @dataclass(frozen=True)
@@ -300,6 +316,7 @@ def draw_sample_spec(
         raise ParameterError(f"unknown subset mode {subset_mode!r}")
     if subset_mode == "all" and v != qn:
         raise ParameterError("subset mode 'all' requires v = q^n")
+    require_drawable(v, noise)
 
     subset: tuple[tuple[int, ...], ...] | None
     if v == qn:
@@ -409,9 +426,14 @@ def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     """Exact category probabilities from the error-value histogram.
 
-    O(q * support) time; materializes a q-length array, so it is meant for
+    O(q * support) time on the first call for a spec; later calls return the
+    same (read-only) law.  Materializes q-length arrays, so it is meant for
     experiment-scale q (a guard rejects q > 2**26).
     """
+    return spec._outcome
+
+
+def _outcome_law(spec: SampleSpec) -> OutcomeDistribution:
     q = spec.fp.q
     if q > 2**26:
         raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
@@ -419,7 +441,7 @@ def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     values = np.fromiter(hist.keys(), dtype=np.int64)
     counts = np.fromiter(hist.values(), dtype=np.float64)
     jstar = np.arange(1, q, dtype=np.int64)
-    phases = np.exp(2j * np.pi * (np.multiply.outer(values % q, jstar) % q) / q)
+    phases = roots_of_unity(q)[np.multiply.outer(values % q, jstar) % q]
     good_amp_sums = counts @ phases
     denom = float(spec.v) * float(q) ** (spec.n + 1)
     per = np.zeros(q, dtype=np.float64)
@@ -431,6 +453,7 @@ def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
         if p_wrong < -1e-9:
             raise ParameterError(f"inconsistent outcome probabilities: p_wrong = {p_wrong}")
         p_wrong = 0.0
+    per.flags.writeable = False  # shared by every caller of the memoized law
     return OutcomeDistribution(p_correct=p_correct, p_bot=p_bot, p_wrong=p_wrong, per_jstar_good=per)
 
 

@@ -144,3 +144,26 @@ def test_verify_max_qn_filter(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+def test_experiment_csv_replaces_the_file(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    args = ["experiment", "--problem", "lwe", "--q", "7", "--n", "1", "--noise", "bounded",
+            "--k", "1", "--L", "2", "--M", "1", "--trials", "20", "--csv", str(path)]
+    assert main(args + ["--seed", "1"]) == 0
+    assert main(args + ["--seed", "2"]) == 0
+    capsys.readouterr()
+    rows = path.read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[0].startswith("problem,") and rows[1].split(",")[11] == "2"
+
+
+def test_experiment_with_too_many_error_draws_exits_2(capsys):
+    # v = 101^12 > 2^63: i.i.d. error counts cannot be drawn for the subset.
+    code, out, err = run_cli(
+        capsys, "experiment", "--problem", "lwe", "--q", "101", "--n", "12", "--noise", "bounded",
+        "--k", "1", "--trials", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "2**63" in err

@@ -215,3 +215,10 @@ def test_norm_preserved_through_random_pipelines(shape, key):
         else:
             state = state.apply_inverse_qft(int(rng.integers(m)))
     assert abs(float(np.vdot(state.amps, state.amps).real) - 1.0) <= 1e-9
+
+
+def test_qft_matrix_is_cached_and_read_only():
+    f = qft_matrix(7)
+    assert qft_matrix(7) is f
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0

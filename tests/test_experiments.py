@@ -209,3 +209,15 @@ def test_csv_row_round_trips_through_writer(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == list(CSV_COLUMNS)
     assert rows[1][0] == "lwe" and float(rows[1][12]) == report.empirical_rate
+
+
+@pytest.mark.parametrize("config, engine", [
+    (ExperimentConfig(problem="sis", q=7, n=2, trials=5, seed=0, k=1, L=3), "dense"),
+    (ExperimentConfig(problem="ring-global", q=13, n=2, m=4, trials=5, seed=0), "dense"),
+    (ExperimentConfig(problem="lwe", q=5, n=2, trials=5, seed=0), "analytic"),
+    (ExperimentConfig(problem="lwe", q=5, n=2, trials=5, seed=0, engine="dense"), "dense"),
+])
+def test_report_names_the_engine_that_ran(config, engine):
+    report = run_experiment(config)
+    assert report.csv_row()[CSV_COLUMNS.index("engine")] == engine
+    assert f"\nengine: {engine}\n" in report.canonical_text()

@@ -14,6 +14,7 @@ from quditlearn.field import (
     is_prime,
     mod_inverse,
     primitive_mth_root,
+    roots_of_unity,
 )
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 101, 257)
@@ -125,3 +126,19 @@ def test_omega_pow_handles_exponents_beyond_double_precision():
     fp = FieldParams(101)
     big = 2**60 + 17
     assert abs(fp.omega_pow(big) - cmath.exp(2j * cmath.pi * (big % 101) / 101)) <= 1e-12
+
+
+def test_roots_of_unity_table_is_read_only_and_exact():
+    roots = roots_of_unity(13)
+    assert roots.shape == (13,)
+    assert all(abs(roots[r] - cmath.exp(2j * cmath.pi * r / 13)) <= 1e-15 for r in range(13))
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+
+
+def test_composite_modulus_is_rejected_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            centered_abs(1, 9)
+        with pytest.raises(ParameterError):
+            centered(1, 4)

@@ -1,0 +1,43 @@
+"""Pinned canonical reports of short `experiment` runs at fixed seeds.
+
+A canonical report must stay byte-identical for a fixed configuration and
+seed, so any change to the trial logic, the RNG layout or the float
+arithmetic behind ``exact_prob`` shows up here.  The expected texts live in
+``tests/golden/<name>-seed<seed>.txt``; the configurations are the four
+benchmark workloads plus one LPN and one SIS run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from quditlearn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TRIALS = 50
+SEEDS = (1, 1000)
+
+CONFIGS = {
+    "lwe-analytic": ("--problem", "lwe", "--q", "101", "--n", "2", "--noise", "gaussian", "--sigma", "1",
+                     "--k", "2", "--L", "93", "--M", "1"),
+    "lwr-fixed-spec": ("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--L", "20", "--M", "1"),
+    "lwe-dense": ("--problem", "lwe", "--q", "7", "--n", "3", "--noise", "bounded", "--k", "1",
+                  "--L", "3", "--M", "2", "--engine", "dense"),
+    "ring-global": ("--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global", "--k", "1"),
+    "lpn-dense": ("--problem", "lpn", "--q", "2", "--n", "8", "--eta", "0.1", "--L", "9", "--engine", "dense"),
+    "sis": ("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "3"),
+}
+
+
+def canonical_report(capsys, name: str, seed: int) -> str:
+    argv = ["experiment", *CONFIGS[name], "--trials", str(TRIALS), "--seed", str(seed)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wall_time_ms:"))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_canonical_report_is_pinned(capsys, name, seed):
+    expected = (GOLDEN / f"{name}-seed{seed}.txt").read_text()
+    assert canonical_report(capsys, name, seed) == expected

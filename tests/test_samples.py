@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -386,3 +387,21 @@ def test_sample_stream_yields_fresh_errors(rng):
     stream = sample_stream(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1), rng)
     histograms = {tuple(sorted(stream().error_histogram().items())) for _ in range(25)}
     assert len(histograms) > 1
+
+
+def test_outcome_law_is_computed_once_per_spec(rng):
+    spec = draw_sample_spec(FieldParams(11), 2, (4, 9), 121, NoiseModel.bounded_uniform(1), rng)
+    first = outcome_distribution(spec)
+    assert outcome_distribution(spec) is first
+    copy = dataclasses.replace(spec)
+    fresh = outcome_distribution(copy)
+    assert fresh is not first
+    assert fresh.p_correct == first.p_correct and fresh.p_wrong == first.p_wrong
+    assert np.array_equal(fresh.per_jstar_good.view(np.uint64), first.per_jstar_good.view(np.uint64))
+
+
+def test_memoized_outcome_law_is_read_only(rng):
+    spec = draw_sample_spec(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1), rng)
+    per = outcome_distribution(spec).per_jstar_good
+    with pytest.raises(ValueError):
+        per[1] = 1.0
