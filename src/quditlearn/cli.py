@@ -16,22 +16,11 @@ import sys
 
 import numpy as np
 
-from .experiments import ExperimentConfig, run_experiment, sweep
+from .experiments import PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep
 from .field import FieldParams, ParameterError
-from .learners import (
-    LearnerConfig,
-    lpn_learn,
-    lwe_learn,
-    lwr_learn,
-    lwr_sample_spec,
-    sis_learn,
-    sis_sample_stream,
-)
-from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
-from .samples import NoiseModel, sample_stream
+from .ring import RingEmbedding
+from .samples import NoiseModel, _noise_from_obj
 from .verify import DEFAULT_MAX_QN, format_results, run_verification
-
-PROBLEMS = ("lwe", "lpn", "lwr", "sis", "ring-global")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,62 +139,26 @@ def _gather(args: argparse.Namespace) -> dict:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    """One harness trial whose secret and samples both come from Philox(key=seed)."""
     opts = _gather(args)
-    fp = FieldParams(opts["q"])
-    q, n = opts["q"], opts["n"]
+    config = _experiment_config(opts, trials=1)
     rng = np.random.Generator(np.random.Philox(key=opts["seed"]))
-    problem = opts["problem"]
-
-    if problem == "sis":
-        secret = tuple(int(x) % q for x in rng.integers(-opts["k"], opts["k"] + 1, size=n))
-    else:
-        secret = tuple(int(x) for x in rng.integers(0, q, size=n))
-
-    if problem == "lwe":
-        v = opts["v"] or q**n
-        source = sample_stream(fp, n, secret, v, opts["noise"], rng)
-        config = LearnerConfig(L=opts["L"], M=opts["M"], k=opts["k"], engine=opts["engine"])
-        out = lwe_learn(config, source, rng)
-        recovered = out.secret
-    elif problem == "lpn":
-        if q != 2:
-            raise ParameterError("lpn requires --q 2")
-        noise = opts["noise"]
-        if noise.kind != "bernoulli":
-            raise ParameterError("lpn uses --noise bernoulli")
-        source = sample_stream(fp, n, secret, q**n, noise, rng)
-        out = lpn_learn(source, opts["L"], rng, engine=opts["engine"])
-        recovered = out.secret
-    elif problem == "lwr":
-        if opts["p"] is None:
-            raise ParameterError("lwr requires --p")
-        spec = lwr_sample_spec(fp, n, secret, opts["p"])
-        config = LearnerConfig(L=opts["L"], M=opts["M"], engine=opts["engine"])
-        out = lwr_learn(opts["p"], config, lambda: spec, rng)
-        recovered = out.secret
-    elif problem == "sis":
-        source = sis_sample_stream(fp, n, secret)
-        recovered = sis_learn(opts["k"], opts["L"], source, rng)
-    else:  # ring-global
-        emb = RingEmbedding.build(fp, int(opts["m"]))
-        secret = tuple(int(x) for x in rng.integers(0, q, size=emb.n))
-        mode = "none" if opts["noise"].kind == "none" else "uniform-global"
-        source = ring_sample_stream(emb, secret, rng, noise=mode)
-        recovered = ring_lwe_global_learn(emb, source, rng).secret
-
+    secret = draw_secret(config, rng)
+    recovered = build_trial(config, secret)[0](rng)
     print(f"secret = {_format_vector(secret)}")
     if recovered is None:
-        print("recovered = FAIL" if problem == "sis" else "recovered = BOT")
+        print("recovered = FAIL" if config.problem == "sis" else "recovered = BOT")
         return 1
     print(f"recovered = {_format_vector(recovered)}")
-    return 0 if tuple(recovered) == tuple(secret) else 1
+    return 0 if tuple(recovered) == secret else 1
 
 
 def _experiment_config(opts: dict, trials: int) -> ExperimentConfig:
+    m = int(opts["m"]) if opts["problem"] == "ring-global" else None
     return ExperimentConfig(
         problem=opts["problem"],
         q=opts["q"],
-        n=opts["n"],
+        n=opts["n"] if m is None else RingEmbedding.build(FieldParams(opts["q"]), m).n,
         trials=trials,
         seed=opts["seed"],
         engine=opts["engine"],
@@ -215,14 +168,12 @@ def _experiment_config(opts: dict, trials: int) -> ExperimentConfig:
         M=opts["M"],
         k=opts["k"],
         p=opts["p"],
-        m=opts["m"] if opts["problem"] == "ring-global" else None,
+        m=m,
     )
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     opts = _gather(args)
-    if opts["problem"] == "ring-global":
-        opts["n"] = RingEmbedding.build(FieldParams(opts["q"]), int(opts["m"])).n
     config = _experiment_config(opts, int(opts["trials"]))
     report = run_experiment(config)
     print(report.to_text())
@@ -234,14 +185,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _config_from_obj(obj: dict) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ParameterError("each sweep entry must be a JSON object")
+    for key in ("problem", "q", "n", "trials"):
+        if key not in obj:
+            raise ParameterError(f"sweep entry lacks the {key!r} key")
     noise_obj = obj.get("noise", {"kind": "none"})
-    if isinstance(noise_obj, dict):
-        from .samples import _noise_from_obj
-
-        noise = _noise_from_obj(noise_obj)
-    else:
+    if not isinstance(noise_obj, dict):
         raise ParameterError("noise must be an object with a 'kind' key")
-    fields = {k: obj[k] for k in ("v", "L", "M", "k", "p", "m", "engine", "workers") if k in obj}
+    try:
+        noise = _noise_from_obj(noise_obj)
+    except KeyError as exc:
+        raise ParameterError(f"sweep entry noise lacks the {exc.args[0]!r} key") from None
+    fields = {k: obj[k] for k in ("v", "L", "M", "k", "p", "m", "engine") if k in obj}
     if "s" in obj:
         fields["s"] = tuple(obj["s"])
     return ExperimentConfig(

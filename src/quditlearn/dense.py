@@ -160,16 +160,16 @@ class DenseState:
     def measure_register(self, register: int, rng: np.random.Generator) -> int:
         """Sample one register's outcome from its marginal; the state is then discarded."""
         marginal = self.register_marginal(register)
-        return _sample_index(marginal, rng)
+        return weighted_index(marginal, rng)
 
     def measure_all(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Sample a full computational-basis outcome from |amplitude|^2."""
-        idx = _sample_index(self.probabilities(), rng)
+        idx = weighted_index(self.probabilities(), rng)
         return tuple(int(x) for x in np.unravel_index(idx, self.shape))
 
 
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i drawn with probability weights[i] / sum(weights), from one uniform."""
     cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     return min(idx, weights.size - 1)

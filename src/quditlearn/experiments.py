@@ -4,6 +4,8 @@ A trial is one full learner run for the configured problem; the empirical
 rate is the fraction of trials recovering the true secret.  Each trial gets
 its own counter-based RNG stream keyed by seed XOR trial-index, so reports
 are bit-identical regardless of how trials are partitioned or interleaved.
+``draw_secret`` and ``build_trial`` are the one table of the five problems;
+the ``learn`` command runs a single trial through them.
 
 Where a closed form exists, the report also carries the exact per-iteration
 success probability and the closed-constant and gamma-optimized lower bounds:
@@ -25,7 +27,6 @@ import csv
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,14 @@ from .learners import (
     sis_sample_stream,
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
-from .samples import NoiseModel, outcome_distribution, require_drawable, sample_stream, theoretical_bound
+from .samples import (
+    GAMMA_STAR,
+    NoiseModel,
+    outcome_distribution,
+    require_drawable,
+    sample_stream,
+    theoretical_bound,
+)
 
 CSV_COLUMNS = (
     "problem", "q", "n", "v", "k", "noise", "engine", "L", "M", "p",
@@ -87,7 +95,6 @@ class ExperimentConfig:
     k: int | None = None  # candidate-test / SIS coefficient bound; defaults to the noise bound
     p: int | None = None  # LWR rounding modulus
     m: int | None = None  # ring conductor
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
@@ -96,8 +103,6 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.engine not in ("dense", "analytic"):
             raise ParameterError(f"unknown engine {self.engine!r}")
-        if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
 
     @property
     def effective_v(self) -> int:
@@ -168,7 +173,8 @@ def _expected_iteration_success(q: int, n: int, v: int, noise: NoiseModel) -> fl
     return (q * expected_sq - float(v) * v) / (float(v) * float(q) ** (n + 1))
 
 
-def _draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int, ...]:
+def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int, ...]:
+    """The configured secret, or a fresh one from rng (coefficients in [-k, k] for sis)."""
     if config.s is not None:
         return tuple(x % config.q for x in config.s)
     if config.problem == "sis":
@@ -190,13 +196,16 @@ def _sis_wrong_before_correct(secret: tuple[int, ...], k: int, q: int) -> list[i
     return counts
 
 
-def _build_runner(config: ExperimentConfig) -> tuple[
-    Callable[[np.random.Generator], bool], float | None, float | None, float | None
+def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
+    Callable[[np.random.Generator], tuple[int, ...] | None], float | None, float | None, float | None
 ]:
-    """Per-trial success closure plus (exact, bound_paper, bound_optimized)."""
+    """The problem table: a trial closure plus (exact, bound_paper, bound_optimized).
+
+    The closure runs one learner on fresh samples from its rng and returns
+    the recovered secret, or None on BOT/FAIL.
+    """
     fp = FieldParams(config.q)
     q, n, v = config.q, config.n, config.effective_v
-    secret = _draw_secret(config, _trial_rng(config.seed, 2**63))
     k = config.effective_k
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
@@ -211,12 +220,14 @@ def _build_runner(config: ExperimentConfig) -> tuple[
         if config.problem == "lpn":
             if q != 2:
                 raise ParameterError("lpn requires q = 2")
+            if config.noise.kind != "bernoulli":
+                raise ParameterError("lpn takes bernoulli noise only")
             bound_paper = 0.5 * (1.0 - 2.0 * config.noise.eta) ** 2
             bound_opt = None
 
-            def run(rng: np.random.Generator) -> bool:
+            def run(rng: np.random.Generator) -> tuple[int, ...] | None:
                 src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lpn_learn(src, config.L, rng, engine=config.engine).secret == secret
+                return lpn_learn(src, config.L, rng, engine=config.engine).secret
 
         else:
             if k >= 1:
@@ -226,9 +237,9 @@ def _build_runner(config: ExperimentConfig) -> tuple[
                 bound_paper = bound_opt = exact
             learner_cfg = LearnerConfig(L=config.L, M=config.M, k=k, engine=config.engine)
 
-            def run(rng: np.random.Generator) -> bool:
+            def run(rng: np.random.Generator) -> tuple[int, ...] | None:
                 src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lwe_learn(learner_cfg, src, rng).secret == secret
+                return lwe_learn(learner_cfg, src, rng).secret
 
         return run, exact, bound_paper, bound_opt
 
@@ -238,13 +249,11 @@ def _build_runner(config: ExperimentConfig) -> tuple[
         spec = lwr_sample_spec(fp, n, secret, config.p)
         exact = outcome_distribution(spec).p_correct  # deterministic spec: exact success
         bound_paper = config.p / (12.0 * (q - 1))
-        grid = np.arange(1e-4, 0.25, 1e-4)
-        gamma_star = float(np.max(grid * np.cos(2.0 * np.pi * grid) ** 2))
-        bound_opt = gamma_star * v / ((q / (2.0 * config.p)) * q**n)
+        bound_opt = GAMMA_STAR * v / ((q / (2.0 * config.p)) * q**n)
         learner_cfg = LearnerConfig(L=config.L, M=config.M, engine=config.engine)
 
-        def run(rng: np.random.Generator) -> bool:
-            return lwr_learn(config.p, learner_cfg, lambda: spec, rng).secret == secret
+        def run(rng: np.random.Generator) -> tuple[int, ...] | None:
+            return lwr_learn(config.p, learner_cfg, lambda: spec, rng).secret
 
         return run, exact, bound_paper, bound_opt
 
@@ -254,24 +263,25 @@ def _build_runner(config: ExperimentConfig) -> tuple[
         exact = math.prod((1.0 - q**-config.L) ** w for w in wrong)
         bound_paper = 1.0 - (2 * k + 1) * n / float(q) ** config.L
 
-        def run(rng: np.random.Generator) -> bool:
-            return sis_learn(k, config.L, source, rng) == secret
+        def run(rng: np.random.Generator) -> tuple[int, ...] | None:
+            return sis_learn(k, config.L, source, rng)
 
         return run, exact, bound_paper, None
 
     # ring-global
     if config.m is None:
         raise ParameterError("ring-global needs the conductor m")
+    if config.noise.kind not in ("none", "global-shift"):
+        raise ParameterError("ring-global takes noise none or global (no per-element ring noise)")
     emb = RingEmbedding.build(fp, config.m)
     if config.n != emb.n:
         raise ParameterError(f"ring dimension is phi({config.m}) = {emb.n}, got n = {config.n}")
-    ring_secret = tuple(x % q for x in secret)
     noise_mode = "none" if config.noise.kind == "none" else "uniform-global"
     exact = ((q - 1) / q) ** emb.n
 
-    def run(rng: np.random.Generator) -> bool:
-        src = ring_sample_stream(emb, ring_secret, rng, noise=noise_mode)
-        return ring_lwe_global_learn(emb, src, rng).secret == ring_secret
+    def run(rng: np.random.Generator) -> tuple[int, ...] | None:
+        src = ring_sample_stream(emb, secret, rng, noise=noise_mode)
+        return ring_lwe_global_learn(emb, src, rng).secret
 
     return run, exact, None, None
 
@@ -279,17 +289,9 @@ def _build_runner(config: ExperimentConfig) -> tuple[
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured trials; deterministic for a fixed config and seed."""
     start = time.perf_counter()
-    run, exact, bound_paper, bound_opt = _build_runner(config)
-
-    def one(index: int) -> bool:
-        return bool(run(_trial_rng(config.seed, index)))
-
-    if config.workers == 1:
-        outcomes = [one(i) for i in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(one, range(config.trials)))
-    successes = sum(outcomes)
+    secret = draw_secret(config, _trial_rng(config.seed, 2**63))
+    run, exact, bound_paper, bound_opt = build_trial(config, secret)
+    successes = sum(run(_trial_rng(config.seed, i)) == secret for i in range(config.trials))
     lo, hi = wilson_interval(successes, config.trials)
     return ExperimentReport(
         config=config,

@@ -1,15 +1,14 @@
 """Prime-field arithmetic: centered representatives, inverses and roots of unity.
 
 Field elements are plain Python ints reduced to [0, q).  ``FieldParams``
-bundles a prime modulus with the complex q-th root of unity, and
-``roots_of_unity`` tables all q powers of it for the engines' phase
-arithmetic; everything here is immutable and safe to share.
+holds a checked prime modulus, and ``roots_of_unity`` tables all q powers of
+the complex root exp(2*pi*i/q) for the engines' phase arithmetic; everything
+here is immutable and safe to share.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,22 +57,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """A prime modulus q with its complex root of unity exp(2*pi*i/q)."""
+    """A prime modulus q, checked on construction."""
 
     q: int
-    omega: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise ParameterError(f"modulus must be prime, got {self.q!r}")
         if self.q > MAX_Q:
             raise ParameterError(f"modulus {self.q} exceeds the 2**40 cap")
-        object.__setattr__(self, "omega", cmath.exp(2j * cmath.pi / self.q))
-
-    def omega_pow(self, exponent: int) -> complex:
-        # Reduce mod q before exponentiating: raw exponents such as
-        # a*(j + j*s) overflow double precision long before q does.
-        return cmath.exp(2j * cmath.pi * ((exponent % self.q) / self.q))
 
     def reduce(self, a: int) -> int:
         return a % self.q

@@ -30,12 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import DenseState, StateError
+from .dense import DenseState, StateError, weighted_index
 from .field import FieldParams, ParameterError, roots_of_unity
 
 EXPLICIT_ERROR_LIMIT = 10**6  # above this, errors are stored as a histogram
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
 MULTINOMIAL_LIMIT = 2**63 - 1  # numpy draws multinomial counts as int64
+
+_GAMMA_GRID = np.arange(1e-4, 0.25, 1e-4)
+# max of gamma * cos^2(2 pi gamma) over a grid in (0, 1/4): the "optimized" bound's constant
+GAMMA_STAR = float(np.max(_GAMMA_GRID * np.cos(2.0 * np.pi * _GAMMA_GRID) ** 2))
 
 _NOISE_KINDS = ("none", "bounded-uniform", "gaussian", "bernoulli", "global-shift")
 
@@ -412,15 +416,9 @@ def draw_classical_sample(
     else:
         values = tuple(spec.histogram)
         counts = np.fromiter(spec.histogram.values(), dtype=np.float64)
-        e = values[_weighted_index(counts, rng)]
+        e = values[weighted_index(counts, rng)]
     b = (sum(ai * si for ai, si in zip(a, spec.s)) + e) % q
     return a, b
-
-
-def _weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(weights)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(idx, weights.size - 1)
 
 
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
@@ -471,8 +469,7 @@ def theoretical_bound(v: int, k: int, q: int, n: int, gamma_mode: str = "paper")
     if gamma_mode == "paper":
         return scale / 20.0
     if gamma_mode == "optimized":
-        grid = np.arange(1e-4, 0.25, 1e-4)
-        return float(np.max(grid * np.cos(2.0 * np.pi * grid) ** 2)) * scale
+        return GAMMA_STAR * scale
     raise ParameterError(f"unknown gamma mode {gamma_mode!r}")
 
 

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from quditlearn.cli import main
 
 
@@ -167,3 +169,42 @@ def test_experiment_with_too_many_error_draws_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "2**63" in err
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"problem": "lwe", "q": 5, "n": 2}, "trials"),
+    ({"q": 5, "n": 2, "trials": 10}, "problem"),
+    ("lwe", "object"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "noise": {"kind": "gaussian", "k": 1}}, "sigma"),
+])
+def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+@pytest.mark.parametrize("noise", ["gaussian", "bounded"])
+def test_ring_global_rejects_iid_noise(capsys, command, noise):
+    extra = ("--trials", "2") if command == "experiment" else ()
+    code, out, err = run_cli(
+        capsys, command, "--problem", "ring-global", "--q", "13", "--m", "4", "--noise", noise,
+        "--k", "1", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "ring-global" in err
+
+
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+def test_lpn_rejects_non_bernoulli_noise(capsys, command):
+    extra = ("--trials", "2") if command == "experiment" else ()
+    code, out, err = run_cli(
+        capsys, command, "--problem", "lpn", "--q", "2", "--n", "4", "--noise", "none", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bernoulli" in err

@@ -74,13 +74,6 @@ def test_identical_config_and_seed_reproduce_report():
     assert a.canonical_text().count("\n") == len(CSV_COLUMNS) - 2
 
 
-def test_worker_count_does_not_change_results():
-    base = lwe_config(trials=600, noise=NoiseModel.bounded_uniform(1), L=2, M=1, k=1)
-    threaded = lwe_config(trials=600, noise=NoiseModel.bounded_uniform(1), L=2, M=1, k=1, workers=4)
-    assert run_experiment(base).canonical_text().replace("workers", "") == \
-        run_experiment(threaded).canonical_text().replace("workers", "")
-
-
 def test_wilson_coverage_over_independent_seeds():
     # 95% nominal intervals must contain the exact probability in >= 93 of 100 runs
     covered = 0

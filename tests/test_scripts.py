@@ -1,0 +1,27 @@
+"""Smoke runs of the scripts under scripts/, which use the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quditlearn
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(quditlearn.__file__).resolve().parent.parent)
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+
+
+def test_scripts_run_and_write_their_tables(tmp_path):
+    sweeps = run_script("run_sweeps.py", "--trials", "5", "--outdir", str(tmp_path))
+    assert sweeps.returncode == 0, sweeps.stderr
+    for name, rows in (("noiseless", 5), ("k_sweep", 5), ("m_sweep", 4)):
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0].startswith("problem,q,n,") and len(lines) == rows + 1
+    scan = run_script("parity_bound_scan.py")
+    assert scan.returncode == 0, scan.stderr
+    assert scan.stdout.splitlines()[1].startswith("n    eta=0.05")
