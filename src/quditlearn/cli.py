@@ -190,15 +190,14 @@ def _config_from_obj(obj: dict) -> ExperimentConfig:
     for key in ("problem", "q", "n", "trials"):
         if key not in obj:
             raise ParameterError(f"sweep entry lacks the {key!r} key")
-    noise_obj = obj.get("noise", {"kind": "none"})
-    if not isinstance(noise_obj, dict):
-        raise ParameterError("noise must be an object with a 'kind' key")
     try:
-        noise = _noise_from_obj(noise_obj)
+        noise = _noise_from_obj(obj.get("noise", {"kind": "none"}))
     except KeyError as exc:
         raise ParameterError(f"sweep entry noise lacks the {exc.args[0]!r} key") from None
     fields = {k: obj[k] for k in ("v", "L", "M", "k", "p", "m", "engine") if k in obj}
     if "s" in obj:
+        if not isinstance(obj["s"], list):
+            raise ParameterError("sweep entry key 's' must be a list of integers")
         fields["s"] = tuple(obj["s"])
     return ExperimentConfig(
         problem=obj["problem"],

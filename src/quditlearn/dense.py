@@ -103,7 +103,9 @@ class DenseState:
         return cls(fp, m, amps / norm)
 
     def probabilities(self) -> np.ndarray:
-        return self.amps.real**2 + self.amps.imag**2
+        probs = np.square(self.amps.real)
+        probs += np.square(self.amps.imag)
+        return probs
 
     def apply_qft(self, register: int) -> "DenseState":
         """|j> -> (1/sqrt(q)) sum_k omega^(jk) |k> on one register."""
@@ -121,16 +123,16 @@ class DenseState:
     def apply_qft_all(self) -> "DenseState":
         """QFT on every register, as one composite operation.
 
-        Each pass transforms the leading register and cycles it to the last
-        axis, so after num_registers passes all registers are transformed
-        and the ordering is restored.
+        Each pass X.T @ F = (F @ X).T (F is symmetric) transforms the leading
+        register and cycles it to the last axis, C-contiguous without a copy, so
+        after num_registers passes every register is transformed and in order.
         """
         q = self.fp.q
         f = qft_matrix(q)
         amps = self.amps
         rest = amps.size // q
         for _ in range(self.num_registers):
-            amps = np.ascontiguousarray((f @ amps.reshape(q, rest)).T)
+            amps = amps.reshape(q, rest).T @ f
         return DenseState(self.fp, self.num_registers, amps)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":
@@ -169,7 +171,6 @@ class DenseState:
 
 
 def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i drawn with probability weights[i] / sum(weights), from one uniform."""
-    cdf = np.cumsum(weights)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return min(idx, weights.size - 1)
+    """Index i drawn with probability weights[i] / sum(weights); overwrites weights with its CDF."""
+    cdf = np.cumsum(weights, out=weights)
+    return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), weights.size - 1)

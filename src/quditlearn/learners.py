@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Callable, Union
+from typing import Callable, TypeVar, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .samples import (
 
 SpecSource = Callable[[], SampleSpec]
 StateSource = Callable[[], DenseState]
+T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,6 +164,12 @@ def lpn_learn(
     return BvOutcome(max(votes, key=votes.get))
 
 
+def _peek(source: Callable[[], T]) -> tuple[T, Callable[[], T]]:
+    """Draw one sample to inspect, and a source that hands that sample back first."""
+    pending = [source()]
+    return pending[0], lambda: pending.pop() if pending else source()
+
+
 # --- learning with rounding ---------------------------------------------------
 
 def lwr_round(x: int, p: int, q: int) -> int:
@@ -219,13 +226,8 @@ def lwr_learn(
     rng: np.random.Generator,
 ) -> BvOutcome:
     """Rounding learner: widen the test bound to the decoding residual, then learn as usual."""
-    first = source()
+    first, feed = _peek(source)
     kp = lwr_noise_bound(p, first.fp.q)
-    pending = [first]
-
-    def feed() -> SampleSpec:
-        return pending.pop() if pending else source()
-
     return lwe_learn(dataclasses.replace(config, k=kp), feed, rng)
 
 
@@ -261,14 +263,9 @@ def sis_learn(
     """
     if k < 0 or L < 1:
         raise ParameterError("need k >= 0 and L >= 1")
-    first = source()
+    first, fresh = _peek(source)
     q = first.fp.q
     n = first.num_registers - 1
-    pending = [first]
-
-    def fresh() -> DenseState:
-        return pending.pop() if pending else source()
-
     recovered = []
     for i in range(n):
         accepted = None

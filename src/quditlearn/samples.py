@@ -531,7 +531,9 @@ def _noise_to_obj(noise: NoiseModel) -> dict:
     return obj
 
 
-def _noise_from_obj(obj: dict) -> NoiseModel:
+def _noise_from_obj(obj: dict, key: str = "noise") -> NoiseModel:
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{key} must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "none":
         return NoiseModel.none()
@@ -542,5 +544,5 @@ def _noise_from_obj(obj: dict) -> NoiseModel:
     if kind == "bernoulli":
         return NoiseModel.bernoulli(obj["eta"])
     if kind == "global-shift":
-        return NoiseModel.global_shift(_noise_from_obj(obj["inner"]))
+        return NoiseModel.global_shift(_noise_from_obj(obj["inner"], "inner"))
     raise ParameterError(f"unknown noise kind {kind!r}")

@@ -37,6 +37,7 @@ from quditlearn.samples import (
     theoretical_bound,
 )
 from quditlearn.experiments import wilson_interval
+from quditlearn.verify import _dense_category_probabilities
 
 from conftest import make_rng
 
@@ -49,15 +50,6 @@ def conclude(number: int, name: str, ok: bool, detail: str, started: float, budg
     assert elapsed < budget, f"criterion {number} exceeded {budget}s: {elapsed:.1f}s"
 
 
-def dense_categories(spec):
-    q = spec.fp.q
-    probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((q,) * (spec.n + 1))
-    per = np.zeros(q)
-    for jstar in range(1, q):
-        per[jstar] = probs[tuple((-jstar * si) % q for si in spec.s) + (jstar,)]
-    return per, float(probs[..., 0].sum())
-
-
 def test_criterion_1_noiseless_success_rate():
     started = time.perf_counter()
     ok, details = True, []
@@ -66,7 +58,7 @@ def test_criterion_1_noiseless_success_rate():
         fp = FieldParams(q)
         s = tuple(int(x) for x in rng.integers(0, q, size=n))
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(), histogram={0: q**n})
-        per, _ = dense_categories(spec)
+        per, _, _ = _dense_category_probabilities(spec)
         exact = float(per.sum())
         if abs(exact - (q - 1) / q) > 1e-9:
             ok = False
@@ -97,7 +89,7 @@ def test_criterion_2_attempt_bound_exhaustive():
             worst_margin = min(worst_margin, margin)
             if margin < -1e-12:
                 ok = False
-            per, p_bot = dense_categories(spec)
+            per, p_bot, _ = _dense_category_probabilities(spec)
             if np.abs(per - dist.per_jstar_good).max() > 1e-9 or abs(p_bot - dist.p_bot) > 1e-9:
                 ok = False
             checked += 1
@@ -108,7 +100,7 @@ def test_criterion_2_attempt_bound_exhaustive():
         dist = outcome_distribution(spec)
         if dist.p_correct < v * bound_scale - 1e-12:
             ok = False
-        per, p_bot = dense_categories(spec)
+        per, p_bot, _ = _dense_category_probabilities(spec)
         if np.abs(per - dist.per_jstar_good).max() > 1e-9 or abs(p_bot - dist.p_bot) > 1e-9:
             ok = False
         checked += 1
@@ -336,8 +328,7 @@ def test_criterion_9_engine_equivalence_random_specs():
             noise = kinds[int(rng.integers(len(kinds)))]
         spec = draw_sample_spec(fp, n, s, v, noise, rng)
         dist = outcome_distribution(spec)
-        per, p_bot = dense_categories(spec)
-        p_wrong_dense = 1.0 - float(per.sum()) - p_bot
+        per, p_bot, p_wrong_dense = _dense_category_probabilities(spec)
         tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
                     + abs(p_bot - dist.p_bot) + abs(p_wrong_dense - dist.p_wrong))
         worst_tv = max(worst_tv, tv)

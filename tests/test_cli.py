@@ -176,6 +176,9 @@ def test_experiment_with_too_many_error_draws_exits_2(capsys):
     ({"q": 5, "n": 2, "trials": 10}, "problem"),
     ("lwe", "object"),
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "noise": {"kind": "gaussian", "k": 1}}, "sigma"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "s": 5}, "'s'"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10,
+      "noise": {"kind": "global-shift", "inner": 3}}, "inner"),
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"

@@ -61,6 +61,7 @@ def test_size_cap_enforced():
 def test_qft_matrix_unitary(q):
     f = qft_matrix(q)
     assert np.max(np.abs(f.conj().T @ f - np.eye(q))) <= 1e-9
+    assert np.array_equal(f, f.T)  # apply_qft_all multiplies by F from the right
 
 
 def test_qft_of_zero_is_uniform():
@@ -74,10 +75,13 @@ def test_qft_then_inverse_restores_state():
     assert np.abs(back.amps - st_.amps).max() <= 1e-9
 
 
-def test_qft_all_matches_per_register_path():
-    st_ = random_state(7, 2, key=12)
+@pytest.mark.parametrize("q, registers", [(2, 5), (3, 3), (7, 2), (13, 4)])
+def test_qft_all_matches_per_register_path(q, registers):
+    st_ = random_state(q, registers, key=12)
     fused = st_.apply_qft_all()
-    sequential = st_.apply_qft(0).apply_qft(1)
+    sequential = st_
+    for register in range(registers):
+        sequential = sequential.apply_qft(register)
     assert np.abs(fused.amps - sequential.amps).max() <= 1e-12
 
 
@@ -149,6 +153,17 @@ def test_sis_correct_candidate_screens_to_zero(rng):
 def test_measure_all_on_basis_state(rng):
     st_ = DenseState.from_basis_terms([((3, 1), 1.0)], FieldParams(5))
     assert st_.measure_all(rng) == (3, 1)
+
+
+@pytest.mark.parametrize("registers", [1, 3])
+def test_measurement_leaves_amplitudes_unchanged(rng, registers):
+    # weighted_index builds its CDF in place, so it must only ever see temporaries
+    st_ = random_state(5, registers, key=17)
+    before = st_.amps.copy()
+    st_.measure_all(rng)
+    for register in range(registers):
+        st_.measure_register(register, rng)
+    assert np.array_equal(st_.amps, before)
 
 
 def test_measure_all_marginal_uniform_noiseless_sample(rng):

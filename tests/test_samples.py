@@ -21,19 +21,9 @@ from quditlearn.samples import (
     spec_to_json,
     theoretical_bound,
 )
+from quditlearn.verify import _dense_category_probabilities
 
 from conftest import make_rng
-
-
-def dense_categories(spec):
-    """Oracle: per-j* good probabilities plus abstention mass by full enumeration."""
-    q = spec.fp.q
-    probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((q,) * (spec.n + 1))
-    per = np.zeros(q)
-    for jstar in range(1, q):
-        good = tuple((-jstar * si) % q for si in spec.s) + (jstar,)
-        per[jstar] = probs[good]
-    return per, float(probs[..., 0].sum())
 
 
 # --- noise models ---------------------------------------------------------
@@ -250,7 +240,7 @@ def test_noiseless_dense_exactness_at_larger_sizes():
         s = tuple((i + 2) % q for i in range(n))
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(),
                           histogram={0: q**n})
-        per, p_bot = dense_categories(spec)
+        per, p_bot, _ = _dense_category_probabilities(spec)
         assert abs(per.sum() - (q - 1) / q) <= 1e-9
         assert abs(p_bot - 1 / q) <= 1e-9
 
@@ -261,7 +251,7 @@ def test_outcome_distribution_matches_dense_oracle(rng):
         v = int(rng.integers(1, 6))
         spec = draw_sample_spec(fp, 1, (3,), v, NoiseModel.bounded_uniform(1), rng)
         dist = outcome_distribution(spec)
-        per, p_bot = dense_categories(spec)
+        per, p_bot, _ = _dense_category_probabilities(spec)
         assert np.abs(per - dist.per_jstar_good).max() <= 1e-9
         assert abs(p_bot - dist.p_bot) <= 1e-9
 
@@ -356,8 +346,7 @@ def small_specs(draw):
 @given(small_specs())
 def test_engine_equivalence_property(spec):
     dist = outcome_distribution(spec)
-    per, p_bot = dense_categories(spec)
-    p_wrong_dense = 1.0 - per.sum() - p_bot
+    per, p_bot, p_wrong_dense = _dense_category_probabilities(spec)
     tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
                 + abs(p_bot - dist.p_bot) + abs(p_wrong_dense - dist.p_wrong))
     assert tv <= 1e-9
