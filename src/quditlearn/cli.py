@@ -190,6 +190,11 @@ def _config_from_obj(obj: dict) -> ExperimentConfig:
     for key in ("problem", "q", "n", "trials"):
         if key not in obj:
             raise ParameterError(f"sweep entry lacks the {key!r} key")
+    for key in ("q", "n", "trials", "seed", "v", "L", "M", "k", "p", "m"):
+        value = obj.get(key)
+        optional = value is None and key in ("v", "k", "p", "m")  # null keeps the default
+        if key in obj and not optional and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParameterError(f"sweep entry key {key!r} must be an integer, got {value!r}")
     try:
         noise = _noise_from_obj(obj.get("noise", {"kind": "none"}))
     except KeyError as exc:
@@ -201,10 +206,10 @@ def _config_from_obj(obj: dict) -> ExperimentConfig:
         fields["s"] = tuple(obj["s"])
     return ExperimentConfig(
         problem=obj["problem"],
-        q=int(obj["q"]),
-        n=int(obj["n"]),
-        trials=int(obj["trials"]),
-        seed=int(obj.get("seed", 0)),
+        q=obj["q"],
+        n=obj["n"],
+        trials=obj["trials"],
+        seed=obj.get("seed", 0),
         noise=noise,
         **fields,
     )

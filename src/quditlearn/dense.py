@@ -114,12 +114,6 @@ class DenseState:
         out = np.moveaxis(out, 0, register)
         return DenseState(self.fp, self.num_registers, out)
 
-    def apply_inverse_qft(self, register: int) -> "DenseState":
-        self._check_register(register)
-        out = np.tensordot(qft_matrix(self.fp.q).conj(), self._grid(), axes=([1], [register]))
-        out = np.moveaxis(out, 0, register)
-        return DenseState(self.fp, self.num_registers, out)
-
     def apply_qft_all(self) -> "DenseState":
         """QFT on every register, as one composite operation.
 

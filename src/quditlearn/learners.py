@@ -26,7 +26,7 @@ from .samples import (
     ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
-    _all_vectors,
+    _vector_table,
     draw_classical_sample,
     materialize_dense,
     outcome_distribution,
@@ -204,10 +204,8 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     qn = q**n
     s = tuple(s)
     if qn <= ENUMERABLE_LIMIT:
-        vectors = _all_vectors(q, n)
-        errors = {
-            a: residual[sum(ai * si for ai, si in zip(a, s)) % q] for a in vectors
-        }
+        dots = _vector_table(q, n) @ np.asarray(s, dtype=np.int64) % q
+        errors = np.asarray(residual, dtype=np.int64)[dots]
         return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, errors=errors)
     # a.s is uniform over F_q when s != 0, hitting each residue q^(n-1) times.
     if all(x == 0 for x in s):

@@ -25,6 +25,7 @@ import numpy as np
 from .dense import DenseState
 from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
+from .samples import _vector_table
 
 
 def euler_phi(m: int) -> int:
@@ -151,22 +152,16 @@ class RingEmbedding:
         return tuple((ai + bi) % self.fp.q for ai, bi in zip(a, b))
 
 
-_ring_tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _embedded_grid(emb: RingEmbedding) -> tuple[np.ndarray, np.ndarray]:
-    """phi(a) for every a in R_q, plus the flat-index contribution of the first block."""
-    key = (emb.fp.q, emb.m)
-    cached = _ring_tables.get(key)
-    if cached is None:
-        q, n = emb.fp.q, emb.n
-        coeff_grid = np.stack(np.unravel_index(np.arange(q**n), (q,) * n), axis=1).astype(np.int64)
-        phi_a = coeff_grid @ emb.eval_matrix.T % q
-        base = np.zeros(q**n, dtype=np.int64)
-        for col in range(n):
-            base = base * q + phi_a[:, col]
-        cached = _ring_tables[key] = (phi_a, base * q**n)
-    return cached
+@lru_cache(maxsize=8)
+def _ring_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(a) for every a in R_q, the flat-index part of its first block, and the place values."""
+    emb = RingEmbedding.build(FieldParams(q), m)
+    phi_a = _vector_table(q, emb.n) @ emb.eval_matrix.T % q
+    place = q ** np.arange(emb.n - 1, -1, -1, dtype=np.int64)  # row-major weights of one block
+    first_block = phi_a @ place * q**emb.n
+    for table in (phi_a, first_block, place):
+        table.flags.writeable = False  # shared by every caller
+    return phi_a, first_block, place
 
 
 def ring_sample_state(
@@ -177,20 +172,13 @@ def ring_sample_state(
     e is the single global error shared by every element of the superposition.
     """
     q = emb.fp.q
-    n = emb.n
-    qn = q**n
-    phi_a, first_block = _embedded_grid(emb)
+    phi_a, first_block, place = _ring_tables(q, emb.m)
     phi_s = np.asarray(emb.embed(s), dtype=np.int64)
     phi_e = np.asarray(emb.embed(e), dtype=np.int64)
-    second = (phi_a * phi_s[None, :] + phi_e[None, :]) % q
-    flat = first_block.copy()
-    offsets = np.zeros(qn, dtype=np.int64)
-    for col in range(n):
-        offsets = offsets * q + second[:, col]
-    flat += offsets
-    amps = np.zeros(q ** (2 * n), dtype=np.complex128)
-    amps[flat] = 1.0 / math.sqrt(qn)
-    return DenseState(emb.fp, 2 * n, amps)
+    second = (phi_a * phi_s + phi_e) % q
+    amps = np.zeros(q ** (2 * emb.n), dtype=np.complex128)
+    amps[first_block + second @ place] = 1.0 / math.sqrt(q**emb.n)
+    return DenseState(emb.fp, 2 * emb.n, amps)
 
 
 def ring_sample_stream(

@@ -16,14 +16,17 @@ independent cross-check at small sizes.
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
 
-Sample specs serialize to JSON with the documented keys
-q, n, s, subset, v, noise, errors, seed (see ``spec_to_json``).
+In memory a spec holds its subset as row-major flat indices into F_q^n and
+its errors as an aligned int64 array; the vectors and the vector -> error map
+appear only in the JSON form, with the documented keys q, n, s, subset, v,
+noise, errors, seed (see ``spec_to_json``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -149,6 +152,8 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
         values, weights = (0, 1), (1.0 - noise.eta, noise.eta)
     else:
         values, weights = _distribution(noise.inner, q)[:2]
+    # SampleSpec checks error values against [min, max], exact for a run of integers.
+    assert values == tuple(range(values[0], values[-1] + 1))
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
     return values, weights, np.asarray(values, dtype=np.int64), cdf
@@ -166,20 +171,22 @@ def _draw_errors(noise: NoiseModel, q: int, size: int, rng: np.random.Generator)
     values, _, values_arr, cdf = _distribution(noise, q)
     if len(values) == 1:
         return np.full(size, values[0], dtype=np.int64)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return values_arr[np.minimum(idx, len(values) - 1)]
+    # u < 1.0 = cdf[-1], so the right-side index never passes the last value
+    return values_arr[np.searchsorted(cdf, rng.random(size), side="right")]
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSpec:
     """Full description of one quantum sample: secret, subset, realized errors.
 
-    ``subset is None`` means all of F_q^n.  Exactly one of ``errors`` (an
-    explicit vector -> error map) and ``histogram`` (error value -> count)
-    is present; the histogram form is allowed only for the full subset or
-    above the explicit-map size limit, since no per-vector assignment is
-    retained there.  A spec is not modified after construction: its outcome
-    law is computed on first use and kept with it.
+    ``subset`` holds the row-major flat indices of V in F_q^n (None means all
+    of F_q^n).  Exactly one of ``errors`` (an error per element of V, aligned
+    with ``subset``, or with flat indices 0..q^n-1 when it is None) and
+    ``histogram`` (error value -> count) is present; the histogram form is
+    allowed only for the full subset or above the explicit-map size limit,
+    since no per-vector assignment is retained there.  Both arrays are stored
+    as read-only int64 copies, and a spec is not modified after construction:
+    its outcome law is computed on first use and kept with it.
     """
 
     fp: FieldParams
@@ -187,8 +194,8 @@ class SampleSpec:
     s: tuple[int, ...]
     v: int
     noise: NoiseModel
-    subset: tuple[tuple[int, ...], ...] | None = None
-    errors: dict[tuple[int, ...], int] | None = None
+    subset: np.ndarray | None = None
+    errors: np.ndarray | None = None
     histogram: dict[int, int] | None = None
     seed: int | None = None
 
@@ -206,24 +213,26 @@ class SampleSpec:
             if self.v != qn:
                 raise ParameterError("subset None means all of F_q^n, so v must equal q^n")
         else:
-            if len(self.subset) != self.v:
+            subset = _read_only(self.subset)
+            if subset.shape != (self.v,):
                 raise ParameterError("explicit subset length must equal v")
-            if len(set(self.subset)) != self.v:
+            ordered = np.sort(subset)
+            if ordered[0] < 0 or ordered[-1] >= qn:
+                raise ParameterError(f"subset indices must lie in [0, q^n = {qn})")
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ParameterError("explicit subset vectors must be distinct")
-            for a in self.subset:
-                if len(a) != self.n or any(not 0 <= x < q for x in a):
-                    raise ParameterError(f"subset vector {a} not in F_q^{self.n}")
+            object.__setattr__(self, "subset", subset)
         if (self.errors is None) == (self.histogram is None):
             raise ParameterError("exactly one of errors / histogram must be given")
-        support = set(self.noise.distribution(q)[0])
+        support = _distribution(self.noise, q)[0]
         if self.errors is not None:
-            if len(self.errors) != self.v:
+            errors = _read_only(self.errors)
+            if errors.shape != (self.v,):
                 raise ParameterError("error map must assign every subset element")
-            if self.subset is not None and set(self.errors) != set(self.subset):
-                raise ParameterError("error map keys must match the subset")
-            bad = [e for e in self.errors.values() if e not in support]
-            if bad:
+            bad = errors[(errors < support[0]) | (errors > support[-1])]
+            if bad.size:
                 raise ParameterError(f"error value {bad[0]} outside the noise support")
+            object.__setattr__(self, "errors", errors)
         else:
             # Single-bin histograms determine the assignment uniquely, so any
             # subset may carry them (noise None, realized global shifts).
@@ -240,13 +249,11 @@ class SampleSpec:
                 raise ParameterError(f"histogram value {bad[0]} outside the noise support")
 
     def error_histogram(self) -> dict[int, int]:
-        """Counts of each realized error value, from either representation."""
+        """Counts of each realized error value, in order of first occurrence."""
         if self.histogram is not None:
             return dict(self.histogram)
-        counts: dict[int, int] = {}
-        for e in self.errors.values():
-            counts[e] = counts.get(e, 0) + 1
-        return counts
+        # _outcome_law sums in this order; sorted values would move its last bit
+        return dict(Counter(self.errors.tolist()))
 
     @cached_property
     def _outcome(self) -> "OutcomeDistribution":
@@ -276,22 +283,28 @@ class OutcomeDistribution:
             raise ParameterError("p_correct must equal the sum over j* != 0")
 
 
-@lru_cache(maxsize=64)
-def _all_vectors(q: int, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in _vector_table(q, n))
+def _read_only(values) -> np.ndarray:
+    """A private read-only int64 copy: the law memoized on a spec must not go stale."""
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=64)
 def _vector_table(q: int, n: int) -> np.ndarray:
-    """All vectors of F_q^n in flat-index order, as an int64 array."""
+    """All vectors of F_q^n in flat-index order, as a read-only int64 array."""
     if q**n > ENUMERABLE_LIMIT:
         raise ParameterError(f"q^n = {q**n} too large to enumerate")
-    return np.stack(np.unravel_index(np.arange(q**n), (q,) * n), axis=1).astype(np.int64)
+    table = np.stack(np.unravel_index(np.arange(q**n), (q,) * n), axis=-1).astype(np.int64)
+    table.flags.writeable = False  # shared by every caller of the memoized table
+    return table
 
 
-def _decode_indices(idx: np.ndarray, q: int, n: int) -> tuple[tuple[int, ...], ...]:
-    grid = np.stack(np.unravel_index(idx, (q,) * n), axis=1)
-    return tuple(tuple(int(x) for x in row) for row in grid)
+def _vectors_at(idx: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The vectors of F_q^n at row-major flat indices (one row per index)."""
+    if q**n <= ENUMERABLE_LIMIT:
+        return _vector_table(q, n)[idx]
+    return np.stack(np.unravel_index(idx, (q,) * n), axis=-1).astype(np.int64)
 
 
 def draw_sample_spec(
@@ -302,7 +315,6 @@ def draw_sample_spec(
     noise: NoiseModel,
     rng: np.random.Generator,
     *,
-    subset_mode: str = "auto",
     errors_as: str = "auto",
     seed: int | None = None,
 ) -> SampleSpec:
@@ -316,29 +328,26 @@ def draw_sample_spec(
     qn = q**n
     if not 1 <= v <= qn:
         raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
-    if subset_mode not in ("auto", "all", "random"):
-        raise ParameterError(f"unknown subset mode {subset_mode!r}")
-    if subset_mode == "all" and v != qn:
-        raise ParameterError("subset mode 'all' requires v = q^n")
     require_drawable(v, noise)
 
-    subset: tuple[tuple[int, ...], ...] | None
+    subset: np.ndarray | None
     if v == qn:
         subset = None
     elif qn <= ENUMERABLE_LIMIT:
-        subset = _decode_indices(rng.choice(qn, size=v, replace=False), q, n)
+        subset = rng.choice(qn, size=v, replace=False)
     else:
         if v * v > qn // 100:
             raise ParameterError(
                 "rejection subset sampling needs v^2 <= q^n / 100 when q^n is not enumerable"
             )
+        if qn > np.iinfo(np.int64).max:
+            raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < v:
             chosen.add(tuple(int(x) for x in rng.integers(0, q, size=n)))
-        subset = tuple(chosen)
+        subset = np.ravel_multi_index(np.array(list(chosen)).T, (q,) * n)
 
-    values, weights = noise.distribution(q)
-    errors: dict[tuple[int, ...], int] | None = None
+    errors: np.ndarray | None = None
     histogram: dict[int, int] | None = None
     if noise.is_global or noise.kind == "none":
         shift = int(_draw_errors(noise, q, 1, rng)[0]) if noise.is_global else 0
@@ -346,12 +355,11 @@ def draw_sample_spec(
     elif errors_as == "histogram" or (errors_as == "auto" and v > EXPLICIT_ERROR_LIMIT):
         if subset is not None and v <= EXPLICIT_ERROR_LIMIT:
             raise ParameterError("histogram storage needs the full subset at this size")
+        values, weights = noise.distribution(q)
         counts = rng.multinomial(v, weights)
         histogram = {b: int(c) for b, c in zip(values, counts) if c}
     else:
-        vectors = subset if subset is not None else _all_vectors(q, n)
-        draws = _draw_errors(noise, q, v, rng)
-        errors = dict(zip(vectors, draws.tolist()))
+        errors = _draw_errors(noise, q, v, rng)
     return SampleSpec(
         fp=fp, n=n, s=tuple(s), v=v, noise=noise,
         subset=subset, errors=errors, histogram=histogram, seed=seed,
@@ -378,25 +386,15 @@ def sample_stream(
 def materialize_dense(spec: SampleSpec) -> DenseState:
     """The state (1/sqrt(v)) sum_{a in V} |a>|a.s + e_a mod q> on n+1 registers."""
     q = spec.fp.q
-    s_vec = np.asarray(spec.s, dtype=np.int64)
     if spec.histogram is not None and len(spec.histogram) > 1:
         raise StateError("histogram spec has no per-vector error assignment")
     if spec.subset is None:
-        vecs = _vector_table(q, spec.n)
-        base = np.arange(spec.v, dtype=np.int64) * q
+        idx, vecs = np.arange(spec.v, dtype=np.int64), _vector_table(q, spec.n)
     else:
-        vecs = np.asarray(spec.subset, dtype=np.int64).reshape(spec.v, spec.n)
-        base = np.zeros(spec.v, dtype=np.int64)
-        for col in range(spec.n):
-            base = base * q + vecs[:, col]
-        base *= q
-    if spec.errors is not None:
-        vectors = spec.subset if spec.subset is not None else _all_vectors(q, spec.n)
-        errs = np.fromiter((spec.errors[a] for a in vectors), dtype=np.int64, count=spec.v)
-    else:
-        (shift,) = spec.histogram  # single bin: the assignment is unique
-        errs = shift
-    flat = base + (vecs @ s_vec + errs) % q
+        idx, vecs = spec.subset, _vectors_at(spec.subset, q, spec.n)
+    # a single-bin histogram fixes the assignment: every element carries its one value
+    errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
+    flat = idx * q + (vecs @ np.asarray(spec.s, dtype=np.int64) + errs) % q
     amps = np.zeros(q ** (spec.n + 1), dtype=np.complex128)
     amps[flat] = 1.0 / math.sqrt(spec.v)
     return DenseState(spec.fp, spec.n + 1, amps)
@@ -408,11 +406,12 @@ def draw_classical_sample(
     """Computational-basis measurement: a uniform over V, b = a.s + e."""
     q = spec.fp.q
     if spec.subset is not None:
-        a = spec.subset[int(rng.integers(len(spec.subset)))]
+        pos = int(rng.integers(spec.v))
+        a = tuple(_vectors_at(spec.subset[pos], q, spec.n).tolist())
     else:
-        a = tuple(int(x) for x in rng.integers(0, q, size=spec.n))
+        a = tuple(rng.integers(0, q, size=spec.n).tolist())
     if spec.errors is not None:
-        e = spec.errors[a]
+        e = int(spec.errors[pos if spec.subset is not None else _flat_index(a, q, spec.n)])
     else:
         values = tuple(spec.histogram)
         counts = np.fromiter(spec.histogram.values(), dtype=np.float64)
@@ -478,8 +477,10 @@ def theoretical_bound(v: int, k: int, q: int, n: int, gamma_mode: str = "paper")
 def spec_to_json(spec: SampleSpec) -> str:
     """Serialize to the documented key-value schema (q, n, s, subset, v, noise, errors, seed)."""
     noise = _noise_to_obj(spec.noise)
+    subset = None if spec.subset is None else _vectors_at(spec.subset, spec.fp.q, spec.n).tolist()
     if spec.errors is not None:
-        errors = {"map": [[list(a), e] for a, e in spec.errors.items()]}
+        vectors = subset if subset is not None else _vectors_at(np.arange(spec.v), spec.fp.q, spec.n).tolist()
+        errors = {"map": [[a, e] for a, e in zip(vectors, spec.errors.tolist())]}
     else:
         errors = {"histogram": [[b, c] for b, c in spec.histogram.items()]}
     return json.dumps(
@@ -487,7 +488,7 @@ def spec_to_json(spec: SampleSpec) -> str:
             "q": spec.fp.q,
             "n": spec.n,
             "s": list(spec.s),
-            "subset": "all" if spec.subset is None else [list(a) for a in spec.subset],
+            "subset": "all" if subset is None else subset,
             "v": spec.v,
             "noise": noise,
             "errors": errors,
@@ -499,15 +500,21 @@ def spec_to_json(spec: SampleSpec) -> str:
 def spec_from_json(text: str) -> SampleSpec:
     obj = json.loads(text)
     fp = FieldParams(obj["q"])
-    subset = None if obj["subset"] == "all" else tuple(tuple(a) for a in obj["subset"])
+    n = int(obj["n"])
+    subset = None if obj["subset"] == "all" else [_flat_index(a, fp.q, n) for a in obj["subset"]]
     errors = histogram = None
     if "map" in obj["errors"]:
-        errors = {tuple(a): int(e) for a, e in obj["errors"]["map"]}
+        pairs = obj["errors"]["map"]
+        by_index = {_flat_index(a, fp.q, n): int(e) for a, e in pairs}
+        order = subset if subset is not None else range(len(by_index))
+        if len(pairs) != len(by_index) or set(by_index) != set(order):
+            raise ParameterError("error map keys must match the subset")
+        errors = [by_index[i] for i in order]
     else:
         histogram = {int(b): int(c) for b, c in obj["errors"]["histogram"]}
     return SampleSpec(
         fp=fp,
-        n=int(obj["n"]),
+        n=n,
         s=tuple(obj["s"]),
         v=int(obj["v"]),
         noise=_noise_from_obj(obj["noise"]),
@@ -516,6 +523,16 @@ def spec_from_json(text: str) -> SampleSpec:
         histogram=histogram,
         seed=obj.get("seed"),
     )
+
+
+def _flat_index(a: list[int], q: int, n: int) -> int:
+    """Row-major flat index of a vector, which must lie in F_q^n."""
+    if len(a) != n or min(a) < 0 or max(a) >= q:
+        raise ParameterError(f"subset vector {tuple(a)} not in F_q^{n}")
+    flat = 0
+    for x in a:
+        flat = flat * q + x
+    return flat
 
 
 def _noise_to_obj(noise: NoiseModel) -> dict:

@@ -164,12 +164,10 @@ def _check_error_permutation_invariance(max_qn: int) -> CheckResult:
         s = tuple(rng.integers(0, q, size=n).tolist())
         spec = draw_sample_spec(fp, n, s, q**n, NoiseModel.bounded_uniform(1), rng)
         base = outcome_distribution(spec)
-        keys = list(spec.errors)
-        values = list(spec.errors.values())
+        values = spec.errors.copy()
         rng.shuffle(values)
         shuffled = SampleSpec(
-            fp=fp, n=n, s=s, v=spec.v, noise=spec.noise,
-            subset=spec.subset, errors=dict(zip(keys, values)),
+            fp=fp, n=n, s=s, v=spec.v, noise=spec.noise, subset=spec.subset, errors=values,
         )
         other = outcome_distribution(shuffled)
         if np.abs(base.per_jstar_good - other.per_jstar_good).max() > 1e-12:
@@ -182,9 +180,8 @@ def _check_attempt_lower_bound(max_qn: int) -> CheckResult:
 
     fp = FieldParams(7)
     for assignment in itertools.product((-1, 0, 1), repeat=7):
-        errors = {(a,): e for a, e in enumerate(assignment)}
         spec = SampleSpec(
-            fp=fp, n=1, s=(3,), v=7, noise=NoiseModel.bounded_uniform(1), errors=errors
+            fp=fp, n=1, s=(3,), v=7, noise=NoiseModel.bounded_uniform(1), errors=assignment
         )
         p = outcome_distribution(spec).p_correct
         if p < theoretical_bound(7, 1, 7, 1, "paper") - 1e-12:

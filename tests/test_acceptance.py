@@ -80,10 +80,9 @@ def test_criterion_2_attempt_bound_exhaustive():
     worst_margin = float("inf")
     ok = True
     for v in range(1, 8):
-        subset = None if v == 7 else tuple((a,) for a in range(v))
+        subset = None if v == 7 else list(range(v))
         for assignment in itertools.product((-1, 0, 1), repeat=v):
-            errors = {(a,): e for a, e in enumerate(assignment)}
-            spec = SampleSpec(fp=fp, n=1, s=(3,), v=v, noise=noise, subset=subset, errors=errors)
+            spec = SampleSpec(fp=fp, n=1, s=(3,), v=v, noise=noise, subset=subset, errors=assignment)
             dist = outcome_distribution(spec)
             margin = dist.p_correct - v * bound_scale
             worst_margin = min(worst_margin, margin)

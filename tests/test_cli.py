@@ -179,6 +179,10 @@ def test_experiment_with_too_many_error_draws_exits_2(capsys):
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "s": 5}, "'s'"),
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 10,
       "noise": {"kind": "global-shift", "inner": 3}}, "inner"),
+    ({"problem": "lwe", "q": [5], "n": 2, "trials": 3}, "'q'"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": {"a": 1}}, "'trials'"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "v": "7"}, "'v'"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "seed": True}, "'seed'"),
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"

@@ -99,8 +99,7 @@ def test_field_bv_bot_rate_one_over_q_both_engines():
 def test_field_bv_analytic_wrong_outputs_never_secret():
     fp = FieldParams(3)
     rng = make_rng(504)
-    spec = SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=NoiseModel.none(),
-                      subset=((1,),), errors={(1,): 0})
+    spec = SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=NoiseModel.none(), subset=[1], errors=[0])
     seen_wrong = False
     for _ in range(400):
         out = field_bv(spec, rng)
@@ -257,7 +256,7 @@ def test_lpn_dense_joint_probability_matches_oracle_for_noisy_draws():
     rng = make_rng(512)
     for _ in range(10):
         spec = draw_sample_spec(fp, n, s, 16, NoiseModel.bernoulli(0.2), rng)
-        errors = [spec.errors[a] for a in sorted(spec.errors)]
+        errors = spec.errors.tolist()  # aligned with flat indices 0..2^n-1, i.e. sorted vectors
         probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((2,) * (n + 1))
         assert probs[s + (1,)] == pytest.approx(lpn_joint_secret_probability(errors, n), abs=1e-12)
 
@@ -333,9 +332,15 @@ def test_lwr_spec_roundtrip_against_direct_construction():
     fp = FieldParams(31)
     s = (7,)
     spec = lwr_sample_spec(fp, 1, s, 4)
-    assert spec.v == 31 and spec.errors is not None
-    for (a,), e in spec.errors.items():
+    assert spec.v == 31 and spec.subset is None and spec.errors is not None
+    for a, e in enumerate(spec.errors.tolist()):
         assert (a * 7 + e) % 31 == lwr_decode(lwr_round(a * 7 % 31, 4, 31), 4, 31)
+
+
+def test_lwr_law_sums_error_counts_in_first_occurrence_order():
+    # Pinned to the last bit: summing the histogram in sorted value order gives ...186.
+    spec = lwr_sample_spec(FieldParams(257), 1, (52,), 16)
+    assert outcome_distribution(spec).p_correct == 0.05644294387500189
 
 
 def test_lwr_per_iteration_success_meets_bound():

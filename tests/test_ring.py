@@ -6,6 +6,7 @@ import pytest
 from quditlearn.field import FieldParams, NoRootError, ParameterError
 from quditlearn.ring import (
     RingEmbedding,
+    _ring_tables,
     cyclotomic_poly,
     euler_phi,
     ring_lwe_global_learn,
@@ -127,6 +128,16 @@ def test_ring_sample_state_shape_and_support():
     probs = state.probabilities()
     assert np.count_nonzero(probs) == 13**2
     assert probs.max() == pytest.approx(1 / 13**2, abs=1e-12)
+
+
+def test_ring_tables_cache_is_bounded_and_read_only():
+    assert 0 < _ring_tables.cache_info().maxsize < 100
+    tables = _ring_tables(13, 4)
+    emb = RingEmbedding.build(FieldParams(13), 4)
+    assert [tuple(row) for row in tables[0].tolist()] == [emb.embed(a) for a in all_ring_elements(13, 2)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_ring_learner_outputs_exact_secret_or_bot():

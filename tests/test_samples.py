@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn.dense import StateError
+from quditlearn.dense import DenseState, StateError
 from quditlearn.field import FieldParams, ParameterError
 from quditlearn.samples import (
     NoiseModel,
@@ -68,13 +69,13 @@ def test_draw_noiseless_spec_uses_single_bin_histogram(rng):
 def test_draw_full_subset_small_v_uses_explicit_map(rng):
     spec = draw_sample_spec(FieldParams(5), 2, (1, 2), 25, NoiseModel.bounded_uniform(1), rng)
     assert spec.subset is None and spec.errors is not None
-    assert len(spec.errors) == 25 and set(map(len, spec.errors)) == {2}
+    assert spec.errors.shape == (25,) and set(spec.errors.tolist()) <= {-1, 0, 1}
 
 
 def test_drawn_subset_is_uniform_and_distinct(rng):
     spec = draw_sample_spec(FieldParams(7), 2, (0, 0), 10, NoiseModel.none(), rng)
-    assert len(set(spec.subset)) == 10
-    assert all(len(a) == 2 and all(0 <= x < 7 for x in a) for a in spec.subset)
+    assert spec.subset.shape == (10,) and len(set(spec.subset.tolist())) == 10
+    assert all(0 <= i < 7**2 for i in spec.subset.tolist())
 
 
 def test_large_v_bin_fractions(rng):
@@ -100,6 +101,12 @@ def test_draw_rejects_oversized_v(rng):
         draw_sample_spec(FieldParams(3), 1, (1,), 4, NoiseModel.none(), rng)
 
 
+def test_draw_rejects_proper_subset_beyond_int64_indices(rng):
+    # 101^10 > 2^63 - 1: the flat indices of a proper subset would not fit int64
+    with pytest.raises(ParameterError, match=r"2\*\*63 - 1"):
+        draw_sample_spec(FieldParams(101), 10, (0,) * 10, 2_000_000, NoiseModel.bounded_uniform(1), rng)
+
+
 def test_global_shift_draw_realizes_single_value(rng):
     noise = NoiseModel.global_shift(NoiseModel.bounded_uniform(2))
     spec = draw_sample_spec(FieldParams(11), 1, (3,), 11, noise, rng)
@@ -110,15 +117,13 @@ def test_spec_validation_catches_inconsistencies():
     fp = FieldParams(5)
     with pytest.raises(ParameterError):  # multi-bin histogram with small explicit subset
         SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=NoiseModel.bounded_uniform(1),
-                   subset=((0,), (1,)), histogram={0: 1, 1: 1})
+                   subset=[0, 1], histogram={0: 1, 1: 1})
     with pytest.raises(ParameterError):  # error outside support
-        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=NoiseModel.none(), subset=((0,),),
-                   errors={(0,): 1})
+        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=NoiseModel.none(), subset=[0], errors=[1])
     with pytest.raises(ParameterError):  # counts do not sum to v
         SampleSpec(fp=fp, n=1, s=(1,), v=5, noise=NoiseModel.none(), histogram={0: 4})
     with pytest.raises(ParameterError):  # duplicate subset vectors
-        SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=NoiseModel.none(),
-                   subset=((0,), (0,)), errors={(0,): 0})
+        SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=NoiseModel.none(), subset=[0, 0], errors=[0, 0])
 
 
 # --- materialization ------------------------------------------------------
@@ -134,8 +139,7 @@ def test_materialize_n1_q3_noiseless():
 
 def test_materialize_single_vector_is_basis_state(rng):
     fp = FieldParams(5)
-    spec = SampleSpec(fp=fp, n=1, s=(3,), v=1, noise=NoiseModel.none(),
-                      subset=((2,),), errors={(2,): 0})
+    spec = SampleSpec(fp=fp, n=1, s=(3,), v=1, noise=NoiseModel.none(), subset=[2], errors=[0])
     state = materialize_dense(spec)
     assert state.measure_all(rng) == (2, (2 * 3) % 5)
 
@@ -150,10 +154,8 @@ def test_materialize_marginal_uniform_over_subset(rng):
         spec = draw_sample_spec(fp, n, s, v, NoiseModel.bounded_uniform(1), local)
         probs = materialize_dense(spec).probabilities().reshape((q,) * n + (q,))
         marginal = probs.sum(axis=-1)
-        vectors = spec.subset if spec.subset is not None else [
-            tuple(int(x) for x in row) for row in np.stack(np.unravel_index(np.arange(q**n), (q,) * n), axis=1)
-        ]
-        for a in vectors:
+        indices = spec.subset if spec.subset is not None else np.arange(q**n)
+        for a in zip(*np.unravel_index(indices, (q,) * n)):
             assert marginal[a] == pytest.approx(1 / v, abs=1e-12)
         assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -197,7 +199,7 @@ def test_classical_sample_error_always_bounded(rng):
 def test_classical_sample_frequencies_match_enumeration(rng):
     fp = FieldParams(11)
     spec = draw_sample_spec(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1), rng)
-    expected = {(a, (a[0] * 7 + spec.errors[a]) % 11) for a in spec.errors}
+    expected = {((a,), (a * 7 + int(e)) % 11) for a, e in enumerate(spec.errors)}
     n = 40_000
     counts: dict = {}
     for _ in range(n):
@@ -267,11 +269,9 @@ def test_distribution_depends_only_on_error_counts(rng):
     fp = FieldParams(7)
     spec = draw_sample_spec(fp, 1, (3,), 7, NoiseModel.bounded_uniform(1), rng)
     base = outcome_distribution(spec)
-    keys = list(spec.errors)
-    values = list(spec.errors.values())
+    values = spec.errors.copy()
     rng.shuffle(values)
-    shuffled = SampleSpec(fp=fp, n=1, s=(3,), v=7, noise=spec.noise,
-                          errors=dict(zip(keys, values)))
+    shuffled = SampleSpec(fp=fp, n=1, s=(3,), v=7, noise=spec.noise, errors=values)
     other = outcome_distribution(shuffled)
     assert np.abs(base.per_jstar_good - other.per_jstar_good).max() <= 1e-12
 
@@ -285,8 +285,7 @@ def test_global_shift_keeps_full_subset_success_exact(rng):
 
 def test_proper_subset_noiseless_can_have_wrong_mass():
     fp = FieldParams(5)
-    spec = SampleSpec(fp=fp, n=1, s=(2,), v=2, noise=NoiseModel.none(),
-                      subset=((0,), (1,)), errors={(0,): 0, (1,): 0})
+    spec = SampleSpec(fp=fp, n=1, s=(2,), v=2, noise=NoiseModel.none(), subset=[0, 1], errors=[0, 0])
     dist = outcome_distribution(spec)
     assert dist.p_wrong > 0
     assert dist.p_correct + dist.p_bot < 1
@@ -319,8 +318,7 @@ def test_exhaustive_bound_and_engine_match_q7_full_subset():
     noise = NoiseModel.bounded_uniform(1)
     worst = 1.0
     for assignment in itertools.product((-1, 0, 1), repeat=7):
-        errors = {(a,): e for a, e in enumerate(assignment)}
-        spec = SampleSpec(fp=fp, n=1, s=(3,), v=7, noise=noise, errors=errors)
+        spec = SampleSpec(fp=fp, n=1, s=(3,), v=7, noise=noise, errors=assignment)
         p = outcome_distribution(spec).p_correct
         worst = min(worst, p)
         assert p >= bound_paper - 1e-12
@@ -360,7 +358,7 @@ def test_spec_json_round_trip_map(rng):
     spec = draw_sample_spec(FieldParams(7), 2, (1, 5), 10, NoiseModel.gaussian(1.0, 1), rng, seed=99)
     back = spec_from_json(spec_to_json(spec))
     assert back.fp.q == 7 and back.n == 2 and back.s == (1, 5)
-    assert back.subset == spec.subset and back.errors == spec.errors
+    assert np.array_equal(back.subset, spec.subset) and np.array_equal(back.errors, spec.errors)
     assert back.noise == spec.noise and back.seed == 99
 
 
@@ -370,6 +368,57 @@ def test_spec_json_round_trip_histogram(rng):
     back = spec_from_json(spec_to_json(spec))
     assert back.histogram == spec.histogram and back.subset is None
     assert outcome_distribution(back).p_correct == outcome_distribution(spec).p_correct
+
+
+# A map spec with v < q^n, exactly as the tuple-and-dict representation wrote it.
+PARENT_FORMAT_JSON = (
+    '{"q": 5, "n": 2, "s": [1, 3], "subset": [[0, 3], [4, 3], [1, 2], [4, 0]], "v": 4, '
+    '"noise": {"kind": "bounded-uniform", "k": 1}, '
+    '"errors": {"map": [[[0, 3], -1], [[4, 3], 1], [[1, 2], -1], [[4, 0], 0]]}, "seed": 7}'
+)
+
+
+def test_spec_json_in_the_documented_format_loads_and_round_trips():
+    spec = spec_from_json(PARENT_FORMAT_JSON)
+    assert spec.subset.tolist() == [3, 23, 7, 20]  # row-major flat indices
+    assert spec.errors.tolist() == [-1, 1, -1, 0]
+    assert spec.v == 4 and spec.s == (1, 3) and spec.seed == 7
+    assert spec_to_json(spec) == PARENT_FORMAT_JSON
+    assert outcome_distribution(spec).p_correct == pytest.approx(0.028, abs=1e-15)
+
+
+def test_spec_json_rejects_map_keys_off_the_subset():
+    text = PARENT_FORMAT_JSON.replace("[[4, 0], 0]]", "[[4, 1], 0]]")
+    with pytest.raises(ParameterError, match="keys must match"):
+        spec_from_json(text)
+
+
+def test_spec_arrays_reject_writes(rng):
+    spec = draw_sample_spec(FieldParams(7), 2, (1, 5), 10, NoiseModel.bounded_uniform(1), rng)
+    for arr in (spec.subset, spec.errors):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_spec_keeps_a_private_copy_of_its_arrays():
+    subset, errors = np.array([0, 1]), np.array([0, 1])
+    spec = SampleSpec(fp=FieldParams(5), n=1, s=(2,), v=2, noise=NoiseModel.bounded_uniform(1),
+                      subset=subset, errors=errors)
+    subset[0] = errors[0] = 4
+    assert spec.subset.tolist() == [0, 1] and spec.errors.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("v", [49, 20, 1])
+def test_materialize_matches_state_built_from_the_json_map(v):
+    fp = FieldParams(7)
+    local = make_rng(400 + v)
+    spec = draw_sample_spec(fp, 2, (3, 5), v, NoiseModel.bounded_uniform(1), local)
+    pairs = json.loads(spec_to_json(spec))["errors"]["map"]
+    assert len(pairs) == v
+    reference = DenseState.from_basis_terms(
+        [((*a, (a[0] * 3 + a[1] * 5 + e) % 7), 1.0) for a, e in pairs], fp
+    )
+    assert np.abs(materialize_dense(spec).amps - reference.amps).max() <= 1e-15
 
 
 def test_sample_stream_yields_fresh_errors(rng):
