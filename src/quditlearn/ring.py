@@ -25,7 +25,7 @@ import numpy as np
 from .dense import DenseState
 from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
-from .samples import _vector_table
+from .samples import _flat_indices, _vector_table
 
 
 def euler_phi(m: int) -> int:
@@ -153,15 +153,14 @@ class RingEmbedding:
 
 
 @lru_cache(maxsize=8)
-def _ring_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi(a) for every a in R_q, the flat-index part of its first block, and the place values."""
+def _ring_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(a) for every a in R_q and the flat-index part of its first block."""
     emb = RingEmbedding.build(FieldParams(q), m)
     phi_a = _vector_table(q, emb.n) @ emb.eval_matrix.T % q
-    place = q ** np.arange(emb.n - 1, -1, -1, dtype=np.int64)  # row-major weights of one block
-    first_block = phi_a @ place * q**emb.n
-    for table in (phi_a, first_block, place):
+    first_block = _flat_indices(phi_a, q, emb.n) * q**emb.n
+    for table in (phi_a, first_block):
         table.flags.writeable = False  # shared by every caller
-    return phi_a, first_block, place
+    return phi_a, first_block
 
 
 def ring_sample_state(
@@ -172,12 +171,12 @@ def ring_sample_state(
     e is the single global error shared by every element of the superposition.
     """
     q = emb.fp.q
-    phi_a, first_block, place = _ring_tables(q, emb.m)
+    phi_a, first_block = _ring_tables(q, emb.m)
     phi_s = np.asarray(emb.embed(s), dtype=np.int64)
     phi_e = np.asarray(emb.embed(e), dtype=np.int64)
     second = (phi_a * phi_s + phi_e) % q
     amps = np.zeros(q ** (2 * emb.n), dtype=np.complex128)
-    amps[first_block + second @ place] = 1.0 / math.sqrt(q**emb.n)
+    amps[first_block + _flat_indices(second, q, emb.n)] = 1.0 / math.sqrt(q**emb.n)
     return DenseState(emb.fp, 2 * emb.n, amps)
 
 

@@ -213,7 +213,7 @@ class SampleSpec:
             if self.v != qn:
                 raise ParameterError("subset None means all of F_q^n, so v must equal q^n")
         else:
-            subset = _read_only(self.subset)
+            subset = _read_only(self.subset, "subset")
             if subset.shape != (self.v,):
                 raise ParameterError("explicit subset length must equal v")
             ordered = np.sort(subset)
@@ -226,7 +226,7 @@ class SampleSpec:
             raise ParameterError("exactly one of errors / histogram must be given")
         support = _distribution(self.noise, q)[0]
         if self.errors is not None:
-            errors = _read_only(self.errors)
+            errors = _read_only(self.errors, "errors")
             if errors.shape != (self.v,):
                 raise ParameterError("error map must assign every subset element")
             bad = errors[(errors < support[0]) | (errors > support[-1])]
@@ -283,11 +283,27 @@ class OutcomeDistribution:
             raise ParameterError("p_correct must equal the sum over j* != 0")
 
 
-def _read_only(values) -> np.ndarray:
+def _read_only(values, name: str) -> np.ndarray:
     """A private read-only int64 copy: the law memoized on a spec must not go stale."""
-    arr = np.array(values, dtype=np.int64)
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _flat_indices(vectors, q: int, n: int) -> np.ndarray:
+    """Row-major flat indices into F_q^n of a vector, or of each row of an array of them."""
+    try:
+        return np.ravel_multi_index(np.asarray(vectors).T, (q,) * n)
+    except (TypeError, ValueError) as exc:  # non-integer or out-of-range entries, wrong length, q^n > int64
+        raise ParameterError(f"subset vectors must lie in F_q^{n}, with q^n <= 2**63 - 1") from exc
+
+
+def _vectors_at(idx, q: int, n: int) -> np.ndarray:
+    """The vectors of F_q^n at row-major flat indices (one row per index); inverts _flat_indices."""
+    return np.stack(np.unravel_index(idx, (q,) * n), axis=-1).astype(np.int64)
 
 
 @lru_cache(maxsize=64)
@@ -295,16 +311,9 @@ def _vector_table(q: int, n: int) -> np.ndarray:
     """All vectors of F_q^n in flat-index order, as a read-only int64 array."""
     if q**n > ENUMERABLE_LIMIT:
         raise ParameterError(f"q^n = {q**n} too large to enumerate")
-    table = np.stack(np.unravel_index(np.arange(q**n), (q,) * n), axis=-1).astype(np.int64)
+    table = _vectors_at(np.arange(q**n), q, n)
     table.flags.writeable = False  # shared by every caller of the memoized table
     return table
-
-
-def _vectors_at(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    """The vectors of F_q^n at row-major flat indices (one row per index)."""
-    if q**n <= ENUMERABLE_LIMIT:
-        return _vector_table(q, n)[idx]
-    return np.stack(np.unravel_index(idx, (q,) * n), axis=-1).astype(np.int64)
 
 
 def draw_sample_spec(
@@ -345,7 +354,7 @@ def draw_sample_spec(
         chosen: set[tuple[int, ...]] = set()
         while len(chosen) < v:
             chosen.add(tuple(int(x) for x in rng.integers(0, q, size=n)))
-        subset = np.ravel_multi_index(np.array(list(chosen)).T, (q,) * n)
+        subset = _flat_indices(list(chosen), q, n)
 
     errors: np.ndarray | None = None
     histogram: dict[int, int] | None = None
@@ -411,7 +420,8 @@ def draw_classical_sample(
     else:
         a = tuple(rng.integers(0, q, size=spec.n).tolist())
     if spec.errors is not None:
-        e = int(spec.errors[pos if spec.subset is not None else _flat_index(a, q, spec.n)])
+        # flat indices are numpy's row-major order, so errors over all of F_q^n index as a (q,)*n grid
+        e = int(spec.errors[pos] if spec.subset is not None else spec.errors.reshape((q,) * spec.n)[a])
     else:
         values = tuple(spec.histogram)
         counts = np.fromiter(spec.histogram.values(), dtype=np.float64)
@@ -479,7 +489,7 @@ def spec_to_json(spec: SampleSpec) -> str:
     noise = _noise_to_obj(spec.noise)
     subset = None if spec.subset is None else _vectors_at(spec.subset, spec.fp.q, spec.n).tolist()
     if spec.errors is not None:
-        vectors = subset if subset is not None else _vectors_at(np.arange(spec.v), spec.fp.q, spec.n).tolist()
+        vectors = subset if subset is not None else _vector_table(spec.fp.q, spec.n).tolist()
         errors = {"map": [[a, e] for a, e in zip(vectors, spec.errors.tolist())]}
     else:
         errors = {"histogram": [[b, c] for b, c in spec.histogram.items()]}
@@ -501,11 +511,12 @@ def spec_from_json(text: str) -> SampleSpec:
     obj = json.loads(text)
     fp = FieldParams(obj["q"])
     n = int(obj["n"])
-    subset = None if obj["subset"] == "all" else [_flat_index(a, fp.q, n) for a in obj["subset"]]
+    subset = None if obj["subset"] == "all" else _flat_indices(obj["subset"], fp.q, n).tolist()
     errors = histogram = None
     if "map" in obj["errors"]:
         pairs = obj["errors"]["map"]
-        by_index = {_flat_index(a, fp.q, n): int(e) for a, e in pairs}
+        keys = _flat_indices([a for a, _ in pairs], fp.q, n).tolist()
+        by_index = {i: int(e) for i, (_, e) in zip(keys, pairs)}
         order = subset if subset is not None else range(len(by_index))
         if len(pairs) != len(by_index) or set(by_index) != set(order):
             raise ParameterError("error map keys must match the subset")
@@ -523,16 +534,6 @@ def spec_from_json(text: str) -> SampleSpec:
         histogram=histogram,
         seed=obj.get("seed"),
     )
-
-
-def _flat_index(a: list[int], q: int, n: int) -> int:
-    """Row-major flat index of a vector, which must lie in F_q^n."""
-    if len(a) != n or min(a) < 0 or max(a) >= q:
-        raise ParameterError(f"subset vector {tuple(a)} not in F_q^{n}")
-    flat = 0
-    for x in a:
-        flat = flat * q + x
-    return flat
 
 
 def _noise_to_obj(noise: NoiseModel) -> dict:

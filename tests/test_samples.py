@@ -124,6 +124,22 @@ def test_spec_validation_catches_inconsistencies():
         SampleSpec(fp=fp, n=1, s=(1,), v=5, noise=NoiseModel.none(), histogram={0: 4})
     with pytest.raises(ParameterError):  # duplicate subset vectors
         SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=NoiseModel.none(), subset=[0, 0], errors=[0, 0])
+    noise = NoiseModel.bounded_uniform(1)
+    with pytest.raises(ParameterError, match="must lie in"):  # index q^n = 25 outside F_5^2
+        SampleSpec(fp=fp, n=2, s=(1, 2), v=2, noise=noise, subset=[0, 25], errors=[0, 0])
+    with pytest.raises(ParameterError, match="must lie in"):  # negative index
+        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[-1], errors=[0])
+    with pytest.raises(ParameterError, match="every subset element"):  # errors of the wrong length
+        SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=noise, subset=[0, 1], errors=[0])
+    with pytest.raises(ParameterError, match="errors must hold integers"):  # would truncate to 0
+        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[0], errors=[0.5])
+    with pytest.raises(ParameterError, match="subset must hold integers"):
+        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[1.5], errors=[0])
+    # 101^10 > 2^63 - 1: a proper subset there has no int64 flat indices
+    text = json.dumps({"q": 101, "n": 10, "s": [0] * 10, "subset": [[1] * 10], "v": 1,
+                       "noise": {"kind": "none"}, "errors": {"histogram": [[0, 1]]}, "seed": None})
+    with pytest.raises(ParameterError, match=r"2\*\*63 - 1"):
+        spec_from_json(text)
 
 
 # --- materialization ------------------------------------------------------
