@@ -1,9 +1,9 @@
 """Command-line entry point: learn, experiment, sweep, verify.
 
 Exit codes: 0 success / secret recovered, 1 abstention or failed checks,
-2 usage errors.  Flag values override config-file values (JSON, keys named
-after the flags), which override defaults; QUDITLEARN_SEED provides the
-default seed.
+2 usage errors, 3 internal errors.  Flag values override config-file values
+(JSON, keys named after the flags), which override defaults; QUDITLEARN_SEED
+provides the default seed.
 """
 
 from __future__ import annotations
@@ -251,9 +251,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except (ParameterError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParameterError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a crash is not an abstention (exit 1)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -15,7 +15,6 @@ measurement.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,33 +73,6 @@ class DenseState:
 
     def _grid(self) -> np.ndarray:
         return self.amps.reshape(self.shape)
-
-    @classmethod
-    def from_basis_terms(
-        cls,
-        terms: Iterable[tuple[Sequence[int], complex]],
-        fp: FieldParams,
-    ) -> "DenseState":
-        """Normalized superposition of the given (register values, amplitude) terms."""
-        terms = list(terms)
-        if not terms:
-            raise StateError("at least one basis term required")
-        m = len(terms[0][0])
-        shape = (fp.q,) * m
-        amps = np.zeros(fp.q**m, dtype=np.complex128)
-        seen: set[tuple[int, ...]] = set()
-        for values, amplitude in terms:
-            if len(values) != m:
-                raise StateError("all basis terms must address the same registers")
-            key = tuple(int(x) % fp.q for x in values)
-            if key in seen:
-                raise StateError(f"duplicate basis term {key}")
-            seen.add(key)
-            amps[np.ravel_multi_index(key, shape)] = amplitude
-        norm = np.linalg.norm(amps)
-        if norm == 0.0:
-            raise StateError("amplitudes must not all be zero")
-        return cls(fp, m, amps / norm)
 
     def probabilities(self) -> np.ndarray:
         probs = np.square(self.amps.real)

@@ -215,7 +215,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
     if config.problem in ("lwe", "lpn"):
         require_drawable(v, config.noise)
-        errors_as = "histogram" if config.engine == "analytic" else "auto"
+        errors_as = "histogram" if config.engine == "analytic" else "map"
         exact = _expected_iteration_success(q, n, v, config.noise)
         if config.problem == "lpn":
             if q != 2:

@@ -16,9 +16,10 @@ independent cross-check at small sizes.
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
 
-In memory a spec holds its subset as row-major flat indices into F_q^n and
-its errors as an aligned int64 array; the vectors and the vector -> error map
-appear only in the JSON form, with the documented keys q, n, s, subset, v,
+In memory a spec holds its subset as row-major flat indices into F_q^n (or
+none, for all of F_q^n or an implicit subset) and its errors as an aligned
+int64 array or a histogram; the vectors and the vector -> error map appear
+only in the JSON form, with the documented keys q, n, s, subset, v,
 noise, errors, seed (see ``spec_to_json``).
 """
 
@@ -36,7 +37,6 @@ import numpy as np
 from .dense import DenseState, StateError, weighted_index
 from .field import FieldParams, ParameterError, roots_of_unity
 
-EXPLICIT_ERROR_LIMIT = 10**6  # above this, errors are stored as a histogram
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
 MULTINOMIAL_LIMIT = 2**63 - 1  # numpy draws multinomial counts as int64
 
@@ -179,14 +179,15 @@ def _draw_errors(noise: NoiseModel, q: int, size: int, rng: np.random.Generator)
 class SampleSpec:
     """Full description of one quantum sample: secret, subset, realized errors.
 
-    ``subset`` holds the row-major flat indices of V in F_q^n (None means all
-    of F_q^n).  Exactly one of ``errors`` (an error per element of V, aligned
-    with ``subset``, or with flat indices 0..q^n-1 when it is None) and
-    ``histogram`` (error value -> count) is present; the histogram form is
-    allowed only for the full subset or above the explicit-map size limit,
-    since no per-vector assignment is retained there.  Both arrays are stored
-    as read-only int64 copies, and a spec is not modified after construction:
-    its outcome law is computed on first use and kept with it.
+    ``subset`` holds the row-major flat indices of V in F_q^n.  None means all
+    of F_q^n when v = q^n, and an implicit subset when v < q^n: a uniform
+    v-subset that is not kept.  Exactly one of ``errors`` (an error per
+    element of V, aligned with ``subset``, or with flat indices 0..q^n-1 when
+    it is None) and ``histogram`` (error value -> count) is present.  An
+    implicit subset carries a histogram, and an explicit one an error map or
+    a single-bin histogram (which fixes every element's error).  Both arrays
+    are stored as read-only int64 copies, and a spec is not modified after
+    construction: its outcome law is computed on first use and kept with it.
     """
 
     fp: FieldParams
@@ -210,8 +211,8 @@ class SampleSpec:
             raise ParameterError(f"subset size v = {self.v} outside [1, q^n = {qn}]")
         self.noise.validate_for(q)
         if self.subset is None:
-            if self.v != qn:
-                raise ParameterError("subset None means all of F_q^n, so v must equal q^n")
+            if self.errors is not None and self.v != qn:
+                raise ParameterError("an implicit subset (v < q^n) carries a histogram, not an error map")
         else:
             subset = _read_only(self.subset, "subset")
             if subset.shape != (self.v,):
@@ -234,12 +235,8 @@ class SampleSpec:
                 raise ParameterError(f"error value {bad[0]} outside the noise support")
             object.__setattr__(self, "errors", errors)
         else:
-            # Single-bin histograms determine the assignment uniquely, so any
-            # subset may carry them (noise None, realized global shifts).
-            if self.subset is not None and self.v <= EXPLICIT_ERROR_LIMIT and len(self.histogram) > 1:
-                raise ParameterError(
-                    "multi-bin histogram errors require the full subset or v above the explicit-map limit"
-                )
+            if self.subset is not None and len(self.histogram) > 1:
+                raise ParameterError("an explicit subset carries an error map or a single-bin histogram")
             if any(c < 0 for c in self.histogram.values()):
                 raise ParameterError("histogram counts must be non-negative")
             if sum(self.histogram.values()) != self.v:
@@ -324,46 +321,39 @@ def draw_sample_spec(
     noise: NoiseModel,
     rng: np.random.Generator,
     *,
-    errors_as: str = "auto",
+    errors_as: str = "map",
     seed: int | None = None,
 ) -> SampleSpec:
     """Draw a fresh sample spec: uniform size-v subset, errors from the noise model.
 
-    ``errors_as`` overrides the storage rule ("map" below the explicit limit,
-    "histogram" above); forcing "histogram" is distributionally identical for
-    every consumer that draws at most one classical sample per spec.
+    ``errors_as="map"`` (what the dense engine needs) draws the subset and an
+    error per element.  ``"histogram"`` (enough for the analytic engine)
+    draws only the error counts and leaves a proper subset implicit; the law
+    depends on the counts alone, and a classical draw from a fresh spec is a
+    uniform a with an independent error, so this is distributionally
+    identical for every consumer that draws at most one classical sample per
+    spec.
     """
     q = fp.q
     qn = q**n
     if not 1 <= v <= qn:
         raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
+    if errors_as not in ("map", "histogram"):
+        raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
     require_drawable(v, noise)
 
-    subset: np.ndarray | None
-    if v == qn:
-        subset = None
-    elif qn <= ENUMERABLE_LIMIT:
-        subset = rng.choice(qn, size=v, replace=False)
-    else:
-        if v * v > qn // 100:
-            raise ParameterError(
-                "rejection subset sampling needs v^2 <= q^n / 100 when q^n is not enumerable"
-            )
+    subset: np.ndarray | None = None
+    if v < qn and errors_as == "map":
         if qn > np.iinfo(np.int64).max:
             raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-        chosen: set[tuple[int, ...]] = set()
-        while len(chosen) < v:
-            chosen.add(tuple(int(x) for x in rng.integers(0, q, size=n)))
-        subset = _flat_indices(list(chosen), q, n)
+        subset = rng.choice(qn, size=v, replace=False)
 
     errors: np.ndarray | None = None
     histogram: dict[int, int] | None = None
     if noise.is_global or noise.kind == "none":
         shift = int(_draw_errors(noise, q, 1, rng)[0]) if noise.is_global else 0
         histogram = {shift: v}
-    elif errors_as == "histogram" or (errors_as == "auto" and v > EXPLICIT_ERROR_LIMIT):
-        if subset is not None and v <= EXPLICIT_ERROR_LIMIT:
-            raise ParameterError("histogram storage needs the full subset at this size")
+    elif errors_as == "histogram":
         values, weights = noise.distribution(q)
         counts = rng.multinomial(v, weights)
         histogram = {b: int(c) for b, c in zip(values, counts) if c}
@@ -382,12 +372,12 @@ def sample_stream(
     v: int,
     noise: NoiseModel,
     rng: np.random.Generator,
-    **draw_kwargs,
+    errors_as: str = "map",
 ) -> Callable[[], SampleSpec]:
     """Source of i.i.d. fresh sample specs (new subset and errors per call)."""
 
     def source() -> SampleSpec:
-        return draw_sample_spec(fp, n, s, v, noise, rng, **draw_kwargs)
+        return draw_sample_spec(fp, n, s, v, noise, rng, errors_as=errors_as)
 
     return source
 
@@ -398,6 +388,8 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
     if spec.histogram is not None and len(spec.histogram) > 1:
         raise StateError("histogram spec has no per-vector error assignment")
     if spec.subset is None:
+        if spec.v < q**spec.n:
+            raise StateError("an implicit subset has no vectors to place amplitudes on")
         idx, vecs = np.arange(spec.v, dtype=np.int64), _vector_table(q, spec.n)
     else:
         idx, vecs = spec.subset, _vectors_at(spec.subset, q, spec.n)
@@ -412,7 +404,11 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
 def draw_classical_sample(
     spec: SampleSpec, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], int]:
-    """Computational-basis measurement: a uniform over V, b = a.s + e."""
+    """Computational-basis measurement: a uniform over V, b = a.s + e.
+
+    An implicit subset draws a uniform over F_q^n and e by the histogram
+    counts: the marginal law of one draw from a fresh uniform v-subset.
+    """
     q = spec.fp.q
     if spec.subset is not None:
         pos = int(rng.integers(spec.v))
@@ -485,7 +481,10 @@ def theoretical_bound(v: int, k: int, q: int, n: int, gamma_mode: str = "paper")
 # --- serialization -----------------------------------------------------------
 
 def spec_to_json(spec: SampleSpec) -> str:
-    """Serialize to the documented key-value schema (q, n, s, subset, v, noise, errors, seed)."""
+    """Serialize to the documented key-value schema (q, n, s, subset, v, noise, errors, seed).
+
+    ``subset`` is "all" for v = q^n, null for an implicit subset, else a vector list.
+    """
     noise = _noise_to_obj(spec.noise)
     subset = None if spec.subset is None else _vectors_at(spec.subset, spec.fp.q, spec.n).tolist()
     if spec.errors is not None:
@@ -493,12 +492,14 @@ def spec_to_json(spec: SampleSpec) -> str:
         errors = {"map": [[a, e] for a, e in zip(vectors, spec.errors.tolist())]}
     else:
         errors = {"histogram": [[b, c] for b, c in spec.histogram.items()]}
+    if subset is None and spec.v == spec.fp.q**spec.n:
+        subset = "all"
     return json.dumps(
         {
             "q": spec.fp.q,
             "n": spec.n,
             "s": list(spec.s),
-            "subset": "all" if subset is None else subset,
+            "subset": subset,
             "v": spec.v,
             "noise": noise,
             "errors": errors,
@@ -511,7 +512,13 @@ def spec_from_json(text: str) -> SampleSpec:
     obj = json.loads(text)
     fp = FieldParams(obj["q"])
     n = int(obj["n"])
-    subset = None if obj["subset"] == "all" else _flat_indices(obj["subset"], fp.q, n).tolist()
+    subset = obj["subset"]
+    if subset == "all" or subset is None:
+        if (subset == "all") != (int(obj["v"]) == fp.q**n):
+            raise ParameterError('subset "all" needs v = q^n, and null (implicit) needs v < q^n')
+        subset = None
+    else:
+        subset = _flat_indices(subset, fp.q, n).tolist()
     errors = histogram = None
     if "map" in obj["errors"]:
         pairs = obj["errors"]["map"]

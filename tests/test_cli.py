@@ -171,6 +171,29 @@ def test_experiment_with_too_many_error_draws_exits_2(capsys):
     assert err.startswith("error: ") and "2**63" in err
 
 
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    from quditlearn import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", crash)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 3  # exit 1 would read as "abstained"
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
+def test_dense_lpn_beyond_the_enumeration_limit_exits_2(capsys):
+    # 2^21 amplitudes fit the dense cap, but the 2^20 vectors are not enumerated
+    code, out, err = run_cli(
+        capsys, "learn", "--problem", "lpn", "--q", "2", "--n", "20", "--engine", "dense"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large to enumerate" in err
+
+
 @pytest.mark.parametrize("entry, named", [
     ({"problem": "lwe", "q": 5, "n": 2}, "trials"),
     ({"q": 5, "n": 2, "trials": 10}, "problem"),

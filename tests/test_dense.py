@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix
 from quditlearn.field import FieldParams
 
-from conftest import make_rng
+from conftest import basis_state, make_rng
 
 
 def inverse_qft(state: DenseState, register: int) -> DenseState:
@@ -22,19 +22,19 @@ def random_state(q: int, m: int, key: int) -> DenseState:
 
 
 def test_single_basis_state():
-    st_ = DenseState.from_basis_terms([((0,), 1.0)], FieldParams(3))
+    st_ = basis_state([((0,), 1.0)], FieldParams(3))
     assert st_.probabilities()[0] == pytest.approx(1.0)
 
 
 def test_uniform_qutrit_probabilities():
-    st_ = DenseState.from_basis_terms([((0,), 1), ((1,), 1), ((2,), 1)], FieldParams(3))
+    st_ = basis_state([((0,), 1), ((1,), 1), ((2,), 1)], FieldParams(3))
     assert np.allclose(st_.probabilities(), 1.0 / 3)
 
 
 def test_sample_state_construction_n1_q3():
     # secret 2, no errors: terms (a, 2a mod 3), equal weight
     fp = FieldParams(3)
-    st_ = DenseState.from_basis_terms([((a, 2 * a % 3), 1.0) for a in range(3)], fp)
+    st_ = basis_state([((a, 2 * a % 3), 1.0) for a in range(3)], fp)
     probs = st_.probabilities().reshape(3, 3)
     for a in range(3):
         assert probs[a, 2 * a % 3] == pytest.approx(1.0 / 3)
@@ -43,17 +43,17 @@ def test_sample_state_construction_n1_q3():
 
 def test_duplicate_basis_terms_rejected():
     with pytest.raises(StateError):
-        DenseState.from_basis_terms([((1,), 1.0), ((1,), 0.5)], FieldParams(3))
+        basis_state([((1,), 1.0), ((1,), 0.5)], FieldParams(3))
 
 
 def test_all_zero_amplitudes_rejected():
     with pytest.raises(StateError):
-        DenseState.from_basis_terms([((1,), 0.0)], FieldParams(3))
+        basis_state([((1,), 0.0)], FieldParams(3))
 
 
 def test_mismatched_register_counts_rejected():
     with pytest.raises(StateError):
-        DenseState.from_basis_terms([((1,), 1.0), ((1, 2), 1.0)], FieldParams(3))
+        basis_state([((1,), 1.0), ((1, 2), 1.0)], FieldParams(3))
 
 
 def test_size_cap_enforced():
@@ -71,7 +71,7 @@ def test_qft_matrix_unitary(q):
 
 
 def test_qft_of_zero_is_uniform():
-    st_ = DenseState.from_basis_terms([((0,), 1.0)], FieldParams(5)).apply_qft(0)
+    st_ = basis_state([((0,), 1.0)], FieldParams(5)).apply_qft(0)
     assert np.allclose(st_.probabilities(), 0.2, atol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_noiseless_recovery_probability_q3_n2():
     fp = FieldParams(3)
     s = (1, 2)
     terms = [((a0, a1, (a0 * s[0] + a1 * s[1]) % 3), 1.0) for a0 in range(3) for a1 in range(3)]
-    post = DenseState.from_basis_terms(terms, fp).apply_qft_all()
+    post = basis_state(terms, fp).apply_qft_all()
     probs = post.probabilities().reshape(3, 3, 3)
     total = sum(
         probs[(-j * s[0]) % 3, (-j * s[1]) % 3, j] for j in range(1, 3)
@@ -111,7 +111,7 @@ def test_add_multiple_factor_zero_is_identity():
 
 def test_add_multiple_on_basis_state():
     fp = FieldParams(5)
-    st_ = DenseState.from_basis_terms([((2, 1), 1.0)], fp).apply_add_multiple(0, 1, 3)
+    st_ = basis_state([((2, 1), 1.0)], fp).apply_add_multiple(0, 1, 3)
     probs = st_.probabilities().reshape(5, 5)
     assert probs[2, (1 + 3 * 2) % 5] == pytest.approx(1.0)
 
@@ -134,12 +134,12 @@ def test_add_multiple_requires_distinct_registers():
 
 
 def test_measure_register_deterministic_on_basis_state(rng):
-    st_ = DenseState.from_basis_terms([((0,), 1.0)], FieldParams(3))
+    st_ = basis_state([((0,), 1.0)], FieldParams(3))
     assert all(st_.measure_register(0, rng) == 0 for _ in range(50))
 
 
 def test_measure_register_uniform_qutrit_frequencies(rng):
-    st_ = DenseState.from_basis_terms([((v,), 1.0) for v in range(3)], FieldParams(3))
+    st_ = basis_state([((v,), 1.0) for v in range(3)], FieldParams(3))
     n = 100_000
     counts = np.bincount([st_.measure_register(0, rng) for _ in range(n)], minlength=3)
     sigma = np.sqrt(n * (1 / 3) * (2 / 3))
@@ -150,14 +150,14 @@ def test_sis_correct_candidate_screens_to_zero(rng):
     # (1/sqrt(5)) sum_a |a>|a*v>, add j*a with j = -v: first register QFTs to |0>
     fp = FieldParams(5)
     v = 2
-    st_ = DenseState.from_basis_terms([((a, a * v % 5), 1.0) for a in range(5)], fp)
+    st_ = basis_state([((a, a * v % 5), 1.0) for a in range(5)], fp)
     screened = st_.apply_add_multiple(0, 1, (-v) % 5).apply_qft(0)
     assert screened.register_marginal(0)[0] == pytest.approx(1.0, abs=1e-12)
     assert all(screened.measure_register(0, rng) == 0 for _ in range(200))
 
 
 def test_measure_all_on_basis_state(rng):
-    st_ = DenseState.from_basis_terms([((3, 1), 1.0)], FieldParams(5))
+    st_ = basis_state([((3, 1), 1.0)], FieldParams(5))
     assert st_.measure_all(rng) == (3, 1)
 
 
@@ -175,7 +175,7 @@ def test_measurement_leaves_amplitudes_unchanged(rng, registers):
 def test_measure_all_marginal_uniform_noiseless_sample(rng):
     fp = FieldParams(5)
     s = 3
-    st_ = DenseState.from_basis_terms([((a, a * s % 5), 1.0) for a in range(5)], fp)
+    st_ = basis_state([((a, a * s % 5), 1.0) for a in range(5)], fp)
     n = 100_000
     first = np.zeros(5, dtype=int)
     for _ in range(n):
@@ -190,7 +190,7 @@ def test_measured_category_frequencies_match_enumerated_distribution(rng):
     # post-QFT noisy sample at q=7, s=4; oracle = full amplitude enumeration
     fp = FieldParams(7)
     errors = [int(e) for e in make_rng(77).integers(-1, 2, size=7)]
-    post = DenseState.from_basis_terms(
+    post = basis_state(
         [((a, (a * 4 + errors[a]) % 7), 1.0) for a in range(7)], fp
     ).apply_qft_all()
     probs = post.probabilities().reshape(7, 7)

@@ -58,6 +58,17 @@ def test_expected_iteration_success_formula_against_simulation():
     assert abs(report.empirical_rate - expected) <= 4 * sigma
 
 
+@pytest.mark.parametrize("engine", ["analytic", "dense"])
+def test_proper_subset_rate_matches_exact_probability_on_both_engines(engine):
+    # v = 20 < 7^2: the analytic engine leaves the subset implicit, the dense one draws it
+    config = lwe_config(q=7, n=2, v=20, trials=3000, noise=NoiseModel.bounded_uniform(1), k=1,
+                        engine=engine)
+    report = run_experiment(config)
+    exact = report.exact_probability
+    assert exact == _expected_iteration_success(7, 2, 20, NoiseModel.bounded_uniform(1))
+    assert abs(report.empirical_rate - exact) <= 5 * math.sqrt(exact * (1 - exact) / config.trials)
+
+
 def test_exact_probability_at_least_paper_bound():
     for k in (1, 2):
         config = lwe_config(q=101, n=1, trials=50, noise=NoiseModel.bounded_uniform(k), L=1, M=0)

@@ -4,7 +4,8 @@ A canonical report must stay byte-identical for a fixed configuration and
 seed, so any change to the trial logic, the RNG layout or the float
 arithmetic behind ``exact_prob`` shows up here.  The expected texts live in
 ``tests/golden/<name>-seed<seed>.txt``; the configurations are the four
-benchmark workloads plus one LPN and one SIS run.
+benchmark workloads plus one LPN run, one SIS run and one analytic LWE run
+on a proper subset (v < q^n).
 """
 
 from pathlib import Path
@@ -20,6 +21,8 @@ SEEDS = (1, 1000)
 CONFIGS = {
     "lwe-analytic": ("--problem", "lwe", "--q", "101", "--n", "2", "--noise", "gaussian", "--sigma", "1",
                      "--k", "2", "--L", "93", "--M", "1"),
+    "lwe-analytic-subset": ("--problem", "lwe", "--q", "11", "--n", "2", "--v", "50", "--noise", "bounded",
+                            "--k", "1", "--L", "20", "--M", "1"),
     "lwr-fixed-spec": ("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--L", "20", "--M", "1"),
     "lwe-dense": ("--problem", "lwe", "--q", "7", "--n", "3", "--noise", "bounded", "--k", "1",
                   "--L", "3", "--M", "2", "--engine", "dense"),

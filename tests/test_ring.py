@@ -14,7 +14,7 @@ from quditlearn.ring import (
     ring_sample_stream,
 )
 
-from conftest import make_rng
+from conftest import basis_state, make_rng
 
 
 def all_ring_elements(q, n):
@@ -177,8 +177,6 @@ def test_per_element_ring_noise_rejected():
 def test_ring_learner_validates_register_count():
     emb = RingEmbedding.build(FieldParams(13), 4)
     rng = make_rng(606)
-    from quditlearn.dense import DenseState
-
-    bad = DenseState.from_basis_terms([((0, 0), 1.0)], FieldParams(13))
+    bad = basis_state([((0, 0), 1.0)], FieldParams(13))
     with pytest.raises(ParameterError):
         ring_lwe_global_learn(emb, lambda: bad, rng)

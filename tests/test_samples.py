@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn.dense import DenseState, StateError
+from quditlearn.dense import StateError
 from quditlearn.field import FieldParams, ParameterError
 from quditlearn.samples import (
     NoiseModel,
@@ -24,7 +24,7 @@ from quditlearn.samples import (
 )
 from quditlearn.verify import _dense_category_probabilities
 
-from conftest import make_rng
+from conftest import basis_state, make_rng
 
 
 # --- noise models ---------------------------------------------------------
@@ -96,6 +96,26 @@ def test_forced_histogram_multinomial(rng):
     assert spec.histogram is not None and sum(spec.histogram.values()) == 11
 
 
+def test_dense_map_keeps_per_element_errors_above_a_million_elements(rng):
+    # 2^21 amplitudes fit the dense cap, so the map form must not switch to a histogram here
+    s = tuple(int(x) for x in rng.integers(0, 2, size=20))
+    spec = draw_sample_spec(FieldParams(2), 20, s, 2**20, NoiseModel.bernoulli(0.1), rng)
+    assert spec.subset is None and spec.histogram is None and spec.errors.shape == (2**20,)
+
+
+def test_histogram_draw_leaves_a_proper_subset_implicit(rng):
+    for noise in (NoiseModel.bounded_uniform(1), NoiseModel.none(),
+                  NoiseModel.global_shift(NoiseModel.bounded_uniform(1))):
+        spec = draw_sample_spec(FieldParams(11), 2, (3, 4), 50, noise, rng, errors_as="histogram")
+        assert spec.subset is None and spec.errors is None and sum(spec.histogram.values()) == 50
+
+
+def test_draw_accepts_only_map_or_histogram(rng):
+    for errors_as in ("auto", "", None):
+        with pytest.raises(ParameterError, match="errors_as"):
+            draw_sample_spec(FieldParams(5), 1, (1,), 3, NoiseModel.none(), rng, errors_as=errors_as)
+
+
 def test_draw_rejects_oversized_v(rng):
     with pytest.raises(ParameterError):
         draw_sample_spec(FieldParams(3), 1, (1,), 4, NoiseModel.none(), rng)
@@ -135,6 +155,11 @@ def test_spec_validation_catches_inconsistencies():
         SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[0], errors=[0.5])
     with pytest.raises(ParameterError, match="subset must hold integers"):
         SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[1.5], errors=[0])
+    with pytest.raises(ParameterError, match="implicit subset"):  # an error map needs its vectors
+        SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=noise, errors=[0, 1])
+    with pytest.raises(ParameterError, match="explicit subset"):  # above 10^6 elements too
+        SampleSpec(fp=FieldParams(2), n=21, s=(0,) * 21, v=10**6 + 1, noise=NoiseModel.bernoulli(0.1),
+                   subset=np.arange(10**6 + 1), histogram={0: 10**6, 1: 1})
     # 101^10 > 2^63 - 1: a proper subset there has no int64 flat indices
     text = json.dumps({"q": 101, "n": 10, "s": [0] * 10, "subset": [[1] * 10], "v": 1,
                        "noise": {"kind": "none"}, "errors": {"histogram": [[0, 1]]}, "seed": None})
@@ -182,6 +207,14 @@ def test_materialize_rejects_ambiguous_histogram():
                       histogram={0: 3, 1: 2})
     with pytest.raises(StateError):
         materialize_dense(spec)
+
+
+def test_materialize_rejects_implicit_subset():
+    fp = FieldParams(5)
+    for noise, histogram in ((NoiseModel.none(), {0: 3}), (NoiseModel.bounded_uniform(1), {0: 2, 1: 1})):
+        spec = SampleSpec(fp=fp, n=1, s=(1,), v=3, noise=noise, histogram=histogram)
+        with pytest.raises(StateError):
+            materialize_dense(spec)
 
 
 def test_materialize_accepts_degenerate_histogram():
@@ -235,6 +268,72 @@ def test_classical_sample_histogram_mode(rng):
     for _ in range(300):
         a, b = draw_classical_sample(spec, rng)
         assert centered_abs(b - a[0] * 7, 11) <= 1
+
+
+# --- implicit subsets -----------------------------------------------------
+
+
+def implicit_twin(spec: SampleSpec) -> SampleSpec:
+    """The same secret, v and error histogram, with the subset left implicit."""
+    return SampleSpec(fp=spec.fp, n=spec.n, s=spec.s, v=spec.v, noise=spec.noise,
+                      histogram=spec.error_histogram())
+
+
+@pytest.mark.parametrize("q, n, v, noise", [
+    (5, 2, 7, NoiseModel.bounded_uniform(1)),
+    (7, 2, 20, NoiseModel.bounded_uniform(2)),
+    (3, 3, 13, NoiseModel.none()),
+    (2, 4, 9, NoiseModel.bernoulli(0.3)),
+    (11, 1, 4, NoiseModel.gaussian(1.0, 2)),
+])
+def test_implicit_subset_law_equals_explicit_law_and_dense_oracle(q, n, v, noise):
+    local = make_rng(500 + q * 10 + n)
+    s = tuple(int(x) for x in local.integers(0, q, size=n))
+    explicit = draw_sample_spec(FieldParams(q), n, s, v, noise, local)
+    implicit = implicit_twin(explicit)
+    assert explicit.subset is not None and implicit.subset is None
+    law, twin = outcome_distribution(explicit), outcome_distribution(implicit)
+    assert np.array_equal(law.per_jstar_good.view(np.uint64), twin.per_jstar_good.view(np.uint64))
+    assert (law.p_correct, law.p_bot, law.p_wrong) == (twin.p_correct, twin.p_bot, twin.p_wrong)
+    per, p_bot, p_wrong = _dense_category_probabilities(explicit)
+    for dist in (law, twin):
+        tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
+                    + abs(p_bot - dist.p_bot) + abs(p_wrong - dist.p_wrong))
+        assert tv <= 1e-9
+
+
+def test_implicit_subset_classical_draws_are_uniform_a_and_histogram_errors():
+    from quditlearn.field import centered
+
+    q, n, v, draws = 5, 2, 9, 40_000
+    spec = SampleSpec(fp=FieldParams(q), n=n, s=(2, 3), v=v, noise=NoiseModel.bounded_uniform(1),
+                      histogram={-1: 2, 0: 3, 1: 4})
+    local = make_rng(77)
+    a_counts = np.zeros(q**n)
+    e_counts = {b: 0 for b in spec.histogram}
+    for _ in range(draws):
+        a, b = draw_classical_sample(spec, local)
+        a_counts[a[0] * q + a[1]] += 1
+        e_counts[centered(b - (2 * a[0] + 3 * a[1]), q)] += 1
+    p = 1 / q**n
+    assert np.abs(a_counts - draws * p).max() <= 5 * math.sqrt(draws * p * (1 - p))
+    for value, count in spec.histogram.items():
+        p = count / v
+        assert abs(e_counts[value] - draws * p) <= 5 * math.sqrt(draws * p * (1 - p))
+
+
+def test_implicit_subset_json_writes_null_and_round_trips(rng):
+    spec = draw_sample_spec(FieldParams(11), 2, (3, 4), 50, NoiseModel.bounded_uniform(1), rng,
+                            errors_as="histogram", seed=5)
+    text = spec_to_json(spec)
+    assert json.loads(text)["subset"] is None
+    back = spec_from_json(text)
+    assert back.subset is None and back.v == 50 and back.histogram == spec.histogram
+    assert spec_to_json(back) == text
+    for subset, v in (("all", 50), (None, 121)):  # "all" is kept for v = q^n, null for v < q^n
+        obj = dict(json.loads(text), subset=subset, v=v, errors={"histogram": [[0, v]]})
+        with pytest.raises(ParameterError, match="needs v"):
+            spec_from_json(json.dumps(obj))
 
 
 # --- outcome distribution -------------------------------------------------
@@ -431,7 +530,7 @@ def test_materialize_matches_state_built_from_the_json_map(v):
     spec = draw_sample_spec(fp, 2, (3, 5), v, NoiseModel.bounded_uniform(1), local)
     pairs = json.loads(spec_to_json(spec))["errors"]["map"]
     assert len(pairs) == v
-    reference = DenseState.from_basis_terms(
+    reference = basis_state(
         [((*a, (a[0] * 3 + a[1] * 5 + e) % 7), 1.0) for a, e in pairs], fp
     )
     assert np.abs(materialize_dense(spec).amps - reference.amps).max() <= 1e-15

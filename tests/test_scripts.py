@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, which use the public API."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -19,9 +20,11 @@ def run_script(name, *args):
 def test_scripts_run_and_write_their_tables(tmp_path):
     sweeps = run_script("run_sweeps.py", "--trials", "5", "--outdir", str(tmp_path))
     assert sweeps.returncode == 0, sweeps.stderr
-    for name, rows in (("noiseless", 5), ("k_sweep", 5), ("m_sweep", 4)):
-        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
-        assert lines[0].startswith("problem,q,n,") and len(lines) == rows + 1
+    for name, rows in (("noiseless", 5), ("k_sweep", 5), ("m_sweep", 4), ("v_sweep", 4)):
+        with open(tmp_path / f"{name}.csv", newline="") as handle:
+            table = list(csv.DictReader(handle))
+        assert len(table) == rows
+        assert all(row["empirical_rate"] for row in table), name  # a failed row is written blank
     scan = run_script("parity_bound_scan.py")
     assert scan.returncode == 0, scan.stderr
     assert scan.stdout.splitlines()[1].startswith("n    eta=0.05")
