@@ -1,9 +1,10 @@
 """Command-line entry point: learn, experiment, sweep, verify.
 
 Exit codes: 0 success / secret recovered, 1 abstention or failed checks,
-2 usage errors, 3 internal errors.  Flag values override config-file values
-(JSON, keys named after the flags), which override defaults; QUDITLEARN_SEED
-provides the default seed.
+2 usage errors, 3 internal errors.  A learn/experiment ``--config`` file is
+a JSON object of flag names and values, read as those flags placed before
+the command-line ones (so a flag given on the command line wins, and a null
+value means "not given"); QUDITLEARN_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,21 @@ import sys
 
 import numpy as np
 
-from .experiments import PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep
+from .experiments import (
+    PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep, write_csv,
+)
 from .field import FieldParams, ParameterError
 from .ring import RingEmbedding
-from .samples import NoiseModel, _noise_from_obj
+from .samples import _noise_from_obj
 from .verify import DEFAULT_MAX_QN, format_results, run_verification
+
+NOISE_KINDS = {  # --noise value -> NoiseModel kind
+    "none": "none",
+    "bounded": "bounded-uniform",
+    "gaussian": "gaussian",
+    "bernoulli": "bernoulli",
+    "global": "global-shift",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,34 +39,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--problem", choices=PROBLEMS)
+        p.add_argument("--problem", choices=PROBLEMS, default="lwe")
         p.add_argument("--q", type=int)
-        p.add_argument("--n", type=int)
+        p.add_argument("--n", type=int, default=2)
         p.add_argument("--v", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--eta", type=float)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--eta", type=float, default=0.1)
         p.add_argument("--p", type=int)
-        p.add_argument("--m", type=int, help="ring conductor (ring-global)")
+        p.add_argument("--m", type=int, default=4, help="ring conductor (ring-global)")
         p.add_argument("--L", type=int)
         p.add_argument("--M", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--engine", choices=("dense", "analytic"))
-        p.add_argument("--noise", choices=("none", "bounded", "gaussian", "bernoulli", "global"))
-        p.add_argument("--config", help="JSON file with default flag values")
+        p.add_argument("--engine", choices=("dense", "analytic"), default="analytic")
+        p.add_argument("--noise", choices=tuple(NOISE_KINDS))
+        p.add_argument("--config", help="JSON object of flag values; command-line flags win")
 
     learn = sub.add_parser("learn", help="run one learner, print the recovered secret or BOT")
     add_common(learn)
 
     experiment = sub.add_parser("experiment", help="Monte Carlo run, print a report")
     add_common(experiment)
-    experiment.add_argument("--trials", type=int)
+    experiment.add_argument("--trials", type=int, default=1000)
     experiment.add_argument("--csv", help="also write the report to this CSV file, replacing its contents")
 
     sweep_p = sub.add_parser("sweep", help="run a list of configs from --config, emit CSV")
     sweep_p.add_argument("--config", required=True, help="JSON list of experiment configs")
     sweep_p.add_argument("--csv", help="CSV output path")
-    sweep_p.add_argument("--seed", type=int)
 
     verify = sub.add_parser("verify", help="run the built-in invariant suite")
     verify.add_argument("--max-qn", type=int, default=DEFAULT_MAX_QN)
@@ -63,86 +73,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as handle:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--key=value`` flags that a learn/experiment config file names."""
+    with open(args.config) as handle:
         obj = json.load(handle)
     if not isinstance(obj, dict):
         raise ParameterError("config file for learn/experiment must be a JSON object")
-    return obj
-
-
-def _resolve(args: argparse.Namespace, file_values: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in file_values:
-        return file_values[name]
-    return default
-
-
-def _resolve_seed(args: argparse.Namespace, file_values: dict) -> int:
-    value = _resolve(args, file_values, "seed")
-    if value is not None:
-        return int(value)
-    env = os.environ.get("QUDITLEARN_SEED")
-    return int(env) if env is not None else 0
-
-
-def _build_noise(kind: str, k: int, sigma: float, eta: float) -> NoiseModel:
-    if kind == "none":
-        return NoiseModel.none()
-    if kind == "bounded":
-        return NoiseModel.bounded_uniform(k)
-    if kind == "gaussian":
-        return NoiseModel.gaussian(sigma, k)
-    if kind == "bernoulli":
-        return NoiseModel.bernoulli(eta)
-    return NoiseModel.global_shift(NoiseModel.bounded_uniform(k))
+    flags = set(vars(args)) - {"subcommand", "config"}
+    for key in obj:
+        if key not in flags:
+            raise ParameterError(f"config file key {key!r} names no {args.subcommand} flag it can set")
+    return [f"--{key}={value}" for key, value in obj.items() if value is not None]
 
 
 def _format_vector(vec: tuple[int, ...]) -> str:
     return "[" + ", ".join(str(x) for x in vec) + "]"
 
 
-def _gather(args: argparse.Namespace) -> dict:
-    file_values = _load_config_file(getattr(args, "config", None))
-    problem = _resolve(args, file_values, "problem", "lwe")
-    q = int(_resolve(args, file_values, "q", 2 if problem == "lpn" else 5))
-    n = int(_resolve(args, file_values, "n", 2))
-    k = int(_resolve(args, file_values, "k", 1))
-    noise_kind = _resolve(args, file_values, "noise", "bernoulli" if problem == "lpn" else "none")
-    noise = _build_noise(
-        noise_kind,
-        k,
-        float(_resolve(args, file_values, "sigma", 1.0)),
-        float(_resolve(args, file_values, "eta", 0.1)),
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The parsed learn/experiment flags, with the defaults that depend on other flags."""
+    lpn = args.problem == "lpn"
+    q = args.q if args.q is not None else (2 if lpn else 5)
+    params = {"k": args.k, "sigma": args.sigma, "eta": args.eta}
+    kind = NOISE_KINDS[args.noise or ("bernoulli" if lpn else "none")]
+    noise = _noise_from_obj({"kind": kind, **params, "inner": {"kind": "bounded-uniform", **params}})
+    noisy = noise.kind != "none"
+    default_L = math.ceil(20 * max(args.k, 1) * math.log(10)) if noisy else 1
+    m = args.m if args.problem == "ring-global" else None
+    return ExperimentConfig(
+        problem=args.problem,
+        q=q,
+        n=args.n if m is None else RingEmbedding.build(FieldParams(q), m).n,
+        trials=getattr(args, "trials", 1),
+        seed=args.seed if args.seed is not None else int(os.environ.get("QUDITLEARN_SEED", "0")),
+        engine=args.engine,
+        noise=noise,
+        v=args.v,
+        L=default_L if args.L is None else args.L,
+        M=int(noisy) if args.M is None else args.M,
+        k=args.k,
+        p=args.p,
+        m=m,
     )
-    default_L = 1 if noise.kind == "none" else max(1, math.ceil(20 * max(k, 1) * math.log(10)))
-    default_M = 0 if noise.kind == "none" else 1
-    return {
-        "problem": problem,
-        "q": q,
-        "n": n,
-        "v": _resolve(args, file_values, "v"),
-        "k": k,
-        "noise": noise,
-        "p": _resolve(args, file_values, "p"),
-        "m": _resolve(args, file_values, "m", 4),
-        "L": int(_resolve(args, file_values, "L", default_L)),
-        "M": int(_resolve(args, file_values, "M", default_M)),
-        "engine": _resolve(args, file_values, "engine", "analytic"),
-        "seed": _resolve_seed(args, file_values),
-        "trials": _resolve(args, file_values, "trials", 1000),
-    }
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     """One harness trial whose secret and samples both come from Philox(key=seed)."""
-    opts = _gather(args)
-    config = _experiment_config(opts, trials=1)
-    rng = np.random.Generator(np.random.Philox(key=opts["seed"]))
+    config = _experiment_config(args)
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
     secret = draw_secret(config, rng)
     recovered = build_trial(config, secret)[0](rng)
     print(f"secret = {_format_vector(secret)}")
@@ -153,33 +131,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return 0 if tuple(recovered) == secret else 1
 
 
-def _experiment_config(opts: dict, trials: int) -> ExperimentConfig:
-    m = int(opts["m"]) if opts["problem"] == "ring-global" else None
-    return ExperimentConfig(
-        problem=opts["problem"],
-        q=opts["q"],
-        n=opts["n"] if m is None else RingEmbedding.build(FieldParams(opts["q"]), m).n,
-        trials=trials,
-        seed=opts["seed"],
-        engine=opts["engine"],
-        noise=opts["noise"],
-        v=opts["v"],
-        L=opts["L"],
-        M=opts["M"],
-        k=opts["k"],
-        p=opts["p"],
-        m=m,
-    )
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _gather(args)
-    config = _experiment_config(opts, int(opts["trials"]))
-    report = run_experiment(config)
+    report = run_experiment(_experiment_config(args))
     print(report.to_text())
-    if getattr(args, "csv", None):
-        from .experiments import write_csv
-
+    if args.csv:
         write_csv([report], args.csv)
     return 0
 
@@ -238,11 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors
-        return int(exc.code) if exc.code is not None else 2
     handlers = {
         "learn": cmd_learn,
         "experiment": cmd_experiment,
@@ -250,7 +202,13 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = parser.parse_args(argv)
+        if args.subcommand in ("learn", "experiment") and args.config is not None:
+            at = argv.index(args.subcommand) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return handlers[args.subcommand](args)
+    except SystemExit as exc:  # argparse exits 2 on usage errors
+        return int(exc.code) if exc.code is not None else 2
     except (OSError, ValueError) as exc:  # ParameterError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

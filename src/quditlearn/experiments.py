@@ -207,6 +207,10 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     fp = FieldParams(config.q)
     q, n, v = config.q, config.n, config.effective_v
     k = config.effective_k
+    if config.problem in ("lwr", "sis", "ring-global") and config.v not in (None, q**n):
+        raise ParameterError(
+            f"{config.problem} always uses all q^n = {q**n} elements, so v = {config.v} cannot run"
+        )
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(

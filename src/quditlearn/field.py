@@ -67,9 +67,6 @@ class FieldParams:
         if self.q > MAX_Q:
             raise ParameterError(f"modulus {self.q} exceeds the 2**40 cap")
 
-    def reduce(self, a: int) -> int:
-        return a % self.q
-
 
 @lru_cache(maxsize=16)
 def roots_of_unity(q: int) -> np.ndarray:

@@ -238,3 +238,78 @@ def test_lpn_rejects_non_bernoulli_noise(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bernoulli" in err
+
+
+def write_config(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"noise": "gaussain"}, "argument --noise: invalid choice: 'gaussain'"),
+    ({"q": 7.9}, "argument --q: invalid int value: '7.9'"),
+    ({"v": 3.5}, "argument --v: invalid int value: '3.5'"),
+    ({"k": 1.5}, "argument --k: invalid int value: '1.5'"),
+])
+def test_config_file_values_pass_the_flag_checks(capsys, tmp_path, obj, message):
+    path = write_config(tmp_path, obj)
+    code, out, err = run_cli(capsys, "experiment", "--config", path, "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_config_file_value_is_converted_like_the_flag(capsys, tmp_path):
+    flags = {"problem": "lwr", "q": 257, "n": 1, "L": 20, "M": 1, "seed": 4}
+    path = write_config(tmp_path, {**flags, "p": "16"})
+    code, from_file, _ = run_cli(capsys, "experiment", "--config", path, "--trials", "20")
+    assert code == 0
+    argv = [t for key, value in flags.items() for t in (f"--{key}", str(value))]
+    code, from_flags, _ = run_cli(capsys, "experiment", *argv, "--p", "16", "--trials", "20")
+    assert code == 0
+
+    def canonical(text):
+        return [line for line in text.splitlines() if not line.startswith("wall_time_ms")]
+
+    assert canonical(from_file) == canonical(from_flags)
+    assert "p: 16" in from_file.splitlines()
+
+
+def test_config_file_null_means_not_given(capsys, tmp_path):
+    path = write_config(tmp_path, {"q": None, "v": None, "seed": 7, "noise": "none"})
+    code, from_file, _ = run_cli(capsys, "learn", "--config", path)
+    code_flags, from_flags, _ = run_cli(capsys, "learn", "--seed", "7", "--noise", "none")
+    assert (code, from_file) == (code_flags, from_flags)
+
+
+@pytest.mark.parametrize("command, key", [("learn", "trials"), ("experiment", "tri"), ("learn", "config")])
+def test_config_file_key_that_is_no_flag_exits_2(capsys, tmp_path, command, key):
+    path = write_config(tmp_path, {"q": 5, key: 5})
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_sweep_has_no_seed_flag(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps([{"problem": "lwe", "q": 5, "n": 2, "trials": 3}]))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 5" in err
+
+
+@pytest.mark.parametrize("argv, qn", [
+    (("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16"), 257),
+    (("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "3"), 49),
+    (("--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global"), 169),
+])
+def test_problems_over_all_vectors_reject_another_v(capsys, argv, qn):
+    code, out, err = run_cli(capsys, "experiment", *argv, "--v", "10", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "v = 10" in err
+    code, out, _ = run_cli(capsys, "experiment", *argv, "--v", str(qn), "--trials", "2")
+    assert code == 0 and f"v: {qn}" in out.splitlines()

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from quditlearn.field import FieldParams, ParameterError, centered_abs
+from quditlearn.field import FieldParams, ParameterError, centered, centered_abs
 from quditlearn.learners import (
     BOT,
     BvOutcome,
@@ -335,6 +336,22 @@ def test_lwr_spec_roundtrip_against_direct_construction():
     assert spec.v == 31 and spec.subset is None and spec.errors is not None
     for a, e in enumerate(spec.errors.tolist()):
         assert (a * 7 + e) % 31 == lwr_decode(lwr_round(a * 7 % 31, 4, 31), 4, 31)
+
+
+@pytest.mark.parametrize("s", [(0, 0, 0), (5, 0, 77)])
+def test_lwr_histogram_spec_above_the_enumeration_limit(s):
+    # q^n = 101^3 > ENUMERABLE_LIMIT, so the spec keeps counts instead of an error per vector
+    q, n, p = 101, 3, 8
+    spec = lwr_sample_spec(FieldParams(q), n, s, p)
+    assert spec.errors is None and spec.v == q**n
+    residual = np.array([centered(lwr_decode(lwr_round(x, p, q), p, q) - x, q) for x in range(q)])
+    a = np.arange(q, dtype=np.int64)
+    dots = (a[:, None, None] * s[0] + a[None, :, None] * s[1] + a[None, None, :] * s[2]) % q
+    values, counts = np.unique(residual[dots], return_counts=True)
+    assert spec.histogram == dict(zip(values.tolist(), counts.tolist()))
+    phases = np.exp(2j * np.pi * np.outer(np.arange(1, q), values) / q)
+    p_correct = float(np.sum(np.abs(phases @ counts) ** 2)) / (q**n * float(q) ** (n + 1))
+    assert abs(outcome_distribution(spec).p_correct - p_correct) <= 1e-12
 
 
 def test_lwr_law_sums_error_counts_in_first_occurrence_order():

@@ -270,6 +270,25 @@ def test_classical_sample_histogram_mode(rng):
         assert centered_abs(b - a[0] * 7, 11) <= 1
 
 
+def test_classical_sample_from_an_explicit_proper_subset(rng):
+    q, n, s, v = 7, 2, (3, 5), 10
+    spec = draw_sample_spec(FieldParams(q), n, s, v, NoiseModel.bounded_uniform(1), rng)
+    assert spec.subset is not None and spec.subset.size == v < q**n
+    error_of = {
+        tuple(int(x) for x in np.unravel_index(int(f), (q,) * n)): int(e)
+        for f, e in zip(spec.subset, spec.errors)
+    }
+    draws = 5000
+    counts = dict.fromkeys(error_of, 0)
+    for _ in range(draws):
+        a, b = draw_classical_sample(spec, rng)
+        assert a in error_of  # a is a subset vector
+        assert b == (a[0] * s[0] + a[1] * s[1] + error_of[a]) % q
+        counts[a] += 1
+    sigma = math.sqrt(draws * (1 / v) * (1 - 1 / v))
+    assert all(abs(c - draws / v) <= 5 * sigma for c in counts.values())
+
+
 # --- implicit subsets -----------------------------------------------------
 
 
