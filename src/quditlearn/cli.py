@@ -10,6 +10,7 @@ value means "not given"); QUDITLEARN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,10 +21,10 @@ import numpy as np
 from .experiments import (
     PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep, write_csv,
 )
-from .field import FieldParams, ParameterError
+from .field import FieldParams, ParameterError, is_integer
 from .ring import RingEmbedding
 from .samples import _noise_from_obj
-from .verify import DEFAULT_MAX_QN, format_results, run_verification
+from .verify import format_results, run_verification
 
 NOISE_KINDS = {  # --noise value -> NoiseModel kind
     "none": "none",
@@ -68,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--csv", help="CSV output path")
 
     verify = sub.add_parser("verify", help="run the built-in invariant suite")
-    verify.add_argument("--max-qn", type=int, default=DEFAULT_MAX_QN)
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
@@ -142,32 +142,27 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def _config_from_obj(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ParameterError("each sweep entry must be a JSON object")
+    unknown = sorted(set(obj) - {field.name for field in dataclasses.fields(ExperimentConfig)})
+    if unknown:
+        raise ParameterError(f"sweep entry key {unknown[0]!r} names no experiment setting")
     for key in ("problem", "q", "n", "trials"):
         if key not in obj:
             raise ParameterError(f"sweep entry lacks the {key!r} key")
     for key in ("q", "n", "trials", "seed", "v", "L", "M", "k", "p", "m"):
         value = obj.get(key)
         optional = value is None and key in ("v", "k", "p", "m")  # null keeps the default
-        if key in obj and not optional and (not isinstance(value, int) or isinstance(value, bool)):
+        if key in obj and not optional and not is_integer(value):
             raise ParameterError(f"sweep entry key {key!r} must be an integer, got {value!r}")
     try:
         noise = _noise_from_obj(obj.get("noise", {"kind": "none"}))
     except KeyError as exc:
         raise ParameterError(f"sweep entry noise lacks the {exc.args[0]!r} key") from None
-    fields = {k: obj[k] for k in ("v", "L", "M", "k", "p", "m", "engine") if k in obj}
+    fields = {"seed": 0, **obj, "noise": noise}
     if "s" in obj:
-        if not isinstance(obj["s"], list):
+        if not isinstance(obj["s"], list) or not all(is_integer(x) for x in obj["s"]):
             raise ParameterError("sweep entry key 's' must be a list of integers")
         fields["s"] = tuple(obj["s"])
-    return ExperimentConfig(
-        problem=obj["problem"],
-        q=obj["q"],
-        n=obj["n"],
-        trials=obj["trials"],
-        seed=obj.get("seed", 0),
-        noise=noise,
-        **fields,
-    )
+    return ExperimentConfig(**fields)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -187,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(max_qn=args.max_qn, inject_fault=args.inject_fault)
+    results = run_verification(inject_fault=args.inject_fault)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 

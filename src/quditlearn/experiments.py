@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.engine not in ("dense", "analytic"):
             raise ParameterError(f"unknown engine {self.engine!r}")
+        if self.v is not None and self.v < 1:
+            raise ParameterError(f"v must be >= 1, got {self.v}")
+        if self.k is not None and self.k < 0:
+            raise ParameterError(f"k must be >= 0, got {self.k}")
 
     @property
     def effective_v(self) -> int:

@@ -8,6 +8,7 @@ here is immutable and safe to share.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,10 @@ class NoInverseError(ParameterError):
 
 class NoRootError(ParameterError):
     """No primitive root of the requested order exists."""
+
+
+def is_integer(value) -> bool:  # a Python or numpy int, but not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .dense import DenseState, StateError, weighted_index
-from .field import FieldParams, ParameterError, roots_of_unity
+from .field import FieldParams, ParameterError, is_integer, roots_of_unity
 
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
 MULTINOMIAL_LIMIT = 2**63 - 1  # numpy draws multinomial counts as int64
@@ -65,6 +66,13 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
+        if not is_integer(self.k):
+            raise ParameterError(f"noise k must be an integer, got {self.k!r}")
+        for name, value in (("sigma", self.sigma), ("eta", self.eta)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"noise {name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # JSON writes 1.0, not 1
+        object.__setattr__(self, "k", int(self.k))
         if self.kind in ("bounded-uniform", "gaussian") and self.k < 0:
             raise ParameterError("noise magnitude bound k must be >= 0")
         if self.kind == "gaussian" and not self.sigma > 0.0:
@@ -81,15 +89,15 @@ class NoiseModel:
 
     @classmethod
     def bounded_uniform(cls, k: int) -> "NoiseModel":
-        return cls("bounded-uniform", k=int(k))
+        return cls("bounded-uniform", k=k)
 
     @classmethod
     def gaussian(cls, sigma: float, k: int) -> "NoiseModel":
-        return cls("gaussian", k=int(k), sigma=float(sigma))
+        return cls("gaussian", k=k, sigma=sigma)
 
     @classmethod
     def bernoulli(cls, eta: float) -> "NoiseModel":
-        return cls("bernoulli", eta=float(eta))
+        return cls("bernoulli", eta=eta)
 
     @classmethod
     def global_shift(cls, inner: "NoiseModel") -> "NoiseModel":
@@ -530,6 +538,8 @@ def spec_from_json(text: str) -> SampleSpec:
         errors = [by_index[i] for i in order]
     else:
         histogram = {int(b): int(c) for b, c in obj["errors"]["histogram"]}
+    if not all(is_integer(x) for x in obj["s"]):
+        raise ParameterError(f"secret coordinates must be integers, got {obj['s']!r}")
     return SampleSpec(
         fp=fp,
         n=n,

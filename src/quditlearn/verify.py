@@ -1,15 +1,15 @@
 """Built-in invariant suite backing the ``verify`` CLI subcommand.
 
-Runs the cross-engine and structural invariants at fixed small sizes and
-reports one pass/fail line per check.  ``max_qn`` restricts every check's
-instances to amplitude counts q^registers <= max_qn.  ``inject_fault``
-perturbs one amplitude inside the norm-preservation check — a negative
-control that must turn exactly that check red.
+Runs the cross-engine and structural invariants on fixed small instances,
+all of them every time, and reports one pass/fail line per check.
+``inject_fault`` perturbs one amplitude inside the norm-preservation check —
+a negative control that must turn exactly that check red.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,6 @@ from .samples import (
     theoretical_bound,
 )
 
-DEFAULT_MAX_QN = 2**12
-
 
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
@@ -38,10 +36,6 @@ class CheckResult:
 
 def _rng(tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0x5EED0000 + tag))
-
-
-def _instances(max_qn: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(q, n) for q, n in pairs if q ** (n + 1) <= max_qn]
 
 
 def _dense_category_probabilities(spec: SampleSpec) -> tuple[np.ndarray, float, float]:
@@ -58,7 +52,7 @@ def _dense_category_probabilities(spec: SampleSpec) -> tuple[np.ndarray, float, 
     return per, p_bot, p_wrong
 
 
-def _check_field_arithmetic(max_qn: int) -> CheckResult:
+def _check_field_arithmetic() -> CheckResult:
     for q in (3, 7, 13, 101):
         half = (q - 1) // 2
         for a in range(q):
@@ -73,7 +67,7 @@ def _check_field_arithmetic(max_qn: int) -> CheckResult:
     return CheckResult("field-centered-representative", True, "q in {3,7,13,101} exhaustive")
 
 
-def _check_omega_powers(max_qn: int) -> CheckResult:
+def _check_omega_powers() -> CheckResult:
     rng = _rng(1)
     for q in (3, 13, 101, 65537):
         roots = roots_of_unity(q)
@@ -84,8 +78,8 @@ def _check_omega_powers(max_qn: int) -> CheckResult:
     return CheckResult("omega-power-additivity", True, "random exponents up to 2^62")
 
 
-def _check_qft_unitarity(max_qn: int) -> CheckResult:
-    qs = [q for q in (2, 3, 5, 7, 11, 31, 101) if q * q <= max_qn]
+def _check_qft_unitarity() -> CheckResult:
+    qs = [2, 3, 5, 7, 11, 31]
     for q in qs:
         f = qft_matrix(q)
         if np.max(np.abs(f.conj().T @ f - np.eye(q))) > 1e-9:
@@ -93,9 +87,9 @@ def _check_qft_unitarity(max_qn: int) -> CheckResult:
     return CheckResult("qft-unitarity", True, f"q in {qs}")
 
 
-def _check_norm_preservation(max_qn: int, inject_fault: bool = False) -> CheckResult:
+def _check_norm_preservation(inject_fault: bool = False) -> CheckResult:
     rng = _rng(2)
-    for q, n in _instances(max_qn, [(3, 2), (5, 2), (7, 1), (13, 1)]):
+    for q, n in [(3, 2), (5, 2), (7, 1), (13, 1)]:
         amps = rng.normal(size=q ** (n + 1)) + 1j * rng.normal(size=q ** (n + 1))
         state = DenseState(FieldParams(q), n + 1, amps / np.linalg.norm(amps))
         for op in range(n + 1):
@@ -110,9 +104,9 @@ def _check_norm_preservation(max_qn: int, inject_fault: bool = False) -> CheckRe
     return CheckResult("norm-preservation", True, "QFT and add-multiple pipelines")
 
 
-def _check_add_multiple_permutation(max_qn: int) -> CheckResult:
+def _check_add_multiple_permutation() -> CheckResult:
     rng = _rng(3)
-    for q, n in _instances(max_qn, [(3, 2), (7, 1), (11, 1)]):
+    for q, n in [(3, 2), (7, 1), (11, 1)]:
         amps = rng.normal(size=q ** (n + 1)) + 1j * rng.normal(size=q ** (n + 1))
         state = DenseState(FieldParams(q), n + 1, amps / np.linalg.norm(amps))
         shifted = state.apply_add_multiple(0, n, int(rng.integers(1, q)))
@@ -123,8 +117,8 @@ def _check_add_multiple_permutation(max_qn: int) -> CheckResult:
     return CheckResult("add-multiple-permutation", True, "|amp|^2 multiset exactly preserved")
 
 
-def _check_noiseless_success(max_qn: int) -> CheckResult:
-    for q, n in _instances(max_qn, [(3, 2), (5, 2), (7, 3)]):
+def _check_noiseless_success() -> CheckResult:
+    for q, n in [(3, 2), (5, 2), (7, 3)]:
         fp = FieldParams(q)
         s = tuple(_rng(4).integers(0, q, size=n).tolist())
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(), histogram={0: q**n})
@@ -134,10 +128,9 @@ def _check_noiseless_success(max_qn: int) -> CheckResult:
     return CheckResult("noiseless-success-rate", True, "dense exact (q-1)/q")
 
 
-def _check_engine_equivalence(max_qn: int) -> CheckResult:
+def _check_engine_equivalence() -> CheckResult:
     rng = _rng(5)
-    cases = [(3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (3, 4), (5, 2)]
-    for q, n in _instances(max_qn, cases):
+    for q, n in [(3, 2), (5, 1), (7, 1), (11, 1), (13, 1), (3, 4), (5, 2)]:
         fp = FieldParams(q)
         k = min(1, (q - 1) // 2)
         noise = NoiseModel.bounded_uniform(k) if k else NoiseModel.none()
@@ -157,9 +150,9 @@ def _check_engine_equivalence(max_qn: int) -> CheckResult:
     return CheckResult("engine-equivalence", True, "analytic vs dense TV <= 1e-9, bot = 1/q")
 
 
-def _check_error_permutation_invariance(max_qn: int) -> CheckResult:
+def _check_error_permutation_invariance() -> CheckResult:
     rng = _rng(6)
-    for q, n in _instances(max_qn, [(7, 1), (5, 2)]):
+    for q, n in [(7, 1), (5, 2)]:
         fp = FieldParams(q)
         s = tuple(rng.integers(0, q, size=n).tolist())
         spec = draw_sample_spec(fp, n, s, q**n, NoiseModel.bounded_uniform(1), rng)
@@ -175,9 +168,7 @@ def _check_error_permutation_invariance(max_qn: int) -> CheckResult:
     return CheckResult("error-permutation-invariance", True, "distribution depends on counts only")
 
 
-def _check_attempt_lower_bound(max_qn: int) -> CheckResult:
-    import itertools
-
+def _check_attempt_lower_bound() -> CheckResult:
     fp = FieldParams(7)
     for assignment in itertools.product((-1, 0, 1), repeat=7):
         spec = SampleSpec(
@@ -189,7 +180,7 @@ def _check_attempt_lower_bound(max_qn: int) -> CheckResult:
     return CheckResult("attempt-lower-bound", True, "all 3^7 assignments at q=7, n=1, k=1")
 
 
-def _check_test_candidate_completeness(max_qn: int) -> CheckResult:
+def _check_test_candidate_completeness() -> CheckResult:
     rng = _rng(7)
     fp = FieldParams(11)
     s = (4, 9)
@@ -200,10 +191,8 @@ def _check_test_candidate_completeness(max_qn: int) -> CheckResult:
     return CheckResult("test-candidate-completeness", True, "true secret always accepted")
 
 
-def _check_sis_wrong_survival(max_qn: int) -> CheckResult:
+def _check_sis_wrong_survival() -> CheckResult:
     fp = FieldParams(7)
-    if 7**3 > max_qn:
-        return CheckResult("sis-wrong-survival", True, "skipped by max-qn")
     secret = (1, 6)
     state = sis_sample_stream(fp, 2, secret)()
     # candidate j != -v_0: the screened register must be exactly uniform.
@@ -216,7 +205,7 @@ def _check_sis_wrong_survival(max_qn: int) -> CheckResult:
     return CheckResult("sis-wrong-survival", True, "wrong 1/q, correct 1 (dense exact)")
 
 
-_CHECKS: list[Callable[[int], CheckResult]] = [
+_CHECKS: list[Callable[[], CheckResult]] = [
     _check_field_arithmetic,
     _check_omega_powers,
     _check_qft_unitarity,
@@ -231,14 +220,11 @@ _CHECKS: list[Callable[[int], CheckResult]] = [
 ]
 
 
-def run_verification(max_qn: int = DEFAULT_MAX_QN, inject_fault: bool = False) -> list[CheckResult]:
-    results = []
-    for check in _CHECKS:
-        if check is _check_norm_preservation:
-            results.append(check(max_qn, inject_fault=inject_fault))
-        else:
-            results.append(check(max_qn))
-    return results
+def run_verification(inject_fault: bool = False) -> list[CheckResult]:
+    return [
+        check(inject_fault=inject_fault) if check is _check_norm_preservation else check()
+        for check in _CHECKS
+    ]
 
 
 def format_results(results: list[CheckResult]) -> str:

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from quditlearn.cli import main
+from quditlearn.verify import run_verification
 
 
 def run_cli(capsys, *argv):
@@ -139,9 +140,12 @@ def test_verify_inject_fault_names_norm_preservation(capsys):
     assert "FAIL" in line
 
 
-def test_verify_max_qn_filter(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-qn", "128")
-    assert code == 0
+def test_verify_runs_one_fixed_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-qn", "128")
+    assert code == 2 and out == "" and "--max-qn" in err  # no knob can shrink the suite
+    results = run_verification()
+    assert len(results) == 11
+    assert not any("skipped" in r.detail for r in results)
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -206,6 +210,14 @@ def test_dense_lpn_beyond_the_enumeration_limit_exits_2(capsys):
     ({"problem": "lwe", "q": 5, "n": 2, "trials": {"a": 1}}, "'trials'"),
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "v": "7"}, "'v'"),
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "seed": True}, "'seed'"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "v": 0}, "v must be >= 1"),
+    ({"problem": "lwe", "q": 7, "n": 1, "trials": 50,
+      "nosie": {"kind": "bounded-uniform", "k": 1}}, "'nosie'"),
+    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
+      "noise": {"kind": "bounded-uniform", "k": 1.5}}, "noise k"),
+    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
+      "noise": {"kind": "gaussian", "k": 2, "sigma": True}}, "noise sigma"),
+    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "s": [1.5, 2]}, "'s'"),
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"
@@ -214,6 +226,18 @@ def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--problem", "lwe", "--q", "5", "--n", "2", "--v", "0"), "v"),
+    (("--problem", "lpn", "--q", "2", "--n", "3", "--v", "0"), "v"),
+    (("--problem", "sis", "--q", "7", "--n", "2", "--k", "-1"), "k"),
+])
+def test_experiment_rejects_empty_subset_and_negative_k(capsys, argv, named):
+    code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {named} must be")
 
 
 @pytest.mark.parametrize("command", ["learn", "experiment"])

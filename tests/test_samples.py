@@ -165,6 +165,20 @@ def test_spec_validation_catches_inconsistencies():
                        "noise": {"kind": "none"}, "errors": {"histogram": [[0, 1]]}, "seed": None})
     with pytest.raises(ParameterError, match=r"2\*\*63 - 1"):
         spec_from_json(text)
+    for bad in (NoiseModel.bounded_uniform, lambda x: NoiseModel.gaussian(1.0, x)):
+        with pytest.raises(ParameterError, match="noise k must be an integer"):
+            bad(1.5)
+    for bad in (lambda x: NoiseModel.gaussian(x, 2), NoiseModel.bernoulli):
+        for value in (True, "0.1"):
+            with pytest.raises(ParameterError, match="must be a number"):
+                bad(value)
+    good = {"q": 5, "n": 2, "s": [1, 3], "subset": "all", "v": 25, "seed": None,
+            "noise": {"kind": "bounded-uniform", "k": 1}, "errors": {"histogram": [[0, 25]]}}
+    spec_from_json(json.dumps(good))
+    with pytest.raises(ParameterError, match="secret coordinates must be integers"):
+        spec_from_json(json.dumps(good | {"s": [1.5, 3]}))
+    with pytest.raises(ParameterError, match="noise k must be an integer"):
+        spec_from_json(json.dumps(good | {"noise": {"kind": "bounded-uniform", "k": 1.7}}))
 
 
 # --- materialization ------------------------------------------------------
