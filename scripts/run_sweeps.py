@@ -7,6 +7,14 @@ Emits four files into --outdir:
   m_sweep.csv     end-to-end recovery vs test-sample count M at q=11, k=1
   v_sweep.csv     single-attempt success vs subset size v at q=101, n=3, k=1:
                   about 0.32 v/q^n, from v = 10^3 up to the full q^n
+
+The harness keys trial t of an experiment at seed s by s XOR t, so two rows
+whose seeds differ only in the low bits would replay each other's trials.
+Row r (counted across all four tables, in the order above) of --seed S runs
+at seed (S * MAX_ROWS + r) * 2^20: every row of every --seed has its own
+streams as long as --trials stays at or below 2^20. The secret is drawn at
+trial index 2^63, so --seed is kept below 2^37, where every row seed stays
+below 2^63 and no row's secret key is another row's trial key.
 """
 
 import argparse
@@ -14,36 +22,36 @@ import os
 
 from quditlearn import ExperimentConfig, NoiseModel, sweep
 
+TRIAL_BITS = 20  # row seeds are 2^20 apart, so trial indices below 2^20 never reach another row
+MAX_ROWS = 64  # rows per --seed, more than the four tables hold
+MAX_SEED = 2 ** (63 - TRIAL_BITS) // MAX_ROWS  # keeps every row seed below 2^63, the secret's index
 
-def noiseless_configs(trials, seed):
+
+def noiseless_configs(trials):
     return [
-        ExperimentConfig(problem="lwe", q=q, n=n, trials=trials, seed=seed,
-                         noise=NoiseModel.none(), L=1, M=0)
+        dict(problem="lwe", q=q, n=n, trials=trials, noise=NoiseModel.none(), L=1, M=0)
         for q, n in [(3, 2), (5, 2), (7, 3), (11, 2), (101, 1)]
     ]
 
 
-def k_sweep_configs(trials, seed):
+def k_sweep_configs(trials):
     return [
-        ExperimentConfig(problem="lwe", q=101, n=1, trials=trials, seed=seed + k,
-                         noise=NoiseModel.bounded_uniform(k), L=1, M=0, k=k)
+        dict(problem="lwe", q=101, n=1, trials=trials, noise=NoiseModel.bounded_uniform(k), L=1, M=0, k=k)
         for k in range(1, 6)
     ]
 
 
-def m_sweep_configs(trials, seed):
+def m_sweep_configs(trials):
     return [
-        ExperimentConfig(problem="lwe", q=11, n=1, trials=trials, seed=seed + m,
-                         noise=NoiseModel.bounded_uniform(1), L=3, M=m, k=1)
+        dict(problem="lwe", q=11, n=1, trials=trials, noise=NoiseModel.bounded_uniform(1), L=3, M=m, k=1)
         for m in range(0, 4)
     ]
 
 
-def v_sweep_configs(trials, seed):
+def v_sweep_configs(trials):
     return [
-        ExperimentConfig(problem="lwe", q=101, n=3, v=v, trials=trials, seed=seed + i,
-                         noise=NoiseModel.bounded_uniform(1), L=1, M=0, k=1)
-        for i, v in enumerate([10**3, 10**4, 10**5, 101**3])
+        dict(problem="lwe", q=101, n=3, v=v, trials=trials, noise=NoiseModel.bounded_uniform(1), L=1, M=0, k=1)
+        for v in [10**3, 10**4, 10**5, 101**3]
     ]
 
 
@@ -53,14 +61,21 @@ def main():
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if not 1 <= args.trials <= 2**TRIAL_BITS:
+        parser.error(f"--trials must lie in [1, 2**{TRIAL_BITS}]")
+    if not 0 <= args.seed < MAX_SEED:
+        parser.error("--seed must lie in [0, 2**37)")
 
     os.makedirs(args.outdir, exist_ok=True)
-    for name, configs in [
-        ("noiseless", noiseless_configs(args.trials, args.seed)),
-        ("k_sweep", k_sweep_configs(args.trials, args.seed)),
-        ("m_sweep", m_sweep_configs(args.trials, args.seed)),
-        ("v_sweep", v_sweep_configs(args.trials, args.seed)),
+    row = args.seed * MAX_ROWS
+    for name, rows in [
+        ("noiseless", noiseless_configs(args.trials)),
+        ("k_sweep", k_sweep_configs(args.trials)),
+        ("m_sweep", m_sweep_configs(args.trials)),
+        ("v_sweep", v_sweep_configs(args.trials)),
     ]:
+        configs = [ExperimentConfig(seed=(row + i) << TRIAL_BITS, **fields) for i, fields in enumerate(rows)]
+        row += len(rows)
         path = os.path.join(args.outdir, f"{name}.csv")
         reports = sweep(configs, csv_path=path)
         print(f"{name}: {len(reports)} rows -> {path}")

@@ -23,15 +23,15 @@ from .experiments import (
 )
 from .field import FieldParams, ParameterError, is_integer
 from .ring import RingEmbedding
-from .samples import _noise_from_obj
+from .samples import NoiseModel, _noise_from_obj
 from .verify import format_results, run_verification
 
-NOISE_KINDS = {  # --noise value -> NoiseModel kind
-    "none": "none",
-    "bounded": "bounded-uniform",
-    "gaussian": "gaussian",
-    "bernoulli": "bernoulli",
-    "global": "global-shift",
+NOISE_MODELS = {  # --noise value -> the NoiseModel built from the parsed flags
+    "none": lambda args: NoiseModel.none(),
+    "bounded": lambda args: NoiseModel.bounded_uniform(args.k),
+    "gaussian": lambda args: NoiseModel.gaussian(args.sigma, args.k),
+    "bernoulli": lambda args: NoiseModel.bernoulli(args.eta),
+    "global": lambda args: NoiseModel.global_shift(NoiseModel.bounded_uniform(args.k)),
 }
 
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--engine", choices=("dense", "analytic"), default="analytic")
-        p.add_argument("--noise", choices=tuple(NOISE_KINDS))
+        p.add_argument("--noise", choices=tuple(NOISE_MODELS))
         p.add_argument("--config", help="JSON object of flag values; command-line flags win")
 
     learn = sub.add_parser("learn", help="run one learner, print the recovered secret or BOT")
@@ -94,9 +94,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The parsed learn/experiment flags, with the defaults that depend on other flags."""
     lpn = args.problem == "lpn"
     q = args.q if args.q is not None else (2 if lpn else 5)
-    params = {"k": args.k, "sigma": args.sigma, "eta": args.eta}
-    kind = NOISE_KINDS[args.noise or ("bernoulli" if lpn else "none")]
-    noise = _noise_from_obj({"kind": kind, **params, "inner": {"kind": "bounded-uniform", **params}})
+    noise = NOISE_MODELS[args.noise or ("bernoulli" if lpn else "none")](args)
     noisy = noise.kind != "none"
     default_L = math.ceil(20 * max(args.k, 1) * math.log(10)) if noisy else 1
     m = args.m if args.problem == "ring-global" else None

@@ -50,6 +50,7 @@ from .samples import (
     require_drawable,
     sample_stream,
     theoretical_bound,
+    uniform_vector,
 )
 
 CSV_COLUMNS = (
@@ -99,6 +100,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
             raise ParameterError(f"unknown problem {self.problem!r}")
+        if self.n < 1:
+            raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.engine not in ("dense", "analytic"):
@@ -162,8 +165,23 @@ class ExperimentReport:
         return self.canonical_text() + f"\nwall_time_ms: {self.wall_time_ms:.3f}"
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ index) & (2**64 - 1)))
+def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """``rng`` (over a Philox) restarted on the stream of Philox(key=seed XOR index).
+
+    The full state is reset: key, zero counter, empty output buffer and no
+    buffered 32-bit half-word, so the stream is exactly that of a fresh
+    ``Generator(Philox(key=...))``, without the OS entropy a fresh build pulls.
+    """
+    key = np.array([(seed ^ index) & (2**64 - 1), 0], dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _expected_iteration_success(q: int, n: int, v: int, noise: NoiseModel) -> float:
@@ -184,7 +202,7 @@ def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int
     if config.problem == "sis":
         k = config.effective_k
         return tuple(int(x) % config.q for x in rng.integers(-k, k + 1, size=config.n))
-    return tuple(int(x) for x in rng.integers(0, config.q, size=config.n))
+    return uniform_vector(config.q, config.n, rng)
 
 
 def _sis_wrong_before_correct(secret: tuple[int, ...], k: int, q: int) -> list[int]:
@@ -297,9 +315,10 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured trials; deterministic for a fixed config and seed."""
     start = time.perf_counter()
-    secret = draw_secret(config, _trial_rng(config.seed, 2**63))
+    rng = np.random.Generator(np.random.Philox())  # re-keyed before every use
+    secret = draw_secret(config, _rekey(rng, config.seed, 2**63))
     run, exact, bound_paper, bound_opt = build_trial(config, secret)
-    successes = sum(run(_trial_rng(config.seed, i)) == secret for i in range(config.trials))
+    successes = sum(run(_rekey(rng, config.seed, i)) == secret for i in range(config.trials))
     lo, hi = wilson_interval(successes, config.trials)
     return ExperimentReport(
         config=config,

@@ -30,6 +30,7 @@ from .samples import (
     draw_classical_sample,
     materialize_dense,
     outcome_distribution,
+    uniform_vector,
 )
 
 SpecSource = Callable[[], SampleSpec]
@@ -94,7 +95,7 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
 
 def _uniform_wrong_vector(spec: SampleSpec, rng: np.random.Generator) -> tuple[int, ...]:
     while True:
-        candidate = tuple(int(x) for x in rng.integers(0, spec.fp.q, size=spec.n))
+        candidate = uniform_vector(spec.fp.q, spec.n, rng)
         if candidate != spec.s:
             return candidate
 

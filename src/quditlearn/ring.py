@@ -25,7 +25,7 @@ import numpy as np
 from .dense import DenseState
 from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
-from .samples import _flat_indices, _vector_table
+from .samples import _flat_indices, _vector_table, uniform_vector
 
 
 def euler_phi(m: int) -> int:
@@ -201,7 +201,7 @@ def ring_sample_stream(
 
     def source() -> DenseState:
         if noise == "uniform-global":
-            e = tuple(int(x) for x in rng.integers(0, q, size=emb.n))
+            e = uniform_vector(q, emb.n, rng)
         else:
             e = (0,) * emb.n
         return ring_sample_state(emb, s, e)

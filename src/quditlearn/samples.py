@@ -45,7 +45,14 @@ _GAMMA_GRID = np.arange(1e-4, 0.25, 1e-4)
 # max of gamma * cos^2(2 pi gamma) over a grid in (0, 1/4): the "optimized" bound's constant
 GAMMA_STAR = float(np.max(_GAMMA_GRID * np.cos(2.0 * np.pi * _GAMMA_GRID) ** 2))
 
-_NOISE_KINDS = ("none", "bounded-uniform", "gaussian", "bernoulli", "global-shift")
+# each noise kind -> the keys besides "kind" that it reads, in JSON order
+_NOISE_KEYS = {
+    "none": (),
+    "bounded-uniform": ("k",),
+    "gaussian": ("k", "sigma"),
+    "bernoulli": ("eta",),
+    "global-shift": ("inner",),
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class NoiseModel:
     inner: "NoiseModel | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _NOISE_KINDS:
+        if self.kind not in _NOISE_KEYS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if not is_integer(self.k):
             raise ParameterError(f"noise k must be an integer, got {self.k!r}")
@@ -217,7 +224,7 @@ class SampleSpec:
         qn = q**self.n
         if not 1 <= self.v <= qn:
             raise ParameterError(f"subset size v = {self.v} outside [1, q^n = {qn}]")
-        self.noise.validate_for(q)
+        support = _distribution(self.noise, q)[0]  # validates the noise for q on a cache miss
         if self.subset is None:
             if self.errors is not None and self.v != qn:
                 raise ParameterError("an implicit subset (v < q^n) carries a histogram, not an error map")
@@ -233,7 +240,6 @@ class SampleSpec:
             object.__setattr__(self, "subset", subset)
         if (self.errors is None) == (self.histogram is None):
             raise ParameterError("exactly one of errors / histogram must be given")
-        support = _distribution(self.noise, q)[0]
         if self.errors is not None:
             errors = _read_only(self.errors, "errors")
             if errors.shape != (self.v,):
@@ -362,7 +368,7 @@ def draw_sample_spec(
         shift = int(_draw_errors(noise, q, 1, rng)[0]) if noise.is_global else 0
         histogram = {shift: v}
     elif errors_as == "histogram":
-        values, weights = noise.distribution(q)
+        values, weights = _distribution(noise, q)[:2]
         counts = rng.multinomial(v, weights)
         histogram = {b: int(c) for b, c in zip(values, counts) if c}
     else:
@@ -409,6 +415,24 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
     return DenseState(spec.fp, spec.n + 1, amps)
 
 
+# Up to this n, n scalar draws beat one array draw: a scalar draw costs
+# 3-4.5 us and an array call 7-10 us (NumPy 2.4.6, 2-core x86-64). They tie
+# at n = 3; at n = 8 the scalars take 2-3x as long, at n = 20 5-6x.
+_SCALAR_DRAWS_UP_TO = 2
+
+
+def uniform_vector(q: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """A uniform vector of F_q^n: ``rng.integers(0, q, size=n)``, made cheap for small n.
+
+    For n <= _SCALAR_DRAWS_UP_TO it draws n scalars, which give the same values
+    and leave the same generator state (the 32-bit half-word buffer lives in
+    the bit generator, not in the call) without the array call's set-up.
+    """
+    if n <= _SCALAR_DRAWS_UP_TO:
+        return tuple(int(rng.integers(q)) for _ in range(n))
+    return tuple(rng.integers(0, q, size=n).tolist())
+
+
 def draw_classical_sample(
     spec: SampleSpec, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], int]:
@@ -422,7 +446,7 @@ def draw_classical_sample(
         pos = int(rng.integers(spec.v))
         a = tuple(_vectors_at(spec.subset[pos], q, spec.n).tolist())
     else:
-        a = tuple(rng.integers(0, q, size=spec.n).tolist())
+        a = uniform_vector(q, spec.n, rng)
     if spec.errors is not None:
         # flat indices are numpy's row-major order, so errors over all of F_q^n index as a (q,)*n grid
         e = int(spec.errors[pos] if spec.subset is not None else spec.errors.reshape((q,) * spec.n)[a])
@@ -516,13 +540,21 @@ def spec_to_json(spec: SampleSpec) -> str:
     )
 
 
+def _json_int(value, key: str) -> int:
+    """A JSON integer, or a ParameterError naming its key (int() would truncate 1.9 to 1)."""
+    if not is_integer(value):
+        raise ParameterError(f"spec key {key!r} must hold integers, got {value!r}")
+    return value
+
+
 def spec_from_json(text: str) -> SampleSpec:
     obj = json.loads(text)
     fp = FieldParams(obj["q"])
-    n = int(obj["n"])
+    n = _json_int(obj["n"], "n")
+    v = _json_int(obj["v"], "v")
     subset = obj["subset"]
     if subset == "all" or subset is None:
-        if (subset == "all") != (int(obj["v"]) == fp.q**n):
+        if (subset == "all") != (v == fp.q**n):
             raise ParameterError('subset "all" needs v = q^n, and null (implicit) needs v < q^n')
         subset = None
     else:
@@ -531,20 +563,20 @@ def spec_from_json(text: str) -> SampleSpec:
     if "map" in obj["errors"]:
         pairs = obj["errors"]["map"]
         keys = _flat_indices([a for a, _ in pairs], fp.q, n).tolist()
-        by_index = {i: int(e) for i, (_, e) in zip(keys, pairs)}
+        by_index = {i: _json_int(e, "errors") for i, (_, e) in zip(keys, pairs)}
         order = subset if subset is not None else range(len(by_index))
         if len(pairs) != len(by_index) or set(by_index) != set(order):
             raise ParameterError("error map keys must match the subset")
         errors = [by_index[i] for i in order]
     else:
-        histogram = {int(b): int(c) for b, c in obj["errors"]["histogram"]}
+        histogram = {_json_int(b, "errors"): _json_int(c, "errors") for b, c in obj["errors"]["histogram"]}
     if not all(is_integer(x) for x in obj["s"]):
         raise ParameterError(f"secret coordinates must be integers, got {obj['s']!r}")
     return SampleSpec(
         fp=fp,
         n=n,
         s=tuple(obj["s"]),
-        v=int(obj["v"]),
+        v=v,
         noise=_noise_from_obj(obj["noise"]),
         subset=subset,
         errors=errors,
@@ -555,29 +587,24 @@ def spec_from_json(text: str) -> SampleSpec:
 
 def _noise_to_obj(noise: NoiseModel) -> dict:
     obj: dict = {"kind": noise.kind}
-    if noise.kind in ("bounded-uniform", "gaussian"):
-        obj["k"] = noise.k
-    if noise.kind == "gaussian":
-        obj["sigma"] = noise.sigma
-    if noise.kind == "bernoulli":
-        obj["eta"] = noise.eta
-    if noise.kind == "global-shift":
-        obj["inner"] = _noise_to_obj(noise.inner)
+    for key in _NOISE_KEYS[noise.kind]:
+        value = getattr(noise, key)
+        obj[key] = _noise_to_obj(value) if key == "inner" else value
     return obj
 
 
 def _noise_from_obj(obj: dict, key: str = "noise") -> NoiseModel:
+    """The noise model of a JSON object; a missing key raises KeyError, an unread one ParameterError."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{key} must be an object with a 'kind' key")
     kind = obj["kind"]
-    if kind == "none":
-        return NoiseModel.none()
-    if kind == "bounded-uniform":
-        return NoiseModel.bounded_uniform(obj["k"])
-    if kind == "gaussian":
-        return NoiseModel.gaussian(obj["sigma"], obj["k"])
-    if kind == "bernoulli":
-        return NoiseModel.bernoulli(obj["eta"])
+    if not isinstance(kind, str) or kind not in _NOISE_KEYS:
+        raise ParameterError(f"unknown noise kind {kind!r}")
+    reads = _NOISE_KEYS[kind]
+    unread = [name for name in obj if name != "kind" and name not in reads]
+    if unread:
+        raise ParameterError(f"{key} key {unread[0]!r} is not read by noise kind {kind!r}")
+    fields = {name: obj[name] for name in reads}
     if kind == "global-shift":
-        return NoiseModel.global_shift(_noise_from_obj(obj["inner"], "inner"))
-    raise ParameterError(f"unknown noise kind {kind!r}")
+        fields["inner"] = _noise_from_obj(obj["inner"], "inner")
+    return NoiseModel(kind, **fields)

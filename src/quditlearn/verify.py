@@ -24,6 +24,7 @@ from .samples import (
     materialize_dense,
     outcome_distribution,
     theoretical_bound,
+    uniform_vector,
 )
 
 
@@ -135,7 +136,7 @@ def _check_engine_equivalence() -> CheckResult:
         k = min(1, (q - 1) // 2)
         noise = NoiseModel.bounded_uniform(k) if k else NoiseModel.none()
         v = int(rng.integers(1, q**n + 1))
-        spec = draw_sample_spec(fp, n, tuple(rng.integers(0, q, size=n).tolist()), v, noise, rng)
+        spec = draw_sample_spec(fp, n, uniform_vector(q, n, rng), v, noise, rng)
         analytic = outcome_distribution(spec)
         per, p_bot, p_wrong = _dense_category_probabilities(spec)
         tv = 0.5 * (
@@ -154,7 +155,7 @@ def _check_error_permutation_invariance() -> CheckResult:
     rng = _rng(6)
     for q, n in [(7, 1), (5, 2)]:
         fp = FieldParams(q)
-        s = tuple(rng.integers(0, q, size=n).tolist())
+        s = uniform_vector(q, n, rng)
         spec = draw_sample_spec(fp, n, s, q**n, NoiseModel.bounded_uniform(1), rng)
         base = outcome_distribution(spec)
         values = spec.errors.copy()

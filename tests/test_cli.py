@@ -218,6 +218,10 @@ def test_dense_lpn_beyond_the_enumeration_limit_exits_2(capsys):
     ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
       "noise": {"kind": "gaussian", "k": 2, "sigma": True}}, "noise sigma"),
     ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "s": [1.5, 2]}, "'s'"),
+    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
+      "noise": {"kind": "bounded-uniform", "k": 1, "sgima": 3}}, "'sgima'"),
+    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
+      "noise": {"kind": "global-shift", "inner": {"kind": "none", "k": 1}}}, "'k'"),
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"
@@ -232,6 +236,7 @@ def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     (("--problem", "lwe", "--q", "5", "--n", "2", "--v", "0"), "v"),
     (("--problem", "lpn", "--q", "2", "--n", "3", "--v", "0"), "v"),
     (("--problem", "sis", "--q", "7", "--n", "2", "--k", "-1"), "k"),
+    (("--problem", "lwe", "--q", "5", "--n", "-1"), "n"),
 ])
 def test_experiment_rejects_empty_subset_and_negative_k(capsys, argv, named):
     code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "3")

@@ -1,6 +1,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from quditlearn.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     _expected_iteration_success,
+    _rekey,
     run_experiment,
     sweep,
     wilson_interval,
@@ -83,6 +85,25 @@ def test_identical_config_and_seed_reproduce_report():
     b = run_experiment(lwe_config(trials=800, noise=NoiseModel.bounded_uniform(1), L=3, M=1, k=1))
     assert a.canonical_text() == b.canonical_text()
     assert a.canonical_text().count("\n") == len(CSV_COLUMNS) - 2
+
+
+def test_rekeyed_generator_replays_a_fresh_philox_per_trial():
+    # run_experiment re-keys one generator per trial; every report is pinned to
+    # the stream of a fresh Generator(Philox(key=seed XOR index)) per trial.
+    rng = np.random.Generator(np.random.Philox())
+    trials = [(7, 0), (7, 1), (2**63 + 5, 3), (0, 2**63), (2**64 - 1, 2**63), (7, 2)]  # bit 63 set in some keys
+    for seed, index in trials:
+        fresh = np.random.Generator(np.random.Philox(key=(seed ^ index) & (2**64 - 1)))
+        reused = _rekey(rng, seed, index)
+        for draw in (
+            lambda g: [int(g.integers(101)) for _ in range(3)],  # ends on a buffered 32-bit half-word
+            lambda g: g.random(),
+            lambda g: g.multinomial(40, [0.25, 0.75]).tolist(),
+            lambda g: g.integers(0, 257, size=4).tolist(),  # 3 + 4 draws: a half-word the next trial must not see
+        ):
+            assert draw(reused) == draw(fresh)
+        assert reused.bit_generator.state["has_uint32"] == fresh.bit_generator.state["has_uint32"] == 1
+        assert reused.bit_generator.state["uinteger"] == fresh.bit_generator.state["uinteger"]
 
 
 def test_wilson_coverage_over_independent_seeds():

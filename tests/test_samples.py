@@ -21,6 +21,7 @@ from quditlearn.samples import (
     spec_from_json,
     spec_to_json,
     theoretical_bound,
+    uniform_vector,
 )
 from quditlearn.verify import _dense_category_probabilities
 
@@ -179,6 +180,20 @@ def test_spec_validation_catches_inconsistencies():
         spec_from_json(json.dumps(good | {"s": [1.5, 3]}))
     with pytest.raises(ParameterError, match="noise k must be an integer"):
         spec_from_json(json.dumps(good | {"noise": {"kind": "bounded-uniform", "k": 1.7}}))
+    mapped = {"q": 5, "n": 1, "s": [2], "subset": [[0], [3]], "v": 2, "seed": None,
+              "noise": {"kind": "bounded-uniform", "k": 1}, "errors": {"map": [[[0], 0], [[3], 1]]}}
+    spec_from_json(json.dumps(mapped))
+    for bad, key in (  # int() would read each of these as a neighbouring integer
+        (good | {"n": 1.9}, "'n'"),
+        (good | {"v": 25.0}, "'v'"),
+        (mapped | {"errors": {"map": [[[0], 0], [[3], 0.5]]}}, "'errors'"),
+        (mapped | {"errors": {"map": [[[0], 0], [[3], -1.9]]}}, "'errors'"),
+        (good | {"errors": {"histogram": [[0.4, 25]]}}, "'errors'"),
+        (good | {"errors": {"histogram": [[0, 20], [1, 5.7]]}}, "'errors'"),
+        (good | {"errors": {"histogram": [[0, True]]}}, "'errors'"),
+    ):
+        with pytest.raises(ParameterError, match=f"spec key {key} must hold integers"):
+            spec_from_json(json.dumps(bad))
 
 
 # --- materialization ------------------------------------------------------
@@ -241,6 +256,27 @@ def test_materialize_accepts_degenerate_histogram():
 
 
 # --- classical draws ------------------------------------------------------
+
+
+def _state_of(rng):
+    """A generator's full state with its arrays as lists, so two states compare with ==."""
+    state = rng.bit_generator.state
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in
+            state.items() if k != "state"} | {k: v.tolist() for k, v in state["state"].items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 257, 65537])
+def test_uniform_vector_is_the_array_draw(q):
+    # Reports are pinned to the stream of rng.integers(0, q, size=n); a numpy
+    # release that moves either draw must fail here, not in a golden.
+    scalar, array = make_rng(0x5CA1A), make_rng(0x5CA1A)
+    # odd sizes leave a buffered 32-bit half-word behind; n = 8 and 20 take the array draw
+    for n in (1, 2, 3, 4, 3, 1, 2, 4, 8, 1, 20, 2):
+        assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
+        assert scalar.random() == array.random()
+        assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
+        assert scalar.multinomial(50, [0.2, 0.3, 0.5]).tolist() == array.multinomial(50, [0.2, 0.3, 0.5]).tolist()
+        assert _state_of(scalar) == _state_of(array)
 
 
 def test_classical_sample_noiseless_identity(rng):

@@ -18,13 +18,25 @@ def run_script(name, *args):
 
 
 def test_scripts_run_and_write_their_tables(tmp_path):
-    sweeps = run_script("run_sweeps.py", "--trials", "5", "--outdir", str(tmp_path))
+    sweeps = run_script("run_sweeps.py", "--trials", "5", "--seed", "1", "--outdir", str(tmp_path))
     assert sweeps.returncode == 0, sweeps.stderr
+    seeds = []
     for name, rows in (("noiseless", 5), ("k_sweep", 5), ("m_sweep", 4), ("v_sweep", 4)):
         with open(tmp_path / f"{name}.csv", newline="") as handle:
             table = list(csv.DictReader(handle))
         assert len(table) == rows
         assert all(row["empirical_rate"] for row in table), name  # a failed row is written blank
+        seeds += [int(row["seed"]) for row in table]
+    # trial t runs at seed XOR t, so rows closer than 2^20 would share trial streams
+    assert all(abs(a - b) >= 2**20 for i, a in enumerate(seeds) for b in seeds[:i])
+    top = run_script("run_sweeps.py", "--trials", "1", "--seed", str(2**37 - 1), "--outdir", str(tmp_path))
+    assert top.returncode == 0, top.stderr
+    with open(tmp_path / "v_sweep.csv", newline="") as handle:
+        # the secret is keyed at trial index 2^63, so row seeds stay below it
+        assert all(2**63 - 2**20 >= int(row["seed"]) for row in csv.DictReader(handle))
+    for flag, value in (("--seed", 2**37), ("--seed", -1), ("--trials", 0), ("--trials", 2**20 + 1)):
+        rejected = run_script("run_sweeps.py", flag, str(value), "--outdir", str(tmp_path))
+        assert rejected.returncode == 2 and flag in rejected.stderr, (flag, value)
     scan = run_script("parity_bound_scan.py")
     assert scan.returncode == 0, scan.stderr
     assert scan.stdout.splitlines()[1].startswith("n    eta=0.05")
