@@ -7,6 +7,9 @@ Emits four files into --outdir:
   m_sweep.csv     end-to-end recovery vs test-sample count M at q=11, k=1
   v_sweep.csv     single-attempt success vs subset size v at q=101, n=3, k=1:
                   about 0.32 v/q^n, from v = 10^3 up to the full q^n
+and prints each row's empirical rate next to predicted=, the end-to-end
+success of its L attempts (``predicted_rate``), so that rows with L > 1 are
+compared against a rate over L attempts and not against one attempt.
 
 The harness keys trial t of an experiment at seed s by s XOR t, so two rows
 whose seeds differ only in the low bits would replay each other's trials.
@@ -55,6 +58,17 @@ def v_sweep_configs(trials):
     ]
 
 
+def predicted_rate(p_ac, q, k, L, M):
+    """End-to-end success of L attempts that each pass M test samples at bound k.
+
+    p_ac is the single-attempt success probability; a wrong candidate (all
+    non-abstaining mass but p_ac) passes each test sample with probability
+    (2k+1)/q, and the first accepted attempt ends the run.
+    """
+    p_aw = (1 - 1 / q - p_ac) * ((2 * k + 1) / q) ** M
+    return p_ac / (p_ac + p_aw) * (1 - (1 - p_ac - p_aw) ** L)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
@@ -80,9 +94,11 @@ def main():
         reports = sweep(configs, csv_path=path)
         print(f"{name}: {len(reports)} rows -> {path}")
         for report in reports:
-            exact = "" if report.exact_probability is None else f" exact={report.exact_probability:.4f}"
-            print(f"  q={report.config.q} n={report.config.n} v={report.config.effective_v} "
-                  f"k={report.config.effective_k} M={report.config.M}: rate={report.empirical_rate:.4f}{exact}")
+            c = report.config
+            predicted = "" if report.exact_probability is None else (
+                f" predicted={predicted_rate(report.exact_probability, c.q, c.effective_k, c.L, c.M):.4f}")
+            print(f"  q={c.q} n={c.n} v={c.effective_v} k={c.effective_k} L={c.L} M={c.M}: "
+                  f"rate={report.empirical_rate:.4f}{predicted}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,12 @@ norm, so a drifting amplitude vector is caught at the operation where it
 appears.  Measurements sample an outcome but do not produce a collapsed
 residual state; every consumer here discards a sample after its final
 measurement.
+
+The learners sample the recovery outcome with ``measure_qft_all``, which
+transforms and measures one register at a time and never forms the
+transformed state.  ``apply_qft_all`` followed by ``measure_all`` is the
+reference it reproduces, and stays for the cross-checks that need the
+whole transformed state.
 """
 
 from __future__ import annotations
@@ -100,6 +106,40 @@ class DenseState:
         for _ in range(self.num_registers):
             amps = amps.reshape(q, rest).T @ f
         return DenseState(self.fp, self.num_registers, amps)
+
+    def measure_qft_all(self, rng: np.random.Generator) -> tuple[int, ...]:
+        """The outcome of ``apply_qft_all().measure_all(rng)``, from the same single uniform.
+
+        Registers are sampled in order, 0 (most significant) first.  F is
+        applied to the current register only, with the later registers still
+        untransformed: their transforms are unitary, so the row sums of
+        |amplitude|^2 are this register's marginal.  The inverse-CDF target
+        u * total picks row x, the mass of the rows before x is subtracted
+        from the target, and the next register continues on row x alone.  The
+        passes shrink by a factor q, so the total cost is about q/(q-1) of one
+        full pass.  The CDF is summed in another order than the reference's,
+        so the two differ only when u falls within rounding error of a
+        boundary.
+        """
+        q = self.fp.q
+        f = qft_matrix(q)
+        vec = self.amps
+        outcome = []
+        for register in range(self.num_registers):
+            rows = f @ vec.reshape(q, -1)
+            flat = rows.view(np.float64)
+            cdf = np.vecdot(flat, flat).cumsum()
+            if register == 0:
+                if abs(cdf[-1] - 1.0) > NORM_TOL:
+                    raise StateError(f"norm not preserved: sum |amp|^2 = {float(cdf[-1])!r}")
+                target = rng.random() * cdf[-1]
+            # rounding can leave the target past this row's mass; clamp as weighted_index does
+            x = min(int(cdf.searchsorted(target, "right")), q - 1)
+            if x:
+                target -= cdf[x - 1]
+            outcome.append(x)
+            vec = rows[x]
+        return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":
         """Basis permutation |.., a_src, .., y_tgt, ..> -> |.., a_src, .., y + factor*a_src, ..>."""

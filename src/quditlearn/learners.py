@@ -76,7 +76,7 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     """One recovery attempt: returns Secret(-(j*)^-1 j mod q) or Bot when j* = 0."""
     if isinstance(sample, DenseState):
         q = sample.fp.q
-        outcome = sample.apply_qft_all().measure_all(rng)
+        outcome = sample.measure_qft_all(rng)
         *j, jstar = outcome
         if jstar == 0:
             return BOT

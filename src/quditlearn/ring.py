@@ -226,7 +226,7 @@ def ring_lwe_global_learn(
     state = source()
     if state.num_registers != 2 * emb.n:
         raise ParameterError("ring samples carry 2n registers")
-    outcome = state.apply_qft_all().measure_all(rng)
+    outcome = state.measure_qft_all(rng)
     x, y = outcome[: emb.n], outcome[emb.n :]
     if any(yi == 0 for yi in y):
         return BOT

@@ -327,6 +327,21 @@ def _vector_table(q: int, n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)  # the attempts of one trial share its secret
+def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
+    """a.s for every a of F_q^n in flat-index order, as a read-only int64 array.
+
+    Built as an outer sum over the registers, so no table of the q^n vectors
+    is formed and any q^n that fits a dense state works.
+    """
+    digits = np.arange(q, dtype=np.int64)
+    dots = s[0] * digits
+    for si in s[1:]:
+        dots = (dots[:, None] + si * digits).ravel()
+    dots.flags.writeable = False  # shared by every caller of the memoized array
+    return dots
+
+
 def draw_sample_spec(
     fp: FieldParams,
     n: int,
@@ -404,12 +419,13 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
     if spec.subset is None:
         if spec.v < q**spec.n:
             raise StateError("an implicit subset has no vectors to place amplitudes on")
-        idx, vecs = np.arange(spec.v, dtype=np.int64), _vector_table(q, spec.n)
+        idx, dots = np.arange(spec.v, dtype=np.int64), _dots_over_space(q, spec.s)
     else:
-        idx, vecs = spec.subset, _vectors_at(spec.subset, q, spec.n)
+        idx = spec.subset
+        dots = _vectors_at(spec.subset, q, spec.n) @ np.asarray(spec.s, dtype=np.int64)
     # a single-bin histogram fixes the assignment: every element carries its one value
     errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
-    flat = idx * q + (vecs @ np.asarray(spec.s, dtype=np.int64) + errs) % q
+    flat = idx * q + (dots + errs) % q
     amps = np.zeros(q ** (spec.n + 1), dtype=np.complex128)
     amps[flat] = 1.0 / math.sqrt(spec.v)
     return DenseState(spec.fp, spec.n + 1, amps)

@@ -91,6 +91,65 @@ def test_qft_all_matches_per_register_path(q, registers):
     assert np.abs(fused.amps - sequential.amps).max() <= 1e-12
 
 
+def _states_to_measure(q: int, registers: int, key: int) -> list[DenseState]:
+    """A random dense state, a random sparse one (about 70% zero amplitudes) and a basis state."""
+    local = make_rng(key)
+    dense = random_state(q, registers, key)
+    sparse = dense.amps * (local.random(dense.amps.size) < 0.3)
+    sparse[local.integers(sparse.size)] = 1.0  # at least one nonzero amplitude
+    basis = np.zeros(q**registers, dtype=np.complex128)
+    basis[local.integers(basis.size)] = 1.0
+    fp = FieldParams(q)
+    sparse = DenseState(fp, registers, sparse / np.linalg.norm(sparse))
+    return [dense, sparse, DenseState(fp, registers, basis)]
+
+
+@pytest.mark.parametrize("q, registers", [
+    (q, m) for q in (2, 3, 5, 7, 13, 101) for m in range(1, 10) if q**m <= 2**15
+])
+def test_measure_qft_all_reproduces_the_full_transform_then_measure(q, registers):
+    for which, state in enumerate(_states_to_measure(q, registers, key=1000 * q + registers)):
+        reference, fast = make_rng(which), make_rng(which)
+        for _ in range(50):
+            assert state.measure_qft_all(fast) == state.apply_qft_all().measure_all(reference)
+        assert fast.random() == reference.random()  # both paths draw one uniform per outcome
+
+
+def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
+    # The second register's row total is summed anew and can round below the
+    # first register's CDF step; a target between the two then lies past every
+    # entry of the row, which must still give an outcome in range.
+    class FixedUniform:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    def row_masses(rows):  # summed as measure_qft_all sums them
+        flat = rows.view(np.float64)
+        return np.vecdot(flat, flat)
+
+    f = qft_matrix(3)
+    for key in range(100):
+        state = random_state(3, 2, key)
+        rows = f @ state.amps.reshape(3, 3)
+        first = row_masses(rows).cumsum()
+        row_total = row_masses(f @ rows[0].reshape(3, 1)).cumsum()[-1]
+        u = np.nextafter(first[0] / first[-1], 0.0)
+        if row_total <= u * first[-1] < first[0]:
+            assert state.measure_qft_all(FixedUniform(float(u))) == (0, 2)
+            return
+    pytest.fail("no state of the search has a row total below its CDF step")
+
+
+def test_measure_qft_all_rejects_amplitudes_scaled_after_construction():
+    state = random_state(5, 3, key=19)
+    state.amps *= 1.01
+    with pytest.raises(StateError, match="norm"):
+        state.measure_qft_all(make_rng(1))
+
+
 def test_noiseless_recovery_probability_q3_n2():
     # total post-QFT probability of outcomes {(-j*s, j*): j* != 0} is (q-1)/q
     fp = FieldParams(3)

@@ -13,6 +13,7 @@ from quditlearn.field import FieldParams, ParameterError
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    _vector_table,
     draw_classical_sample,
     draw_sample_spec,
     materialize_dense,
@@ -603,6 +604,21 @@ def test_materialize_matches_state_built_from_the_json_map(v):
         [((*a, (a[0] * 3 + a[1] * 5 + e) % 7), 1.0) for a, e in pairs], fp
     )
     assert np.abs(materialize_dense(spec).amps - reference.amps).max() <= 1e-15
+
+
+@pytest.mark.parametrize("q, n, noise", [
+    (2, 19, NoiseModel.bernoulli(0.1)), (3, 5, NoiseModel.bounded_uniform(1)),
+    (7, 3, NoiseModel.bounded_uniform(1)), (101, 2, NoiseModel.bounded_uniform(2)),
+])
+def test_materialize_all_of_fq_n_matches_the_enumerated_vectors(q, n, noise):
+    # the outer sum over registers places every amplitude where the table of all q^n vectors does
+    local = make_rng(500 + q)
+    s = (0,) + tuple(int(x) for x in local.integers(0, q, size=n - 1))
+    spec = draw_sample_spec(FieldParams(q), n, s, q**n, noise, local)
+    flat = np.arange(q**n) * q + (_vector_table(q, n) @ np.asarray(s) + spec.errors) % q
+    expected = np.zeros(q ** (n + 1), dtype=np.complex128)
+    expected[flat] = 1.0 / math.sqrt(q**n)
+    assert np.array_equal(materialize_dense(spec).amps, expected)
 
 
 def test_sample_stream_yields_fresh_errors(rng):

@@ -20,6 +20,9 @@ def run_script(name, *args):
 def test_scripts_run_and_write_their_tables(tmp_path):
     sweeps = run_script("run_sweeps.py", "--trials", "5", "--seed", "1", "--outdir", str(tmp_path))
     assert sweeps.returncode == 0, sweeps.stderr
+    # M=0 at q=11, k=1, L=3: p_ac = 10/33 and P = (1/3)(1 - 11^-3)
+    m0 = [line for line in sweeps.stdout.splitlines() if "q=11 n=1" in line and "M=0:" in line]
+    assert len(m0) == 1 and m0[0].endswith("predicted=0.3331"), m0
     seeds = []
     for name, rows in (("noiseless", 5), ("k_sweep", 5), ("m_sweep", 4), ("v_sweep", 4)):
         with open(tmp_path / f"{name}.csv", newline="") as handle:
