@@ -4,13 +4,14 @@ Exit codes: 0 success / secret recovered, 1 abstention or failed checks,
 2 usage errors, 3 internal errors.  A learn/experiment ``--config`` file is
 a JSON object of flag names and values, read as those flags placed before
 the command-line ones (so a flag given on the command line wins, and a null
-value means "not given"); QUDITLEARN_SEED provides the default seed.
+value means "not given"); each sweep entry is such an object for
+``experiment``, without ``csv`` or ``config``.  QUDITLEARN_SEED provides the
+default seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -21,9 +22,9 @@ import numpy as np
 from .experiments import (
     PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep, write_csv,
 )
-from .field import FieldParams, ParameterError, is_integer
+from .field import FieldParams, ParameterError
 from .ring import RingEmbedding
-from .samples import NoiseModel, _noise_from_obj
+from .samples import NoiseModel
 from .verify import format_results, run_verification
 
 NOISE_MODELS = {  # --noise value -> the NoiseModel built from the parsed flags
@@ -65,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--csv", help="also write the report to this CSV file, replacing its contents")
 
     sweep_p = sub.add_parser("sweep", help="run a list of configs from --config, emit CSV")
-    sweep_p.add_argument("--config", required=True, help="JSON list of experiment configs")
+    sweep_p.add_argument(
+        "--config", required=True, help="JSON list of experiment --config objects (no csv or config key)"
+    )
     sweep_p.add_argument("--csv", help="CSV output path")
 
     verify = sub.add_parser("verify", help="run the built-in invariant suite")
@@ -73,16 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """The ``--key=value`` flags that a learn/experiment config file names."""
-    with open(args.config) as handle:
-        obj = json.load(handle)
+def _config_flags(obj, keys: set[str], what: str) -> list[str]:
+    """The ``--key=value`` flags that a config object names; each key must be one of ``keys``."""
     if not isinstance(obj, dict):
-        raise ParameterError("config file for learn/experiment must be a JSON object")
-    flags = set(vars(args)) - {"subcommand", "config"}
+        raise ParameterError(f"{what} must be a JSON object")
     for key in obj:
-        if key not in flags:
-            raise ParameterError(f"config file key {key!r} names no {args.subcommand} flag it can set")
+        if key not in keys:
+            raise ParameterError(f"{what} key {key!r} names no flag it can set")
     return [f"--{key}={value}" for key, value in obj.items() if value is not None]
 
 
@@ -137,38 +137,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_obj(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ParameterError("each sweep entry must be a JSON object")
-    unknown = sorted(set(obj) - {field.name for field in dataclasses.fields(ExperimentConfig)})
-    if unknown:
-        raise ParameterError(f"sweep entry key {unknown[0]!r} names no experiment setting")
-    for key in ("problem", "q", "n", "trials"):
-        if key not in obj:
-            raise ParameterError(f"sweep entry lacks the {key!r} key")
-    for key in ("q", "n", "trials", "seed", "v", "L", "M", "k", "p", "m"):
-        value = obj.get(key)
-        optional = value is None and key in ("v", "k", "p", "m")  # null keeps the default
-        if key in obj and not optional and not is_integer(value):
-            raise ParameterError(f"sweep entry key {key!r} must be an integer, got {value!r}")
-    try:
-        noise = _noise_from_obj(obj.get("noise", {"kind": "none"}))
-    except KeyError as exc:
-        raise ParameterError(f"sweep entry noise lacks the {exc.args[0]!r} key") from None
-    fields = {"seed": 0, **obj, "noise": noise}
-    if "s" in obj:
-        if not isinstance(obj["s"], list) or not all(is_integer(x) for x in obj["s"]):
-            raise ParameterError("sweep entry key 's' must be a list of integers")
-        fields["s"] = tuple(obj["s"])
-    return ExperimentConfig(**fields)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         entries = json.load(handle)
     if not isinstance(entries, list) or not entries:
         raise ParameterError("sweep config must be a non-empty JSON list")
-    configs = [_config_from_obj(entry) for entry in entries]
+    parser = build_parser()
+    keys = set(vars(parser.parse_args(["experiment"]))) - {"subcommand", "config", "csv"}
+    configs = [
+        _experiment_config(parser.parse_args(["experiment", *_config_flags(entry, keys, "sweep entry")]))
+        for entry in entries
+    ]
     reports = sweep(configs, csv_path=args.csv)
     for report in reports:
         print(report.canonical_text())
@@ -197,8 +176,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.subcommand in ("learn", "experiment") and args.config is not None:
+            with open(args.config) as handle:
+                obj = json.load(handle)
+            keys = set(vars(args)) - {"subcommand", "config"}
+            flags = _config_flags(obj, keys, f"{args.subcommand} config file")
             at = argv.index(args.subcommand) + 1
-            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return handlers[args.subcommand](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code) if exc.code is not None else 2

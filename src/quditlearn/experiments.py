@@ -44,6 +44,7 @@ from .learners import (
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
 from .samples import (
+    ENUMERABLE_LIMIT,
     GAMMA_STAR,
     NoiseModel,
     outcome_distribution,
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:  # a Philox key word; a wider seed would alias a narrower one
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.engine not in ("dense", "analytic"):
             raise ParameterError(f"unknown engine {self.engine!r}")
         if self.v is not None and self.v < 1:
@@ -172,7 +175,7 @@ def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generat
     buffered 32-bit half-word, so the stream is exactly that of a fresh
     ``Generator(Philox(key=...))``, without the OS entropy a fresh build pulls.
     """
-    key = np.array([(seed ^ index) & (2**64 - 1), 0], dtype=np.uint64)
+    key = np.array([seed ^ index, 0], dtype=np.uint64)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
@@ -272,6 +275,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     if config.problem == "lwr":
         if config.p is None:
             raise ParameterError("lwr needs the rounding modulus p")
+        if config.M >= 1 and q**n > ENUMERABLE_LIMIT:  # a residual histogram cannot tie b to a.s
+            raise ParameterError(f"lwr with M >= 1 needs q^n <= ENUMERABLE_LIMIT = {ENUMERABLE_LIMIT}, got {q**n}")
         spec = lwr_sample_spec(fp, n, secret, config.p)
         exact = outcome_distribution(spec).p_correct  # deterministic spec: exact success
         bound_paper = config.p / (12.0 * (q - 1))

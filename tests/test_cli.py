@@ -109,12 +109,17 @@ def test_experiment_writes_csv(capsys, tmp_path):
     assert header.startswith("problem,q,n,v,k,noise,engine,L,M,p,trials,seed,empirical_rate")
 
 
+def write_config(tmp_path, obj):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 def test_sweep_runs_config_list(capsys, tmp_path):
     entries = [
-        {"problem": "lwe", "q": 5, "n": 2, "trials": 100, "seed": 1,
-         "noise": {"kind": "none"}, "L": 1, "M": 0},
-        {"problem": "lwe", "q": 7, "n": 1, "trials": 100, "seed": 2,
-         "noise": {"kind": "bounded-uniform", "k": 1}, "L": 2, "M": 1, "k": 1},
+        {"problem": "lwe", "q": 5, "n": 2, "trials": 100, "seed": 1, "noise": "none", "L": 1, "M": 0},
+        {"problem": "lwe", "q": 7, "n": 1, "trials": 100, "seed": 2, "noise": "bounded", "k": 1,
+         "L": 2, "M": 1},
     ]
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(entries))
@@ -124,6 +129,24 @@ def test_sweep_runs_config_list(capsys, tmp_path):
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 3 and rows[0].endswith("wall_time_ms")
     assert out.count("problem: lwe") == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"problem": "lwe", "q": 11, "n": 2, "noise": "bounded", "k": 1, "trials": 30, "seed": 3},
+    {"problem": "lpn", "n": 3, "trials": 30, "seed": 2},  # q=2 and Bernoulli noise by default
+    {"problem": "lwr", "q": 257, "n": 1, "p": 16, "trials": 30, "seed": 4},
+    {"problem": "sis", "q": 7, "n": 2, "L": 3, "trials": 20, "seed": 1},
+    {"problem": "ring-global", "q": 13, "m": 4, "noise": "global", "trials": 5, "seed": 5},  # n = phi(m)
+], ids=lambda entry: entry["problem"])
+def test_sweep_entry_runs_as_the_experiment_config_file(capsys, tmp_path, entry):
+    path = write_config(tmp_path, entry)
+    code, from_file, _ = run_cli(capsys, "experiment", "--config", path)
+    assert code == 0
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps([entry]))
+    code, from_sweep, err = run_cli(capsys, "sweep", "--config", str(sweep_path))
+    assert (code, err) == (0, "")
+    assert from_sweep == from_file[:from_file.index("\nwall_time_ms: ")] + "\n\n"
 
 
 def test_verify_passes_on_clean_build(capsys):
@@ -199,37 +222,58 @@ def test_dense_lpn_beyond_the_enumeration_limit_runs(capsys):
 
 
 @pytest.mark.parametrize("entry, named", [
-    ({"problem": "lwe", "q": 5, "n": 2}, "trials"),
-    ({"q": 5, "n": 2, "trials": 10}, "problem"),
+    ({"trials": 2.5}, "trials"),
+    ({"problem": "rsa"}, "problem"),
     ("lwe", "object"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "noise": {"kind": "gaussian", "k": 1}}, "sigma"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10, "s": 5}, "'s'"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 10,
-      "noise": {"kind": "global-shift", "inner": 3}}, "inner"),
-    ({"problem": "lwe", "q": [5], "n": 2, "trials": 3}, "'q'"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": {"a": 1}}, "'trials'"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "v": "7"}, "'v'"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "seed": True}, "'seed'"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "v": 0}, "v must be >= 1"),
-    ({"problem": "lwe", "q": 7, "n": 1, "trials": 50,
-      "nosie": {"kind": "bounded-uniform", "k": 1}}, "'nosie'"),
-    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
-      "noise": {"kind": "bounded-uniform", "k": 1.5}}, "noise k"),
-    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
-      "noise": {"kind": "gaussian", "k": 2, "sigma": True}}, "noise sigma"),
-    ({"problem": "lwe", "q": 5, "n": 2, "trials": 3, "s": [1.5, 2]}, "'s'"),
-    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
-      "noise": {"kind": "bounded-uniform", "k": 1, "sgima": 3}}, "'sgima'"),
-    ({"problem": "lwe", "q": 7, "n": 1, "trials": 3,
-      "noise": {"kind": "global-shift", "inner": {"kind": "none", "k": 1}}}, "'k'"),
+    ({"noise": "gaussian", "sigma": "wide"}, "sigma"),
+    ({"s": 5}, "'s'"),  # a fixed secret is no flag
+    ({"noise": "global", "inner": "bounded"}, "inner"),  # nor is a key of a noise object
+    ({"q": [5]}, "--q"),
+    ({"trials": {"a": 1}}, "--trials"),
+    ({"v": "seven"}, "--v"),
+    ({"seed": True}, "--seed"),
+    ({"v": 0}, "v must be >= 1"),
+    ({"nosie": "bounded"}, "'nosie'"),
+    ({"noise": {"kind": "bounded-uniform", "k": 1}}, "--noise"),  # noise is a flag value, not an object
+    ({"seed": 2**64}, "seed must lie in [0, 2**64)"),
+    ({"s": [1.5, 2]}, "'s'"),
+    ({"sgima": 3}, "'sgima'"),
+    ({"csv": "row.csv"}, "'csv'"),
+    ({"config": "other.json"}, "'config'"),
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps([entry]))
+    config.write_text(json.dumps([{"problem": "lwe", "q": 5, "n": 2, "trials": 3}, entry]))
     code, out, err = run_cli(capsys, "sweep", "--config", str(config))
     assert code == 2
+    assert out == ""  # no entry ran
+    assert named in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+def test_seed_outside_64_bits_exits_2(capsys, command):
+    argv = (command, "--problem", "lwe", "--q", "5", "--n", "2", "--noise", "none")
+    argv += ("--trials", "2") if command == "experiment" else ()
+    for seed in (2**64, -1):
+        code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+    code, out, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code in (0, 1) and err == ""
+    assert command == "learn" or f"seed: {2**64 - 1}" in out.splitlines()
+
+
+def test_lwr_candidate_test_beyond_the_enumeration_limit_exits_2(capsys):
+    # q^n = 101^3 > 10^6: the spec keeps a residual histogram, which cannot model test samples
+    argv = ("experiment", "--problem", "lwr", "--q", "101", "--n", "3", "--p", "8", "--trials", "5")
+    code, out, err = run_cli(capsys, *argv, "--M", "1")
+    assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ") and "ENUMERABLE_LIMIT = 1000000" in err
+    code, out, err = run_cli(capsys, *argv, "--M", "0")
+    assert (code, err) == (0, "")
+    assert "M: 0" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -267,12 +311,6 @@ def test_lpn_rejects_non_bernoulli_noise(capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bernoulli" in err
-
-
-def write_config(tmp_path, obj):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(obj))
-    return str(path)
 
 
 @pytest.mark.parametrize("obj, message", [

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ def test_spec_validation_catches_inconsistencies():
     ):
         with pytest.raises(ParameterError, match=f"spec key {key} must hold integers"):
             spec_from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("noise, error, named", [
+    ({"kind": "gaussian", "k": 1}, KeyError, "'sigma'"),  # a missing key
+    ({"kind": "global-shift", "inner": 3}, ParameterError, "inner must be an object"),
+    ({"kind": "bounded-uniform", "k": 1.5}, ParameterError, "noise k must be an integer"),
+    ({"kind": "gaussian", "k": 2, "sigma": True}, ParameterError, "noise sigma must be a number"),
+    ({"kind": "bounded-uniform", "k": 1, "sgima": 3}, ParameterError, "noise key 'sgima' is not read"),
+    ({"kind": "global-shift", "inner": {"kind": "none", "k": 1}}, ParameterError, "inner key 'k' is not read"),
+])
+def test_spec_json_noise_holds_exactly_the_keys_its_kind_reads(noise, error, named):
+    good = {"q": 5, "n": 2, "s": [1, 3], "subset": "all", "v": 25, "seed": None,
+            "noise": {"kind": "bounded-uniform", "k": 1}, "errors": {"histogram": [[0, 25]]}}
+    with pytest.raises(error, match=re.escape(named)):
+        spec_from_json(json.dumps(good | {"noise": noise}))
 
 
 # --- materialization ------------------------------------------------------
