@@ -45,7 +45,7 @@ from .learners import (
     sis_sample_stream,
     test_candidate,
 )
-from .ring import RingEmbedding, cyclotomic_poly, euler_phi, ring_lwe_global_learn, ring_sample_state, ring_sample_stream
+from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_state, ring_sample_stream
 from .samples import (
     NoiseModel,
     OutcomeDistribution,

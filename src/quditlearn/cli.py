@@ -36,8 +36,16 @@ NOISE_MODELS = {  # --noise value -> the NoiseModel built from the parsed flags
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quditlearn")
+class _EntryParser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting, so a sweep can name the entry."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The quditlearn parser; its subcommand parsers are of ``parser_class`` too."""
+    parser = parser_class(prog="quditlearn")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
@@ -142,12 +150,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         entries = json.load(handle)
     if not isinstance(entries, list) or not entries:
         raise ParameterError("sweep config must be a non-empty JSON list")
-    parser = build_parser()
+    parser = build_parser(_EntryParser)
     keys = set(vars(parser.parse_args(["experiment"]))) - {"subcommand", "config", "csv"}
-    configs = [
-        _experiment_config(parser.parse_args(["experiment", *_config_flags(entry, keys, "sweep entry")]))
-        for entry in entries
-    ]
+    configs = []
+    for index, entry in enumerate(entries, 1):
+        flags = _config_flags(entry, keys, f"sweep entry {index}")
+        try:
+            configs.append(_experiment_config(parser.parse_args(["experiment", *flags])))
+        except ValueError as exc:
+            raise ParameterError(f"sweep entry {index}: {exc}") from exc
     reports = sweep(configs, csv_path=args.csv)
     for report in reports:
         print(report.canonical_text())

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 import time
 from typing import Callable
 
@@ -244,6 +245,10 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
     if config.problem in ("lwe", "lpn"):
         require_drawable(v, config.noise)
+        if v * q ** (n + 1) > sys.float_info.max:  # the success law divides by v q^(n+1) in floats
+            raise ParameterError(
+                f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}"
+            )
         errors_as = "histogram" if config.engine == "analytic" else "map"
         exact = _expected_iteration_success(q, n, v, config.noise)
         if config.problem == "lpn":
@@ -272,6 +277,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
         return run, exact, bound_paper, bound_opt
 
+    if config.problem in ("lwr", "sis") and config.noise.kind != "none":
+        raise ParameterError(f"{config.problem} reads no noise model, so it takes noise none only")
     if config.problem == "lwr":
         if config.p is None:
             raise ParameterError("lwr needs the rounding modulus p")

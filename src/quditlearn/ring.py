@@ -28,47 +28,6 @@ from .learners import BOT, BvOutcome
 from .samples import _flat_indices, _vector_table, uniform_vector
 
 
-def euler_phi(m: int) -> int:
-    out = m
-    d = 2
-    mm = m
-    while d * d <= mm:
-        if mm % d == 0:
-            out -= out // d
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        out -= out // mm
-    return out
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # Long division of integer polynomials with a monic divisor; remainder must vanish.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coeff = num[shift + len(den) - 1]
-        out[shift] = coeff
-        for i, d in enumerate(den):
-            num[shift + i] -= coeff * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree."""
-    if m < 1:
-        raise ParameterError("conductor must be >= 1")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_poly(d)))
-    return tuple(poly)
-
-
 def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
     n = mat.shape[0]
     aug = np.concatenate([mat % q, np.eye(n, dtype=np.int64)], axis=1)
@@ -92,9 +51,6 @@ class RingEmbedding:
     fp: FieldParams
     m: int
     n: int
-    omega_m: int
-    exponents: tuple[int, ...]
-    modulus: tuple[int, ...]
     eval_matrix: np.ndarray
     inv_matrix: np.ndarray
 
@@ -112,9 +68,6 @@ class RingEmbedding:
             fp=fp,
             m=m,
             n=n,
-            omega_m=root,
-            exponents=exponents,
-            modulus=cyclotomic_poly(m),
             eval_matrix=eval_matrix,
             inv_matrix=_matrix_inverse_mod(eval_matrix, q),
         )
@@ -131,25 +84,6 @@ class RingEmbedding:
         if vec.size != self.n:
             raise ParameterError(f"embedded vectors have {self.n} coordinates")
         return tuple(int(x) for x in (self.inv_matrix @ vec) % self.fp.q)
-
-    def multiply(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Schoolbook polynomial product reduced mod Phi_m, independent of the embedding."""
-        q = self.fp.q
-        prod = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % q
-        mod = self.modulus  # monic of degree n
-        for deg in range(len(prod) - 1, self.n - 1, -1):
-            coeff = prod[deg]
-            if coeff:
-                prod[deg] = 0
-                for i in range(self.n):
-                    prod[deg - self.n + i] = (prod[deg - self.n + i] - coeff * mod[i]) % q
-        return tuple(prod[: self.n])
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((ai + bi) % self.fp.q for ai, bi in zip(a, b))
 
 
 @lru_cache(maxsize=8)

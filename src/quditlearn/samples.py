@@ -351,7 +351,6 @@ def draw_sample_spec(
     rng: np.random.Generator,
     *,
     errors_as: str = "map",
-    seed: int | None = None,
 ) -> SampleSpec:
     """Draw a fresh sample spec: uniform size-v subset, errors from the noise model.
 
@@ -390,7 +389,7 @@ def draw_sample_spec(
         errors = _draw_errors(noise, q, v, rng)
     return SampleSpec(
         fp=fp, n=n, s=tuple(s), v=v, noise=noise,
-        subset=subset, errors=errors, histogram=histogram, seed=seed,
+        subset=subset, errors=errors, histogram=histogram,
     )
 
 

@@ -45,3 +45,23 @@ def basis_state(terms, fp) -> DenseState:
     if norm == 0.0:
         raise StateError("amplitudes must not all be zero")
     return DenseState(fp, m, amps / norm)
+
+
+def naive_poly_mul_mod(a, b, modulus, q):
+    """Schoolbook product of two polynomials reduced by a monic modulus, then mod q.
+
+    Coefficients ascend by degree.  This is the tests' own ring arithmetic,
+    independent of the evaluation embedding it checks.
+    """
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    # reduce by the monic modulus over the integers, then mod q
+    deg = len(modulus) - 1
+    while len(prod) > deg:
+        lead = prod[-1]
+        for i in range(len(modulus)):
+            prod[len(prod) - len(modulus) + i] -= lead * modulus[i]
+        prod.pop()
+    return tuple(c % q for c in prod)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -243,11 +244,13 @@ def test_dense_lpn_beyond_the_enumeration_limit_runs(capsys):
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps([{"problem": "lwe", "q": 5, "n": 2, "trials": 3}, entry]))
+    valid = {"problem": "lwe", "q": 5, "n": 2, "trials": 3}
+    config.write_text(json.dumps([valid, valid, entry]))
     code, out, err = run_cli(capsys, "sweep", "--config", str(config))
     assert code == 2
     assert out == ""  # no entry ran
-    assert named in err.splitlines()[-1]
+    [line] = err.splitlines()  # one error line, no argparse usage block
+    assert line.startswith("error: sweep entry 3") and named in line
 
 
 @pytest.mark.parametrize("command", ["learn", "experiment"])
@@ -300,6 +303,33 @@ def test_ring_global_rejects_iid_noise(capsys, command, noise):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "ring-global" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--noise", "bounded", "--k", "3"),
+    ("--problem", "sis", "--noise", "gaussian"),
+])
+def test_lwr_and_sis_reject_a_noise_they_never_read(capsys, argv):
+    code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[1]} reads no noise model")
+
+
+def test_lwe_beyond_the_float_range_exits_2(capsys):
+    # v * q^(n+1) = q^(2n+1): 257^261 and 4099^87 exceed sys.float_info.max, 4099^85 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+        for q, n in (("257", "130"), ("4099", "43")):
+            code, out, err = run_cli(capsys, "experiment", "--problem", "lwe", "--q", q, "--n", n,
+                                     "--noise", "none", "--trials", "2")
+            assert code == 2
+            assert out == ""
+            [line] = err.splitlines()
+            assert line.startswith("error: lwe needs v * q^(n+1) <= sys.float_info.max")
+        code, out, err = run_cli(capsys, "experiment", "--problem", "lwe", "--q", "4099", "--n", "42",
+                                 "--noise", "none", "--trials", "2")
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["learn", "experiment"])

@@ -7,14 +7,12 @@ from quditlearn.field import FieldParams, NoRootError, ParameterError
 from quditlearn.ring import (
     RingEmbedding,
     _ring_tables,
-    cyclotomic_poly,
-    euler_phi,
     ring_lwe_global_learn,
     ring_sample_state,
     ring_sample_stream,
 )
 
-from conftest import basis_state, make_rng
+from conftest import basis_state, make_rng, naive_poly_mul_mod
 
 
 def all_ring_elements(q, n):
@@ -23,39 +21,7 @@ def all_ring_elements(q, n):
     return [tuple(c) for c in product(range(q), repeat=n)]
 
 
-def naive_poly_mul_mod(a, b, modulus, q):
-    """Schoolbook oracle independent of RingEmbedding.multiply's reduction loop."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    # reduce by the monic modulus over the integers, then mod q
-    deg = len(modulus) - 1
-    while len(prod) > deg:
-        lead = prod[-1]
-        for i in range(len(modulus)):
-            prod[len(prod) - len(modulus) + i] -= lead * modulus[i]
-        prod.pop()
-    return tuple(c % q for c in prod)
-
-
-@pytest.mark.parametrize(
-    "m, expected",
-    [
-        (1, (-1, 1)),
-        (2, (1, 1)),
-        (3, (1, 1, 1)),
-        (4, (1, 0, 1)),
-        (6, (1, -1, 1)),
-        (12, (1, 0, -1, 0, 1)),
-    ],
-)
-def test_cyclotomic_polynomials_known_table(m, expected):
-    assert cyclotomic_poly(m) == expected
-
-
-def test_euler_phi_small_values():
-    assert [euler_phi(m) for m in (1, 2, 3, 4, 6, 8, 12)] == [1, 1, 2, 2, 2, 4, 4]
+PHI_4 = (1, 0, 1)  # x^2 + 1, the 4th cyclotomic polynomial
 
 
 def test_embedding_requires_conductor_dividing_q_minus_1():
@@ -65,10 +31,12 @@ def test_embedding_requires_conductor_dividing_q_minus_1():
 
 def test_embedding_structure_q13_m4():
     emb = RingEmbedding.build(FieldParams(13), 4)
-    assert emb.n == 2 == euler_phi(4)
-    assert emb.exponents == (1, 3)
-    assert pow(emb.omega_m, 4, 13) == 1 and pow(emb.omega_m, 2, 13) != 1
-    assert emb.modulus == (1, 0, 1)  # x^2 + 1
+    assert emb.n == 2
+    # the evaluation points are the roots of Phi_4 = x^2 + 1 mod 13
+    assert sorted(emb.eval_matrix[:, 1].tolist()) == [x for x in range(13) if (x * x + 1) % 13 == 0]
+    # n = phi(m) for every conductor m dividing q - 1 = 12
+    euler_phi = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
+    assert {m: RingEmbedding.build(FieldParams(13), m).n for m in euler_phi} == euler_phi
 
 
 def test_embedding_is_bijective_q13_m4():
@@ -91,16 +59,7 @@ def test_embedding_multiplication_homomorphism_exhaustive():
         for b in elements:
             phi_b = emb.embed(b)
             componentwise = tuple(x * y % 13 for x, y in zip(phi_a, phi_b))
-            assert emb.embed(emb.multiply(a, b)) == componentwise
-
-
-def test_ring_multiply_matches_schoolbook_oracle():
-    emb = RingEmbedding.build(FieldParams(13), 4)
-    rng = make_rng(601)
-    for _ in range(50):
-        a = tuple(int(x) for x in rng.integers(0, 13, size=2))
-        b = tuple(int(x) for x in rng.integers(0, 13, size=2))
-        assert emb.multiply(a, b) == naive_poly_mul_mod(a, b, emb.modulus, 13)
+            assert emb.embed(naive_poly_mul_mod(a, b, PHI_4, 13)) == componentwise
 
 
 def test_embedding_addition_homomorphism():
@@ -109,14 +68,16 @@ def test_embedding_addition_homomorphism():
     for _ in range(50):
         a = tuple(int(x) for x in rng.integers(0, 13, size=2))
         b = tuple(int(x) for x in rng.integers(0, 13, size=2))
-        lhs = emb.embed(emb.add(a, b))
+        lhs = emb.embed(tuple((x + y) % 13 for x, y in zip(a, b)))
         rhs = tuple((x + y) % 13 for x, y in zip(emb.embed(a), emb.embed(b)))
         assert lhs == rhs
 
 
 def test_larger_conductor_m6_q13():
     emb = RingEmbedding.build(FieldParams(13), 6)
-    assert emb.n == 2 and emb.exponents == (1, 5)
+    assert emb.n == 2
+    # the evaluation points are the roots of Phi_6 = x^2 - x + 1 mod 13
+    assert sorted(emb.eval_matrix[:, 1].tolist()) == [x for x in range(13) if (x * x - x + 1) % 13 == 0]
     for a in all_ring_elements(13, 2)[:40]:
         assert emb.unembed(emb.embed(a)) == a
 
