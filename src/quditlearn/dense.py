@@ -13,13 +13,18 @@ measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
-transformed state.  ``apply_qft_all`` followed by ``measure_all`` is the
-reference it reproduces, and stays for the cross-checks that need the
-whole transformed state.
+transformed state.  A sample state built by ``DenseState.uniform`` records
+its support, the flat indices of its nonzero amplitudes, and keeps its
+amplitudes read-only; when fewer than a q-th of register 0's columns are
+live, the first pass of ``measure_qft_all`` skips the empty ones.  The full
+transform, ``apply_qft_all`` followed by ``measure_all``, is the reference
+it reproduces, and stays for the cross-checks that need the whole
+transformed state.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,9 +49,13 @@ def qft_matrix(q: int) -> np.ndarray:
 
 
 class DenseState:
-    """Unit vector over m registers of dimension q each."""
+    """Unit vector over m registers of dimension q each.
 
-    __slots__ = ("fp", "num_registers", "amps")
+    ``support`` is None, or the flat indices of every nonzero amplitude of
+    a state whose amplitudes are read-only.
+    """
+
+    __slots__ = ("fp", "num_registers", "amps", "support")
 
     def __init__(self, fp: FieldParams, num_registers: int, amps: np.ndarray):
         if num_registers < 1:
@@ -62,7 +71,18 @@ class DenseState:
         self.fp = fp
         self.num_registers = num_registers
         self.amps = amps
+        self.support = None
         self._require_normalized()
+
+    @classmethod
+    def uniform(cls, fp: FieldParams, num_registers: int, flat: np.ndarray) -> "DenseState":
+        """Equal amplitudes on the distinct flat basis indices ``flat``, which become the support."""
+        amps = np.zeros(fp.q**num_registers, dtype=np.complex128)
+        amps[flat] = 1.0 / math.sqrt(flat.size)
+        amps.setflags(write=False)
+        state = cls(fp, num_registers, amps)
+        state.support = flat
+        return state
 
     def _require_normalized(self) -> None:
         norm2 = float(np.vdot(self.amps, self.amps).real)
@@ -117,16 +137,25 @@ class DenseState:
         u * total picks row x, the mass of the rows before x is subtracted
         from the target, and the next register continues on row x alone.  The
         passes shrink by a factor q, so the total cost is about q/(q-1) of one
-        full pass.  The CDF is summed in another order than the reference's,
-        so the two differ only when u falls within rounding error of a
-        boundary.
+        full pass.  When a recorded support leaves all but at most a q-th of
+        register 0's columns empty, the first pass multiplies F into the live
+        columns only and scatters row x back into a zeroed vector.  The CDF is
+        summed in another order than the reference's, so the two differ only
+        when u falls within rounding error of a boundary.
         """
         q = self.fp.q
         f = qft_matrix(q)
         vec = self.amps
+        columns = vec.size // q
+        live = None  # register 0's columns holding amplitude, when few enough to skip the rest
+        if self.support is not None and self.support.size * q <= columns:
+            mask = np.zeros(columns, dtype=bool)
+            mask[self.support % columns] = True  # entries sharing a column merge here
+            live = np.flatnonzero(mask)
         outcome = []
         for register in range(self.num_registers):
-            rows = f @ vec.reshape(q, -1)
+            block = vec.reshape(q, -1)
+            rows = f @ (block if live is None else block[:, live])
             flat = rows.view(np.float64)
             cdf = np.vecdot(flat, flat).cumsum()
             if register == 0:
@@ -138,7 +167,12 @@ class DenseState:
             if x:
                 target -= cdf[x - 1]
             outcome.append(x)
-            vec = rows[x]
+            if live is None:
+                vec = rows[x]
+            else:
+                vec = np.zeros(columns, dtype=np.complex128)
+                vec[live] = rows[x]
+                live = None
         return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":

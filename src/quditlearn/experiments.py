@@ -240,15 +240,17 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(
-            f"dense engine infeasible: q^{registers} = {q**registers} exceeds the 2**22 cap"
+            f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap"
+        )
+    if config.problem in ("lwe", "lpn"):
+        require_drawable(v, config.noise, q, n)
+    if config.problem in ("lwe", "lpn", "lwr") and v * q ** (n + 1) > sys.float_info.max:
+        # the success laws divide by v q^(n+1) in floats
+        raise ParameterError(
+            f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}"
         )
 
     if config.problem in ("lwe", "lpn"):
-        require_drawable(v, config.noise)
-        if v * q ** (n + 1) > sys.float_info.max:  # the success law divides by v q^(n+1) in floats
-            raise ParameterError(
-                f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}"
-            )
         errors_as = "histogram" if config.engine == "analytic" else "map"
         exact = _expected_iteration_success(q, n, v, config.noise)
         if config.problem == "lpn":

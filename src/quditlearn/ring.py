@@ -109,9 +109,7 @@ def ring_sample_state(
     phi_s = np.asarray(emb.embed(s), dtype=np.int64)
     phi_e = np.asarray(emb.embed(e), dtype=np.int64)
     second = (phi_a * phi_s + phi_e) % q
-    amps = np.zeros(q ** (2 * emb.n), dtype=np.complex128)
-    amps[first_block + _flat_indices(second, q, emb.n)] = 1.0 / math.sqrt(q**emb.n)
-    return DenseState(emb.fp, 2 * emb.n, amps)
+    return DenseState.uniform(emb.fp, 2 * emb.n, first_block + _flat_indices(second, q, emb.n))
 
 
 def ring_sample_stream(

@@ -174,11 +174,12 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
     return values, weights, np.asarray(values, dtype=np.int64), cdf
 
 
-def require_drawable(v: int, noise: NoiseModel) -> None:
+def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
     """Reject subsets too large for per-element errors to be drawn as a histogram."""
     if v > MULTINOMIAL_LIMIT and not (noise.is_global or noise.kind == "none"):
+        size = f"{q}^{n}" if v == q**n else v
         raise ParameterError(
-            f"subset size v = {v} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
+            f"subset size v = {size} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
         )
 
 
@@ -368,7 +369,7 @@ def draw_sample_spec(
         raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
     if errors_as not in ("map", "histogram"):
         raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
-    require_drawable(v, noise)
+    require_drawable(v, noise, q, n)
 
     subset: np.ndarray | None = None
     if v < qn and errors_as == "map":
@@ -424,10 +425,7 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
         dots = _vectors_at(spec.subset, q, spec.n) @ np.asarray(spec.s, dtype=np.int64)
     # a single-bin histogram fixes the assignment: every element carries its one value
     errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
-    flat = idx * q + (dots + errs) % q
-    amps = np.zeros(q ** (spec.n + 1), dtype=np.complex128)
-    amps[flat] = 1.0 / math.sqrt(spec.v)
-    return DenseState(spec.fp, spec.n + 1, amps)
+    return DenseState.uniform(spec.fp, spec.n + 1, idx * q + (dots + errs) % q)
 
 
 # Up to this n, n scalar draws beat one array draw: a scalar draw costs

@@ -317,19 +317,34 @@ def test_lwr_and_sis_reject_a_noise_they_never_read(capsys, argv):
 
 
 def test_lwe_beyond_the_float_range_exits_2(capsys):
-    # v * q^(n+1) = q^(2n+1): 257^261 and 4099^87 exceed sys.float_info.max, 4099^85 does not
+    # v * q^(n+1) = q^(2n+1): 257^261 and 4099^87 exceed sys.float_info.max, 4099^85 does not;
+    # lwr always uses v = q^n, so its law meets the same limit
+    problems = {"lwe": ("--noise", "none"), "lwr": ("--p", "16", "--M", "0")}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
-        for q, n in (("257", "130"), ("4099", "43")):
-            code, out, err = run_cli(capsys, "experiment", "--problem", "lwe", "--q", q, "--n", n,
-                                     "--noise", "none", "--trials", "2")
-            assert code == 2
-            assert out == ""
-            [line] = err.splitlines()
-            assert line.startswith("error: lwe needs v * q^(n+1) <= sys.float_info.max")
-        code, out, err = run_cli(capsys, "experiment", "--problem", "lwe", "--q", "4099", "--n", "42",
-                                 "--noise", "none", "--trials", "2")
-        assert (code, err) == (0, "")
+        for problem, extra in problems.items():
+            for q, n in (("257", "130"), ("4099", "43")):
+                code, out, err = run_cli(capsys, "experiment", "--problem", problem, "--q", q, "--n", n,
+                                         *extra, "--trials", "2")
+                assert code == 2
+                assert out == ""
+                [line] = err.splitlines()
+                assert line.startswith(f"error: {problem} needs v * q^(n+1) <= sys.float_info.max")
+            code, out, err = run_cli(capsys, "experiment", "--problem", problem, "--q", "4099", "--n", "42",
+                                     *extra, "--trials", "2")
+            assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("argv, power", [
+    (("--problem", "sis", "--q", "4099", "--n", "43"), "4099^44"),
+    (("--problem", "lpn", "--n", "600"), "2^600"),
+])
+def test_size_limit_messages_print_powers(capsys, argv, power):
+    code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "2")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert power in line and len(line) < 200
 
 
 @pytest.mark.parametrize("command", ["learn", "experiment"])

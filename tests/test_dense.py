@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,9 @@ from hypothesis import strategies as st
 
 from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix
 from quditlearn.field import FieldParams
+from quditlearn.learners import sis_sample_stream
+from quditlearn.ring import RingEmbedding, ring_sample_state
+from quditlearn.samples import NoiseModel, draw_sample_spec, materialize_dense
 
 from conftest import basis_state, make_rng
 
@@ -101,7 +107,32 @@ def _states_to_measure(q: int, registers: int, key: int) -> list[DenseState]:
     basis[local.integers(basis.size)] = 1.0
     fp = FieldParams(q)
     sparse = DenseState(fp, registers, sparse / np.linalg.norm(sparse))
-    return [dense, sparse, DenseState(fp, registers, basis)]
+    return [dense, sparse, DenseState(fp, registers, basis)] + _sample_states(q, registers, key)
+
+
+RING_CONDUCTOR = {5: 4, 7: 3, 13: 4}  # m | q - 1 with phi(m) = 2, so 4 registers
+
+
+def _sample_states(q: int, registers: int, key: int) -> list[DenseState]:
+    """Sample states with a recorded support, on both sides of the compact first pass.
+
+    An LWE sample over F_q^n has q^n register-0 columns: v = q^(n-1) takes the
+    compact pass, v = q^n the full one.  Ring samples take the compact pass;
+    with phi(s)_0 = 0 the q values of phi(a)_0 that agree elsewhere share a
+    column, which the pass must merge.
+    """
+    fp, n, local = FieldParams(q), registers - 1, make_rng(key)
+    noise = NoiseModel.bernoulli(0.25) if q == 2 else NoiseModel.bounded_uniform(1)
+    s = tuple(int(x) for x in local.integers(q, size=n))
+    states = [materialize_dense(draw_sample_spec(fp, n, s, v, noise, local))
+              for v in (q ** (n - 1), q**n) if n >= 2]
+    if registers == 4 and q in RING_CONDUCTOR:
+        emb = RingEmbedding.build(fp, RING_CONDUCTOR[q])
+        zero_first = emb.unembed((0, 3))
+        for secret in (zero_first, (1, 1)):
+            for error in ((0, 0), (2, 1)):
+                states.append(ring_sample_state(emb, secret, error))
+    return states
 
 
 @pytest.mark.parametrize("q, registers", [
@@ -141,6 +172,52 @@ def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
             assert state.measure_qft_all(FixedUniform(float(u))) == (0, 2)
             return
     pytest.fail("no state of the search has a row total below its CDF step")
+
+
+def test_sample_states_cover_both_first_passes_and_shared_columns():
+    kinds = set()  # (compact first pass, support entries sharing a column) per state measured above
+    for q, registers in ((3, 6), (5, 4), (7, 4), (13, 4)):
+        for state in _sample_states(q, registers, key=1000 * q + registers):
+            columns = state.amps.size // q
+            compact = state.support.size * q <= columns
+            kinds.add((compact, compact and np.unique(state.support % columns).size < state.support.size))
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def _scattered(size: int, flat: list[int]) -> np.ndarray:
+    """The uniform superposition on ``flat``, built by writing into a zeroed vector."""
+    amps = np.zeros(size, dtype=np.complex128)
+    amps[flat] = 1.0 / math.sqrt(len(flat))
+    return amps
+
+
+def test_uniform_matches_the_scattered_construction_bit_for_bit():
+    q, n, s = 5, 2, (3, 1)
+    fp, shape = FieldParams(q), (q,) * (n + 1)
+    spec = draw_sample_spec(fp, n, s, 11, NoiseModel.bounded_uniform(1), make_rng(5))
+    lwe = [np.ravel_multi_index((*a, (np.dot(a, s) + e) % q), shape)
+           for a, e in zip(zip(*np.unravel_index(spec.subset, (q,) * n)), spec.errors)]
+    sis = [np.ravel_multi_index((*a, np.dot(a, s) % q), shape) for a in itertools.product(range(q), repeat=n)]
+    emb, e = RingEmbedding.build(fp, 4), (4, 2)
+    phi_s, phi_e = emb.embed(s), emb.embed(e)
+    ring = []
+    for a in itertools.product(range(q), repeat=n):
+        phi_a = emb.embed(a)
+        second = [(x * y + z) % q for x, y, z in zip(phi_a, phi_s, phi_e)]
+        ring.append(np.ravel_multi_index((*phi_a, *second), (q,) * (2 * n)))
+    for state, flat in ((materialize_dense(spec), lwe), (sis_sample_stream(fp, n, s)(), sis),
+                        (ring_sample_state(emb, s, e), ring)):
+        assert state.amps.tobytes() == _scattered(state.amps.size, flat).tobytes()
+        assert sorted(state.support.tolist()) == sorted(flat)
+
+
+def test_uniform_state_is_read_only():
+    state = DenseState.uniform(FieldParams(5), 3, np.array([0, 7, 31, 124]))
+    with pytest.raises(ValueError, match="read-only"):
+        state.amps[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.amps *= 1.01
+    assert state.measure_qft_all(make_rng(1)) == state.apply_qft_all().measure_all(make_rng(1))
 
 
 def test_measure_qft_all_rejects_amplitudes_scaled_after_construction():
