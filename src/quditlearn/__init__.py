@@ -42,7 +42,7 @@ from .learners import (
     lwr_round,
     lwr_sample_spec,
     sis_learn,
-    sis_sample_stream,
+    sis_sample_state,
     test_candidate,
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_state, ring_sample_stream

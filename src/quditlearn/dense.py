@@ -8,8 +8,10 @@ most significant index of the flat vector, matching numpy's C order, so
 Operations are functional: each returns a fresh state and re-checks the
 norm, so a drifting amplitude vector is caught at the operation where it
 appears.  Measurements sample an outcome but do not produce a collapsed
-residual state; every consumer here discards a sample after its final
-measurement.
+residual state, and leave the measured state as it was.  So a fixed sample
+is measured over repeated rounds from one screened state, with each round
+a fresh copy (the SIS learner); every other consumer discards a sample
+after its one measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the

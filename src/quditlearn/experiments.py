@@ -41,7 +41,7 @@ from .learners import (
     lwr_learn,
     lwr_sample_spec,
     sis_learn,
-    sis_sample_stream,
+    sis_sample_state,
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
 from .samples import (
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ParameterError(f"v must be >= 1, got {self.v}")
         if self.k is not None and self.k < 0:
             raise ParameterError(f"k must be >= 0, got {self.k}")
+        if self.L < 1:
+            raise ParameterError(f"L must be >= 1, got {self.L}")
+        if self.M < 0:
+            raise ParameterError(f"M must be >= 0, got {self.M}")
 
     @property
     def effective_v(self) -> int:
@@ -298,13 +302,13 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         return run, exact, bound_paper, bound_opt
 
     if config.problem == "sis":
-        source = sis_sample_stream(fp, n, secret)
+        state = sis_sample_state(fp, n, secret)
         wrong = _sis_wrong_before_correct(secret, k, q)
         exact = math.prod((1.0 - q**-config.L) ** w for w in wrong)
         bound_paper = 1.0 - (2 * k + 1) * n / float(q) ** config.L
 
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-            return sis_learn(k, config.L, source, rng)
+            return sis_learn(k, config.L, state, rng)
 
         return run, exact, bound_paper, None
 

@@ -26,7 +26,7 @@ from .samples import (
     ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
-    _vector_table,
+    _dots_over_space,
     draw_classical_sample,
     materialize_dense,
     outcome_distribution,
@@ -34,7 +34,6 @@ from .samples import (
 )
 
 SpecSource = Callable[[], SampleSpec]
-StateSource = Callable[[], DenseState]
 T = TypeVar("T")
 
 
@@ -205,7 +204,7 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     qn = q**n
     s = tuple(s)
     if qn <= ENUMERABLE_LIMIT:
-        dots = _vector_table(q, n) @ np.asarray(s, dtype=np.int64) % q
+        dots = _dots_over_space(q, s) % q
         errors = np.asarray(residual, dtype=np.int64)[dots]
         return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, errors=errors)
     # a.s is uniform over F_q when s != 0, hitting each residue q^(n-1) times.
@@ -232,47 +231,44 @@ def lwr_learn(
 
 # --- short integer solution ----------------------------------------------------
 
-def sis_sample_stream(fp, n: int, secret: tuple[int, ...]) -> StateSource:
-    """Source of the traced sample (1/sqrt(q^n)) sum_a |a>|a.secret mod q>.
+def sis_sample_state(fp, n: int, secret: tuple[int, ...]) -> DenseState:
+    """The traced sample (1/sqrt(q^n)) sum_a |a>|a.secret mod q> on n+1 registers.
 
-    The state is deterministic, so one immutable instance is shared across
-    calls; every operation on it returns a fresh state.
+    The sample is fixed for a run: its amplitudes are read-only, and every
+    operation on it returns a fresh state.
     """
-    spec = SampleSpec(
-        fp=fp, n=n, s=tuple(x % fp.q for x in secret), v=fp.q**n,
-        noise=NoiseModel.none(), histogram={0: fp.q**n},
-    )
-    base = materialize_dense(spec)
-    return lambda: base
+    q = fp.q
+    if len(secret) != n:
+        raise ParameterError(f"secret must be a length-{n} vector")
+    dots = _dots_over_space(q, tuple(x % q for x in secret))
+    return DenseState.uniform(fp, n + 1, np.arange(q**n, dtype=np.int64) * q + dots % q)
 
 
 def sis_learn(
     k: int,
     L: int,
-    source: StateSource,
+    state: DenseState,
     rng: np.random.Generator,
 ) -> tuple[int, ...] | None:
     """Coordinate-wise search for the short secret of a traced sample.
 
-    For each coordinate i, candidates j in [-k, k] are screened with L
-    rounds of: fresh sample, add j*a_i to the last register, QFT register i,
-    measure register i.  The first candidate whose L outcomes are all zero
-    fixes coordinate i as -j; None is returned if some coordinate rejects
-    every candidate.
+    For each coordinate i, candidate j in [-k, k] adds j*a_i to the last
+    register of the sample and QFTs register i, once; that screened state is
+    then measured on register i in up to L rounds, each standing for a fresh
+    copy.  The first candidate whose L outcomes are all zero fixes
+    coordinate i as -j; None is returned if some coordinate rejects every
+    candidate.
     """
     if k < 0 or L < 1:
         raise ParameterError("need k >= 0 and L >= 1")
-    first, fresh = _peek(source)
-    q = first.fp.q
-    n = first.num_registers - 1
+    q = state.fp.q
+    n = state.num_registers - 1
     recovered = []
     for i in range(n):
         accepted = None
         for j in range(-k, k + 1):
-            if all(
-                fresh().apply_add_multiple(i, n, j % q).apply_qft(i).measure_register(i, rng) == 0
-                for _ in range(L)
-            ):
+            screened = state.apply_add_multiple(i, n, j % q).apply_qft(i)
+            if all(screened.measure_register(i, rng) == 0 for _ in range(L)):
                 accepted = j
                 break
         if accepted is None:

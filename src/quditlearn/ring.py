@@ -25,7 +25,7 @@ import numpy as np
 from .dense import DenseState
 from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
-from .samples import _flat_indices, _vector_table, uniform_vector
+from .samples import _flat_indices, _vectors_at, uniform_vector
 
 
 def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
@@ -90,7 +90,7 @@ class RingEmbedding:
 def _ring_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """phi(a) for every a in R_q and the flat-index part of its first block."""
     emb = RingEmbedding.build(FieldParams(q), m)
-    phi_a = _vector_table(q, emb.n) @ emb.eval_matrix.T % q
+    phi_a = _vectors_at(np.arange(q**emb.n), q, emb.n) @ emb.eval_matrix.T % q
     first_block = _flat_indices(phi_a, q, emb.n) * q**emb.n
     for table in (phi_a, first_block):
         table.flags.writeable = False  # shared by every caller

@@ -318,17 +318,7 @@ def _vectors_at(idx, q: int, n: int) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (q,) * n), axis=-1).astype(np.int64)
 
 
-@lru_cache(maxsize=64)
-def _vector_table(q: int, n: int) -> np.ndarray:
-    """All vectors of F_q^n in flat-index order, as a read-only int64 array."""
-    if q**n > ENUMERABLE_LIMIT:
-        raise ParameterError(f"q^n = {q**n} too large to enumerate")
-    table = _vectors_at(np.arange(q**n), q, n)
-    table.flags.writeable = False  # shared by every caller of the memoized table
-    return table
-
-
-@lru_cache(maxsize=1)  # the attempts of one trial share its secret
+@lru_cache(maxsize=1)  # dense LWE: a trial's attempts share its secret; LWR, SIS: one call per run
 def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
     """a.s for every a of F_q^n in flat-index order, as a read-only int64 array.
 
@@ -533,7 +523,9 @@ def spec_to_json(spec: SampleSpec) -> str:
     noise = _noise_to_obj(spec.noise)
     subset = None if spec.subset is None else _vectors_at(spec.subset, spec.fp.q, spec.n).tolist()
     if spec.errors is not None:
-        vectors = subset if subset is not None else _vector_table(spec.fp.q, spec.n).tolist()
+        vectors = (  # an error map without a subset covers F_q^n in flat-index order
+            subset if subset is not None else _vectors_at(np.arange(spec.v), spec.fp.q, spec.n).tolist()
+        )
         errors = {"map": [[a, e] for a, e in zip(vectors, spec.errors.tolist())]}
     else:
         errors = {"histogram": [[b, c] for b, c in spec.histogram.items()]}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dense import DenseState, qft_matrix
 from .field import FieldParams, centered_abs, mod_inverse, roots_of_unity
-from .learners import sis_sample_stream, test_candidate
+from .learners import sis_sample_state, test_candidate
 from .samples import (
     NoiseModel,
     SampleSpec,
@@ -195,7 +195,7 @@ def _check_test_candidate_completeness() -> CheckResult:
 def _check_sis_wrong_survival() -> CheckResult:
     fp = FieldParams(7)
     secret = (1, 6)
-    state = sis_sample_stream(fp, 2, secret)()
+    state = sis_sample_state(fp, 2, secret)
     # candidate j != -v_0: the screened register must be exactly uniform.
     marginal = state.apply_add_multiple(0, 2, 1).apply_qft(0).register_marginal(0)
     if abs(marginal[0] - 1.0 / 7) > 1e-9:

@@ -23,7 +23,7 @@ from quditlearn.learners import (
     lwr_round,
     lwr_sample_spec,
     sis_learn,
-    sis_sample_stream,
+    sis_sample_state,
     test_candidate,
 )
 from quditlearn.ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
@@ -241,19 +241,19 @@ def test_criterion_7_short_solution_recovery():
     hits = 0
     for _ in range(runs):
         secret = tuple(int(x) % q for x in rng.integers(-k, k + 1, size=n))
-        source = sis_sample_stream(fp, n, secret)
-        hits += sis_learn(k, L, source, rng) == secret
+        state = sis_sample_state(fp, n, secret)
+        hits += sis_learn(k, L, state, rng) == secret
     rate = hits / runs
     floor = 1 - (2 * k + 1) * n / q**L
     sigma = math.sqrt(floor * (1 - floor) / runs)
     ok = rate >= floor - 3 * sigma
 
     # wrong-candidate screening: zero outcome with probability exactly 1/q
-    source = sis_sample_stream(fp, n, (1, 6))
+    sample = sis_sample_state(fp, n, (1, 6))
     rounds = 10_000
     zeros = 0
     for _ in range(rounds):
-        state = source().apply_add_multiple(0, n, 1).apply_qft(0)  # j=1 is wrong for v_0=1
+        state = sample.apply_add_multiple(0, n, 1).apply_qft(0)  # j=1 is wrong for v_0=1
         zeros += state.measure_register(0, rng) == 0
     p0 = zeros / rounds
     sigma0 = math.sqrt((1 / q) * (1 - 1 / q) / rounds)

@@ -284,6 +284,9 @@ def test_lwr_candidate_test_beyond_the_enumeration_limit_exits_2(capsys):
     (("--problem", "lpn", "--q", "2", "--n", "3", "--v", "0"), "v"),
     (("--problem", "sis", "--q", "7", "--n", "2", "--k", "-1"), "k"),
     (("--problem", "lwe", "--q", "5", "--n", "-1"), "n"),
+    (("--problem", "ring-global", "--q", "13", "--m", "4", "--L", "0"), "L"),
+    (("--problem", "sis", "--q", "7", "--n", "2", "--M", "-1"), "M"),
+    (("--problem", "lpn", "--n", "4", "--M", "-3"), "M"),
 ])
 def test_experiment_rejects_empty_subset_and_negative_k(capsys, argv, named):
     code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "3")

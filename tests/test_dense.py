@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix
 from quditlearn.field import FieldParams
-from quditlearn.learners import sis_sample_stream
+from quditlearn.learners import sis_sample_state
 from quditlearn.ring import RingEmbedding, ring_sample_state
 from quditlearn.samples import NoiseModel, draw_sample_spec, materialize_dense
 
@@ -205,7 +205,7 @@ def test_uniform_matches_the_scattered_construction_bit_for_bit():
         phi_a = emb.embed(a)
         second = [(x * y + z) % q for x, y, z in zip(phi_a, phi_s, phi_e)]
         ring.append(np.ravel_multi_index((*phi_a, *second), (q,) * (2 * n)))
-    for state, flat in ((materialize_dense(spec), lwe), (sis_sample_stream(fp, n, s)(), sis),
+    for state, flat in ((materialize_dense(spec), lwe), (sis_sample_state(fp, n, s), sis),
                         (ring_sample_state(emb, s, e), ring)):
         assert state.amps.tobytes() == _scattered(state.amps.size, flat).tobytes()
         assert sorted(state.support.tolist()) == sorted(flat)

@@ -4,8 +4,11 @@ A canonical report must stay byte-identical for a fixed configuration and
 seed, so any change to the trial logic, the RNG layout or the float
 arithmetic behind ``exact_prob`` shows up here.  The expected texts live in
 ``tests/golden/<name>-seed<seed>.txt``; the configurations are the four
-benchmark workloads plus one LPN run, one SIS run and one analytic LWE run
-on a proper subset (v < q^n).
+benchmark workloads plus one LPN run, two SIS runs and one analytic LWE run
+on a proper subset (v < q^n).  ``sis`` screens with L = 3, where a wrong
+candidate survives with probability 1/343; ``sis-screening`` screens with
+L = 1, so a wrong candidate survives one time in 11 and every uniform of the
+screening decides an outcome.
 """
 
 from pathlib import Path
@@ -29,6 +32,7 @@ CONFIGS = {
     "ring-global": ("--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global", "--k", "1"),
     "lpn-dense": ("--problem", "lpn", "--q", "2", "--n", "8", "--eta", "0.1", "--L", "9", "--engine", "dense"),
     "sis": ("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "3"),
+    "sis-screening": ("--problem", "sis", "--q", "11", "--n", "2", "--k", "2", "--L", "1"),
 }
 
 

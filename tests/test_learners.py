@@ -17,7 +17,7 @@ from quditlearn.learners import (
     lwr_round,
     lwr_sample_spec,
     sis_learn,
-    sis_sample_stream,
+    sis_sample_state,
     test_candidate,
 )
 from quditlearn.samples import (
@@ -393,8 +393,7 @@ def test_sis_correct_candidate_never_rejected():
     fp = FieldParams(7)
     rng = make_rng(518)
     secret = (1, 6)  # centered magnitudes 1
-    source = sis_sample_stream(fp, 2, secret)
-    state = source()
+    state = sis_sample_state(fp, 2, secret)
     marginal = state.apply_add_multiple(0, 2, (-1) % 7).apply_qft(0).register_marginal(0)
     assert marginal[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -402,7 +401,7 @@ def test_sis_correct_candidate_never_rejected():
 def test_sis_wrong_candidate_survival_exactly_one_over_q():
     fp = FieldParams(7)
     secret = (1, 6)
-    state = sis_sample_stream(fp, 2, secret)()
+    state = sis_sample_state(fp, 2, secret)
     for j in (0, 1):  # wrong candidates for coordinate 0 (correct is -1)
         marginal = state.apply_add_multiple(0, 2, j % 7).apply_qft(0).register_marginal(0)
         assert marginal[0] == pytest.approx(1 / 7, abs=1e-12)
@@ -412,14 +411,52 @@ def test_sis_learn_recovers_short_secret():
     fp = FieldParams(7)
     rng = make_rng(519)
     secret = (1, 6)
-    source = sis_sample_stream(fp, 2, secret)
-    hits = sum(sis_learn(1, 3, source, rng) == secret for _ in range(300))
+    state = sis_sample_state(fp, 2, secret)
+    hits = sum(sis_learn(1, 3, state, rng) == secret for _ in range(300))
     assert hits / 300 >= 1 - 6 / 343 - 3 * math.sqrt(0.02 / 300)
+
+
+def _sis_learn_per_round(k, L, state, rng):
+    """Reference screening: every round re-screens a fresh copy of the sample."""
+    q = state.fp.q
+    n = state.num_registers - 1
+    recovered = []
+    for i in range(n):
+        accepted = None
+        for j in range(-k, k + 1):
+            if all(
+                state.apply_add_multiple(i, n, j % q).apply_qft(i).measure_register(i, rng) == 0
+                for _ in range(L)
+            ):
+                accepted = j
+                break
+        if accepted is None:
+            return None
+        recovered.append((-accepted) % q)
+    return tuple(recovered)
+
+
+@pytest.mark.parametrize("q, n, k, L", [(7, 2, 1, 3), (5, 3, 2, 2), (3, 4, 1, 2), (11, 2, 3, 1)])
+def test_sis_learn_matches_per_round_screening(q, n, k, L):
+    fp = FieldParams(q)
+    for seed in range(100):
+        bound = k if seed % 2 else q // 2  # odd seeds: short secrets; even: any, so some runs return None
+        secret = tuple(int(x) % q for x in make_rng(seed).integers(-bound, bound + 1, size=n))
+        state = sis_sample_state(fp, n, secret)
+        old = SampleSpec(fp=fp, n=n, s=secret, v=q**n, noise=NoiseModel.none(), histogram={0: q**n})
+        reference = materialize_dense(old)
+        assert state.amps.tobytes() == reference.amps.tobytes()
+        assert state.support.tobytes() == reference.support.tobytes()
+        rng, oracle = make_rng(10_000 + seed), make_rng(10_000 + seed)
+        assert sis_learn(k, L, state, rng) == _sis_learn_per_round(k, L, state, oracle)
+        assert rng.random() == oracle.random()
 
 
 def test_sis_learn_requires_valid_parameters():
     fp = FieldParams(7)
     rng = make_rng(520)
-    source = sis_sample_stream(fp, 2, (1, 0))
+    state = sis_sample_state(fp, 2, (1, 0))
     with pytest.raises(ParameterError):
-        sis_learn(1, 0, source, rng)
+        sis_learn(1, 0, state, rng)
+    with pytest.raises(ParameterError):
+        sis_sample_state(fp, 2, (1, 0, 0))

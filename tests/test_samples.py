@@ -14,7 +14,7 @@ from quditlearn.field import FieldParams, ParameterError
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
-    _vector_table,
+    _vectors_at,
     draw_classical_sample,
     draw_sample_spec,
     materialize_dense,
@@ -633,7 +633,7 @@ def test_materialize_all_of_fq_n_matches_the_enumerated_vectors(q, n, noise):
     local = make_rng(500 + q)
     s = (0,) + tuple(int(x) for x in local.integers(0, q, size=n - 1))
     spec = draw_sample_spec(FieldParams(q), n, s, q**n, noise, local)
-    flat = np.arange(q**n) * q + (_vector_table(q, n) @ np.asarray(s) + spec.errors) % q
+    flat = np.arange(q**n) * q + (_vectors_at(np.arange(q**n), q, n) @ np.asarray(s) + spec.errors) % q
     expected = np.zeros(q ** (n + 1), dtype=np.complex128)
     expected[flat] = 1.0 / math.sqrt(q**n)
     assert np.array_equal(materialize_dense(spec).amps, expected)
