@@ -6,7 +6,9 @@ fraction satisfies P(j=s, j*=1) >= (1-delta)^2 (1-2*eta)^2 / 2, computed
 exactly from the signed error sum.  The bound is a concentration statement
 that only kicks in as n grows: at n=6 and eta=0.1 roughly 31% of draws
 violate it, which is why the n=6 acceptance check at a 95% pass threshold
-cannot go green.  By n >= 10 the pass fraction clears 95%.
+cannot go green.  At the defaults (seed 0, 20,000 draws per cell) the pass
+fraction first reaches 0.95 at n = 9 for eta = 0.05, at n = 10 for
+eta = 0.1 and at n = 12 for eta = 0.25, which still reads 0.813 at n = 10.
 """
 
 import argparse

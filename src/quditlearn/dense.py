@@ -8,10 +8,10 @@ most significant index of the flat vector, matching numpy's C order, so
 Operations are functional: each returns a fresh state and re-checks the
 norm, so a drifting amplitude vector is caught at the operation where it
 appears.  Measurements sample an outcome but do not produce a collapsed
-residual state, and leave the measured state as it was.  So a fixed sample
-is measured over repeated rounds from one screened state, with each round
-a fresh copy (the SIS learner); every other consumer discards a sample
-after its one measurement.
+residual state, and leave the measured state as it was.  The SIS learner
+reads each candidate's screened marginal once and draws every round of a
+fixed sample from it; every other consumer discards a sample after its one
+measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
@@ -178,19 +178,19 @@ class DenseState:
         return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":
-        """Basis permutation |.., a_src, .., y_tgt, ..> -> |.., a_src, .., y + factor*a_src, ..>."""
+        """Basis permutation |.., a_src, .., y_tgt, ..> -> |.., a_src, .., y + factor*a_src, ..>.
+
+        One gather: the amplitude at y in the target register is read from
+        y - factor*a_src, through a broadcast open grid of register values.
+        """
         self._check_register(source)
         self._check_register(target)
         if source == target:
             raise StateError("source and target registers must differ")
         q = self.fp.q
-        factor %= q
-        grid = np.moveaxis(self._grid(), (source, target), (0, 1)).reshape(q, q, -1)
-        out = np.empty_like(grid)
-        for a in range(q):
-            out[a] = np.roll(grid[a], (factor * a) % q, axis=0)
-        out = np.moveaxis(out.reshape((q, q) + self.shape[2:]), (0, 1), (source, target))
-        return DenseState(self.fp, self.num_registers, out)
+        index = list(np.indices(self.shape, sparse=True))
+        index[target] = (index[target] - (factor % q) * index[source]) % q
+        return DenseState(self.fp, self.num_registers, self._grid()[tuple(index)])
 
     def register_marginal(self, register: int) -> np.ndarray:
         """Exact outcome distribution of one register."""
@@ -213,6 +213,6 @@ class DenseState:
 
 
 def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i drawn with probability weights[i] / sum(weights); overwrites weights with its CDF."""
-    cdf = np.cumsum(weights, out=weights)
+    """Index i drawn with probability weights[i] / sum(weights); leaves weights unchanged."""
+    cdf = np.cumsum(weights)
     return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")), weights.size - 1)

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .dense import MAX_AMPLITUDES
-from .field import FieldParams, ParameterError
+from .field import FieldParams, ParameterError, is_integer
 from .learners import (
     LearnerConfig,
     lpn_learn,
@@ -67,11 +67,11 @@ PROBLEMS = ("lwe", "lpn", "lwr", "sis", "ring-global")
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; robust at small success probabilities."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    phat = successes / trials
+    phat, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
@@ -118,6 +118,12 @@ class ExperimentConfig:
             raise ParameterError(f"L must be >= 1, got {self.L}")
         if self.M < 0:
             raise ParameterError(f"M must be >= 0, got {self.M}")
+        if self.s is not None:
+            if len(self.s) != self.n or not all(map(is_integer, self.s)):
+                raise ParameterError(f"s must be n = {self.n} integers, got s = {self.s!r}")
+            q, k = self.q, self.effective_k
+            if self.problem == "sis" and q > 1 and any(min(x % q, -x % q) > k for x in self.s):
+                raise ParameterError(f"sis needs every s coefficient in [-{k}, {k}] mod {q}, got s = {self.s!r}")
 
     @property
     def effective_v(self) -> int:
@@ -213,19 +219,6 @@ def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int
     return uniform_vector(config.q, config.n, rng)
 
 
-def _sis_wrong_before_correct(secret: tuple[int, ...], k: int, q: int) -> list[int]:
-    counts = []
-    for coord in secret:
-        target = (-coord) % q
-        tried = 0
-        for j in range(-k, k + 1):
-            if j % q == target:
-                break
-            tried += 1
-        counts.append(tried)
-    return counts
-
-
 def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     Callable[[np.random.Generator], tuple[int, ...] | None], float | None, float | None, float | None
 ]:
@@ -303,8 +296,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
     if config.problem == "sis":
         state = sis_sample_state(fp, n, secret)
-        wrong = _sis_wrong_before_correct(secret, k, q)
-        exact = math.prod((1.0 - q**-config.L) ** w for w in wrong)
+        # a short coordinate x is accepted at candidate -x, after the (k - x) % q wrong ones before it
+        exact = math.prod((1.0 - q**-config.L) ** ((k - x) % q) for x in secret)
         bound_paper = 1.0 - (2 * k + 1) * n / float(q) ** config.L
 
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:

@@ -20,7 +20,7 @@ from typing import Callable, TypeVar, Union
 
 import numpy as np
 
-from .dense import DenseState
+from .dense import DenseState, weighted_index
 from .field import ParameterError, centered, centered_abs, mod_inverse
 from .samples import (
     ENUMERABLE_LIMIT,
@@ -253,11 +253,11 @@ def sis_learn(
     """Coordinate-wise search for the short secret of a traced sample.
 
     For each coordinate i, candidate j in [-k, k] adds j*a_i to the last
-    register of the sample and QFTs register i, once; that screened state is
-    then measured on register i in up to L rounds, each standing for a fresh
-    copy.  The first candidate whose L outcomes are all zero fixes
-    coordinate i as -j; None is returned if some coordinate rejects every
-    candidate.
+    register of the sample and QFTs register i, once; register i's marginal
+    of that screened state is read once, and up to L rounds, each standing
+    for a fresh copy, draw their outcome from it.  The first candidate whose
+    L outcomes are all zero fixes coordinate i as -j; None is returned if
+    some coordinate rejects every candidate.
     """
     if k < 0 or L < 1:
         raise ParameterError("need k >= 0 and L >= 1")
@@ -267,8 +267,8 @@ def sis_learn(
     for i in range(n):
         accepted = None
         for j in range(-k, k + 1):
-            screened = state.apply_add_multiple(i, n, j % q).apply_qft(i)
-            if all(screened.measure_register(i, rng) == 0 for _ in range(L)):
+            marginal = state.apply_add_multiple(i, n, j % q).apply_qft(i).register_marginal(i)
+            if all(weighted_index(marginal, rng) == 0 for _ in range(L)):
                 accepted = j
                 break
         if accepted is None:

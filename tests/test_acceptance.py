@@ -249,12 +249,11 @@ def test_criterion_7_short_solution_recovery():
     ok = rate >= floor - 3 * sigma
 
     # wrong-candidate screening: zero outcome with probability exactly 1/q
-    sample = sis_sample_state(fp, n, (1, 6))
+    screened = sis_sample_state(fp, n, (1, 6)).apply_add_multiple(0, n, 1).apply_qft(0)  # j=1 is wrong for v_0=1
     rounds = 10_000
     zeros = 0
     for _ in range(rounds):
-        state = sample.apply_add_multiple(0, n, 1).apply_qft(0)  # j=1 is wrong for v_0=1
-        zeros += state.measure_register(0, rng) == 0
+        zeros += screened.measure_register(0, rng) == 0
     p0 = zeros / rounds
     sigma0 = math.sqrt((1 / q) * (1 - 1 / q) / rounds)
     ok = ok and abs(p0 - 1 / q) <= 3 * sigma0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix
+from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix, weighted_index
 from quditlearn.field import FieldParams
 from quditlearn.learners import sis_sample_state
 from quditlearn.ring import RingEmbedding, ring_sample_state
@@ -264,6 +264,26 @@ def test_add_multiple_preserves_probability_multiset_exactly():
     assert np.array_equal(np.sort(st_.probabilities()), np.sort(shifted.probabilities()))
 
 
+def _add_multiple_by_rolls(state: DenseState, source: int, target: int, factor: int) -> np.ndarray:
+    """The reference permutation: roll each source slice of the target axis by factor * a_src."""
+    q = state.fp.q
+    factor %= q
+    grid = np.moveaxis(state.amps.reshape(state.shape), (source, target), (0, 1)).reshape(q, q, -1)
+    out = np.empty_like(grid)
+    for a in range(q):
+        out[a] = np.roll(grid[a], (factor * a) % q, axis=0)
+    return np.ascontiguousarray(np.moveaxis(out.reshape((q, q) + state.shape[2:]), (0, 1), (source, target)))
+
+
+@pytest.mark.parametrize("q, registers", [(2, 3), (3, 3), (5, 3), (7, 3), (3, 4)])
+def test_add_multiple_gather_matches_roll_loop_bitwise(q, registers):
+    st_ = random_state(q, registers, key=q * 10 + registers)
+    for source, target in itertools.permutations(range(registers), 2):
+        for factor in [*range(q), -3, q + 2]:
+            gathered = st_.apply_add_multiple(source, target, factor).amps
+            assert gathered.tobytes() == _add_multiple_by_rolls(st_, source, target, factor).tobytes()
+
+
 def test_add_multiple_requires_distinct_registers():
     with pytest.raises(StateError):
         random_state(3, 2, key=16).apply_add_multiple(1, 1, 1)
@@ -299,13 +319,16 @@ def test_measure_all_on_basis_state(rng):
 
 @pytest.mark.parametrize("registers", [1, 3])
 def test_measurement_leaves_amplitudes_unchanged(rng, registers):
-    # weighted_index builds its CDF in place, so it must only ever see temporaries
+    # a measurement only reads the state, and weighted_index only reads the weights it samples from
     st_ = random_state(5, registers, key=17)
     before = st_.amps.copy()
     st_.measure_all(rng)
     for register in range(registers):
         st_.measure_register(register, rng)
     assert np.array_equal(st_.amps, before)
+    weights = st_.probabilities()
+    weighted_index(weights, rng)
+    assert np.array_equal(weights, st_.probabilities())
 
 
 def test_measure_all_marginal_uniform_noiseless_sample(rng):

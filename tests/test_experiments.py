@@ -224,6 +224,14 @@ def test_invalid_configs_rejected():
         ExperimentConfig(problem="lwe", q=5, n=1, trials=0, seed=0)
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(problem="lwe", q=2053, n=3, trials=1, seed=0, engine="dense"))
+    for fields in (
+        dict(problem="sis", q=7, n=2, k=1, L=3, s=(3, 0)),  # 3 lies outside [-1, 1]: no candidate recovers it
+        dict(problem="lwe", q=5, n=2, s=(1.5, 2)),
+        dict(problem="sis", q=7, n=2, k=1, L=3, s=(1.5, 1)),
+        dict(problem="lwr", q=257, n=1, p=16, s=(True,)),
+    ):
+        with pytest.raises(ParameterError, match=r"\bs = "):
+            run_experiment(ExperimentConfig(trials=200, seed=1, **fields))
 
 
 def test_csv_row_round_trips_through_writer(tmp_path):

@@ -43,3 +43,6 @@ def test_scripts_run_and_write_their_tables(tmp_path):
     scan = run_script("parity_bound_scan.py")
     assert scan.returncode == 0, scan.stderr
     assert scan.stdout.splitlines()[1].startswith("n    eta=0.05")
+    rows = [[float(x) for x in line.split()] for line in scan.stdout.splitlines()[2:]]
+    # the first n whose pass fraction reaches 0.95, for eta = 0.05, 0.10 and 0.25
+    assert tuple(next(int(row[0]) for row in rows if row[col] >= 0.95) for col in (1, 2, 3)) == (9, 10, 12)
