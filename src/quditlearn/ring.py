@@ -8,6 +8,9 @@ measurable phase after the QFT: the learner QFTs all 2n registers, measures,
 and reads every embedded secret coordinate from the outcome pair (x, y) with
 x = -y (.) phi(s), provided every y_i is invertible.
 
+There is one shared, read-only embedding per (q, m), and it owns its sample
+tables, built lazily so that a (q, m) too large for them can still be rejected.
+
 Per-element ring noise is rejected: the embedding of an independently drawn
 small-coefficient error is unbounded in Z_q^n, and no recovery step here
 applies to it.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,24 +32,21 @@ from .samples import _flat_indices, _vectors_at, uniform_vector
 
 
 def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
+    """Gauss-Jordan inverse mod q of a Vandermonde matrix at distinct points p_i:
+    each pivot is a ratio of leading minors prod(p_j - p_i) != 0, so no row swaps."""
     n = mat.shape[0]
     aug = np.concatenate([mat % q, np.eye(n, dtype=np.int64)], axis=1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r, col] % q), None)
-        if pivot is None:
-            raise ParameterError("embedding matrix is singular mod q")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
         aug[col] = aug[col] * mod_inverse(int(aug[col, col]), q) % q
-        for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % q
+        factors = np.where(np.arange(n) == col, 0, aug[:, col])
+        aug = (aug - np.outer(factors, aug[col])) % q
     return aug[:, n:]
 
 
 @dataclass(frozen=True)
 class RingEmbedding:
-    """Evaluation embedding of Z_q[x]/Phi_m(x) into Z_q^n, n = phi(m)."""
+    """Evaluation embedding of Z_q[x]/Phi_m(x) into Z_q^n, n = phi(m): one shared,
+    read-only object per (q, m) (``build`` is memoized) with lazily built ``tables``."""
 
     fp: FieldParams
     m: int
@@ -55,46 +55,43 @@ class RingEmbedding:
     inv_matrix: np.ndarray
 
     @classmethod
+    @lru_cache(maxsize=8)
     def build(cls, fp: FieldParams, m: int) -> "RingEmbedding":
         q = fp.q
         root = primitive_mth_root(m, q)  # raises NoRootError when m does not divide q-1
         exponents = tuple(x for x in range(1, m + 1) if math.gcd(x, m) == 1)
         n = len(exponents)
+        if n * (q - 1) ** 2 > 2**63 - 1:  # the largest dot product of embed, unembed and the tables
+            raise ParameterError(f"modulus {q} is too large for int64 ring arithmetic at n = {n}")
         points = [pow(root, x, q) for x in exponents]
-        eval_matrix = np.array(
-            [[pow(pt, j, q) for j in range(n)] for pt in points], dtype=np.int64
-        )
-        return cls(
-            fp=fp,
-            m=m,
-            n=n,
-            eval_matrix=eval_matrix,
-            inv_matrix=_matrix_inverse_mod(eval_matrix, q),
-        )
+        eval_matrix = np.array([[pow(pt, j, q) for j in range(n)] for pt in points], dtype=np.int64)
+        inv_matrix = _matrix_inverse_mod(eval_matrix, q)
+        for matrix in (eval_matrix, inv_matrix):
+            matrix.flags.writeable = False  # shared by every caller
+        return cls(fp=fp, m=m, n=n, eval_matrix=eval_matrix, inv_matrix=inv_matrix)
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi(a) for every a in R_q in flat-index order, and each first block's flat index * q^n."""
+        q, n = self.fp.q, self.n
+        phi_a = _vectors_at(np.arange(q**n), q, n) @ self.eval_matrix.T % q
+        first_block = _flat_indices(phi_a, q, n) * q**n
+        for table in (phi_a, first_block):
+            table.flags.writeable = False  # shared by every caller
+        return phi_a, first_block
+
+    def _apply(self, matrix: np.ndarray, values: tuple[int, ...], size_error: str) -> tuple[int, ...]:
+        vec = np.asarray([x % self.fp.q for x in values], dtype=np.int64)
+        if vec.size != self.n:
+            raise ParameterError(size_error.format(self.n))
+        return tuple(int(x) for x in (matrix @ vec) % self.fp.q)
 
     def embed(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """Evaluate the polynomial at the primitive m-th roots of unity."""
-        vec = np.asarray([c % self.fp.q for c in coeffs], dtype=np.int64)
-        if vec.size != self.n:
-            raise ParameterError(f"ring elements have {self.n} coefficients")
-        return tuple(int(x) for x in (self.eval_matrix @ vec) % self.fp.q)
+        return self._apply(self.eval_matrix, coeffs, "ring elements have {} coefficients")
 
     def unembed(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        vec = np.asarray([x % self.fp.q for x in values], dtype=np.int64)
-        if vec.size != self.n:
-            raise ParameterError(f"embedded vectors have {self.n} coordinates")
-        return tuple(int(x) for x in (self.inv_matrix @ vec) % self.fp.q)
-
-
-@lru_cache(maxsize=8)
-def _ring_tables(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """phi(a) for every a in R_q and the flat-index part of its first block."""
-    emb = RingEmbedding.build(FieldParams(q), m)
-    phi_a = _vectors_at(np.arange(q**emb.n), q, emb.n) @ emb.eval_matrix.T % q
-    first_block = _flat_indices(phi_a, q, emb.n) * q**emb.n
-    for table in (phi_a, first_block):
-        table.flags.writeable = False  # shared by every caller
-    return phi_a, first_block
+        return self._apply(self.inv_matrix, values, "embedded vectors have {} coordinates")
 
 
 def ring_sample_state(
@@ -105,7 +102,7 @@ def ring_sample_state(
     e is the single global error shared by every element of the superposition.
     """
     q = emb.fp.q
-    phi_a, first_block = _ring_tables(q, emb.m)
+    phi_a, first_block = emb.tables
     phi_s = np.asarray(emb.embed(s), dtype=np.int64)
     phi_e = np.asarray(emb.embed(e), dtype=np.int64)
     second = (phi_a * phi_s + phi_e) % q

@@ -82,8 +82,8 @@ class NoiseModel:
         object.__setattr__(self, "k", int(self.k))
         if self.kind in ("bounded-uniform", "gaussian") and self.k < 0:
             raise ParameterError("noise magnitude bound k must be >= 0")
-        if self.kind == "gaussian" and not self.sigma > 0.0:
-            raise ParameterError("gaussian noise needs sigma > 0")
+        if self.kind == "gaussian" and not (self.sigma > 0.0 and 2.0 * self.sigma * self.sigma > 0.0):
+            raise ParameterError(f"gaussian noise needs sigma > 0 with 2 sigma^2 > 0 in floats, got {self.sigma}")
         if self.kind == "bernoulli" and not 0.0 <= self.eta < 0.5:
             raise ParameterError(f"flip probability must lie in [0, 1/2), got {self.eta}")
         if self.kind == "global-shift":

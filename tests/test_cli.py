@@ -212,6 +212,18 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_gaussian_sigma_whose_square_underflows_exits_2(capsys):
+    argv = ("experiment", "--problem", "lwe", "--q", "3", "--n", "1", "--noise", "gaussian", "--k", "1",
+            "--trials", "5")
+    for sigma in ("1e-300", "1e-162"):  # 2 sigma^2 underflows to 0.0
+        code, out, err = run_cli(capsys, *argv, "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: gaussian noise needs sigma > 0") and sigma in err
+    code, out, err = run_cli(capsys, *argv, "--sigma", "1e-160")
+    assert (code, err) == (0, "")
+
+
 def test_dense_lpn_beyond_the_enumeration_limit_runs(capsys):
     # 2^21 amplitudes fit the dense cap; materializing needs no table of the 2^20 vectors
     code, out, err = run_cli(
@@ -241,6 +253,7 @@ def test_dense_lpn_beyond_the_enumeration_limit_runs(capsys):
     ({"sgima": 3}, "'sgima'"),
     ({"csv": "row.csv"}, "'csv'"),
     ({"config": "other.json"}, "'config'"),
+    ({"noise": "gaussian", "sigma": 1e-300, "k": 1}, "sigma"),  # 2 sigma^2 underflows to 0
 ])
 def test_sweep_malformed_entry_exits_2(capsys, tmp_path, entry, named):
     config = tmp_path / "sweep.json"

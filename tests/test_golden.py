@@ -8,7 +8,9 @@ benchmark workloads plus one LPN run, two SIS runs and one analytic LWE run
 on a proper subset (v < q^n).  ``sis`` screens with L = 3, where a wrong
 candidate survives with probability 1/343; ``sis-screening`` screens with
 L = 1, so a wrong candidate survives one time in 11 and every uniform of the
-screening decides an outcome.
+screening decides an outcome.  The output of ``verify`` and of ``verify
+--inject-fault`` is pinned the same way, in ``tests/golden/verify.txt`` and
+``tests/golden/verify-inject-fault.txt``, together with the exit codes 0 and 1.
 """
 
 from pathlib import Path
@@ -48,3 +50,12 @@ def canonical_report(capsys, name: str, seed: int) -> str:
 def test_canonical_report_is_pinned(capsys, name, seed):
     expected = (GOLDEN / f"{name}-seed{seed}.txt").read_text()
     assert canonical_report(capsys, name, seed) == expected
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("verify", ["verify"], 0),
+    ("verify-inject-fault", ["verify", "--inject-fault"], 1),
+])
+def test_verify_output_is_pinned(capsys, name, argv, code):
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from quditlearn import ring
+from quditlearn.cli import main
 from quditlearn.field import FieldParams, NoRootError, ParameterError
 from quditlearn.ring import (
     RingEmbedding,
-    _ring_tables,
     ring_lwe_global_learn,
     ring_sample_state,
     ring_sample_stream,
@@ -92,13 +93,64 @@ def test_ring_sample_state_shape_and_support():
 
 
 def test_ring_tables_cache_is_bounded_and_read_only():
-    assert 0 < _ring_tables.cache_info().maxsize < 100
-    tables = _ring_tables(13, 4)
+    assert 0 < RingEmbedding.build.cache_info().maxsize < 100
     emb = RingEmbedding.build(FieldParams(13), 4)
-    assert [tuple(row) for row in tables[0].tolist()] == [emb.embed(a) for a in all_ring_elements(13, 2)]
-    for table in tables:
+    assert RingEmbedding.build(FieldParams(13), 4) is emb
+    phi_a, first_block = emb.tables
+    assert emb.tables is emb.tables
+    assert [tuple(row) for row in phi_a.tolist()] == [emb.embed(a) for a in all_ring_elements(13, 2)]
+    assert first_block.tolist() == [13**2 * (13 * x + y) for x, y in phi_a.tolist()]
+    for table in (phi_a, first_block, emb.eval_matrix, emb.inv_matrix):
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+def test_one_build_per_conductor_across_runs(capsys, monkeypatch):
+    # the cli's n lookup, build_trial and the sample tables share one embedding
+    RingEmbedding.build.cache_clear()
+    calls = []
+    inverse = ring._matrix_inverse_mod
+
+    def counted(mat, q):
+        calls.append(q)
+        return inverse(mat, q)
+
+    monkeypatch.setattr(ring, "_matrix_inverse_mod", counted)
+    argv = ["experiment", "--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global",
+            "--k", "1", "--trials", "3"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [13]
+
+
+def test_embedding_refuses_int64_overflow(capsys):
+    # n (q-1)^2 > 2^63 - 1 at q = 4294967311, m = 3 (n = 2): int64 products would wrap
+    with pytest.raises(ParameterError, match="4294967311"):
+        RingEmbedding.build(FieldParams(4294967311), 3)
+    code = main(["experiment", "--problem", "ring-global", "--q", "4294967311", "--m", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: modulus 4294967311")
+
+
+@pytest.mark.parametrize("q, m", [(17, 16), (97, 32), (7681, 256)])
+def test_embedding_beyond_n4(q, m):
+    emb = RingEmbedding.build(FieldParams(q), m)
+    n = m // 2
+    assert emb.n == n
+    product = [[sum(x * y for x, y in zip(row, col)) % q for col in emb.inv_matrix.T.tolist()]
+               for row in emb.eval_matrix.tolist()]  # tolist() gives Python ints, which cannot wrap
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    rng = make_rng(q)
+    elements = [tuple(int(x) for x in rng.integers(0, q, size=n)) for _ in range(20)]
+    for a in elements:
+        assert emb.unembed(emb.embed(a)) == a
+    if n <= 16:
+        phi_m = (1,) + (0,) * (n - 1) + (1,)  # x^(m/2) + 1
+        for a, b in zip(elements, elements[1:]):
+            componentwise = tuple(x * y % q for x, y in zip(emb.embed(a), emb.embed(b)))
+            assert emb.embed(naive_poly_mul_mod(a, b, phi_m, q)) == componentwise
 
 
 def test_ring_learner_outputs_exact_secret_or_bot():
