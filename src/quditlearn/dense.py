@@ -50,6 +50,18 @@ def qft_matrix(q: int) -> np.ndarray:
     return mat
 
 
+def checked_size(fp: FieldParams, num_registers: int) -> int:
+    """q^num_registers, checked against the cap before any amplitude is allocated."""
+    if num_registers < 1:
+        raise StateError("at least one register required")
+    size = fp.q**num_registers
+    if size > MAX_AMPLITUDES:
+        raise StateError(
+            f"dense state of {size} amplitudes exceeds the 2**22 cap; use the analytic engine"
+        )
+    return size
+
+
 class DenseState:
     """Unit vector over m registers of dimension q each.
 
@@ -60,13 +72,7 @@ class DenseState:
     __slots__ = ("fp", "num_registers", "amps", "support")
 
     def __init__(self, fp: FieldParams, num_registers: int, amps: np.ndarray):
-        if num_registers < 1:
-            raise StateError("at least one register required")
-        size = fp.q**num_registers
-        if size > MAX_AMPLITUDES:
-            raise StateError(
-                f"dense state of {size} amplitudes exceeds the 2**22 cap; use the analytic engine"
-            )
+        size = checked_size(fp, num_registers)
         amps = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
         if amps.size != size:
             raise StateError(f"expected {size} amplitudes, got {amps.size}")
@@ -79,7 +85,7 @@ class DenseState:
     @classmethod
     def uniform(cls, fp: FieldParams, num_registers: int, flat: np.ndarray) -> "DenseState":
         """Equal amplitudes on the distinct flat basis indices ``flat``, which become the support."""
-        amps = np.zeros(fp.q**num_registers, dtype=np.complex128)
+        amps = np.zeros(checked_size(fp, num_registers), dtype=np.complex128)
         amps[flat] = 1.0 / math.sqrt(flat.size)
         amps.setflags(write=False)
         state = cls(fp, num_registers, amps)

@@ -263,6 +263,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
                 return lpn_learn(src, config.L, rng, engine=config.engine).secret
 
         else:
+            if q == 2 and config.M >= 1:  # centered representatives exist for odd q only
+                raise ParameterError("the lwe candidate test needs an odd q; run lpn, or lwe with --M 0")
             if k >= 1:
                 bound_paper = theoretical_bound(v, k, q, n, "paper")
                 bound_opt = theoretical_bound(v, k, q, n, "optimized")

@@ -8,8 +8,8 @@ measurable phase after the QFT: the learner QFTs all 2n registers, measures,
 and reads every embedded secret coordinate from the outcome pair (x, y) with
 x = -y (.) phi(s), provided every y_i is invertible.
 
-There is one shared, read-only embedding per (q, m), and it owns its sample
-tables, built lazily so that a (q, m) too large for them can still be rejected.
+There is one shared, read-only embedding per (q, m), compared by identity.  phi
+is a bijection of R_q onto Z_q^n, so a sample state sums over y = phi(a) in Z_q^n.
 
 Per-element ring noise is rejected: the embedding of an independently drawn
 small-coefficient error is unbounded in Z_q^n, and no recovery step here
@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .dense import DenseState
+from .dense import DenseState, checked_size
 from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
-from .samples import _flat_indices, _vectors_at, uniform_vector
+from .samples import uniform_vector
 
 
 def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
@@ -43,10 +43,10 @@ def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
     return aug[:, n:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingEmbedding:
     """Evaluation embedding of Z_q[x]/Phi_m(x) into Z_q^n, n = phi(m): one shared,
-    read-only object per (q, m) (``build`` is memoized) with lazily built ``tables``."""
+    read-only object per (q, m) (``build`` is memoized), compared by identity."""
 
     fp: FieldParams
     m: int
@@ -61,7 +61,7 @@ class RingEmbedding:
         root = primitive_mth_root(m, q)  # raises NoRootError when m does not divide q-1
         exponents = tuple(x for x in range(1, m + 1) if math.gcd(x, m) == 1)
         n = len(exponents)
-        if n * (q - 1) ** 2 > 2**63 - 1:  # the largest dot product of embed, unembed and the tables
+        if n * (q - 1) ** 2 > 2**63 - 1:  # the largest dot product of embed and unembed
             raise ParameterError(f"modulus {q} is too large for int64 ring arithmetic at n = {n}")
         points = [pow(root, x, q) for x in exponents]
         eval_matrix = np.array([[pow(pt, j, q) for j in range(n)] for pt in points], dtype=np.int64)
@@ -69,16 +69,6 @@ class RingEmbedding:
         for matrix in (eval_matrix, inv_matrix):
             matrix.flags.writeable = False  # shared by every caller
         return cls(fp=fp, m=m, n=n, eval_matrix=eval_matrix, inv_matrix=inv_matrix)
-
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi(a) for every a in R_q in flat-index order, and each first block's flat index * q^n."""
-        q, n = self.fp.q, self.n
-        phi_a = _vectors_at(np.arange(q**n), q, n) @ self.eval_matrix.T % q
-        first_block = _flat_indices(phi_a, q, n) * q**n
-        for table in (phi_a, first_block):
-            table.flags.writeable = False  # shared by every caller
-        return phi_a, first_block
 
     def _apply(self, matrix: np.ndarray, values: tuple[int, ...], size_error: str) -> tuple[int, ...]:
         vec = np.asarray([x % self.fp.q for x in values], dtype=np.int64)
@@ -99,14 +89,15 @@ def ring_sample_state(
 ) -> DenseState:
     """(1/sqrt(q^n)) sum_{a in R_q} |phi(a)>|phi(a s + e)> on 2n registers.
 
-    e is the single global error shared by every element of the superposition.
+    e is the single global error shared by every element of the superposition.  This is
+    sum_y |y>|y (.) phi(s) + phi(e)> over y in Z_q^n; the second block's index is an outer sum.
     """
+    checked_size(emb.fp, 2 * emb.n)  # the cap, before any index array is built
     q = emb.fp.q
-    phi_a, first_block = emb.tables
-    phi_s = np.asarray(emb.embed(s), dtype=np.int64)
-    phi_e = np.asarray(emb.embed(e), dtype=np.int64)
-    second = (phi_a * phi_s + phi_e) % q
-    return DenseState.uniform(emb.fp, 2 * emb.n, first_block + _flat_indices(second, q, emb.n))
+    second = np.zeros(1, dtype=np.int64)
+    for si, ei in zip(emb.embed(s), emb.embed(e)):
+        second = (second[:, None] * q + (np.arange(q) * si + ei) % q).ravel()
+    return DenseState.uniform(emb.fp, 2 * emb.n, np.arange(q**emb.n) * q**emb.n + second)
 
 
 def ring_sample_stream(

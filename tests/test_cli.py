@@ -292,6 +292,17 @@ def test_lwr_candidate_test_beyond_the_enumeration_limit_exits_2(capsys):
     assert "M: 0" in out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+@pytest.mark.parametrize("seed", range(6))
+def test_lwe_candidate_test_at_q2_exits_2_at_every_seed(capsys, command, seed):
+    argv = ("--problem", "lwe", "--q", "2", "--n", "1", "--noise", "none", "--M", "1", "--L", "1")
+    extra = ("--trials", "1") if command == "experiment" else ()
+    code, out, err = run_cli(capsys, command, *argv, *extra, "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert err == "error: the lwe candidate test needs an odd q; run lpn, or lwe with --M 0\n"
+
+
 @pytest.mark.parametrize("argv, named", [
     (("--problem", "lwe", "--q", "5", "--n", "2", "--v", "0"), "v"),
     (("--problem", "lpn", "--q", "2", "--n", "3", "--v", "0"), "v"),

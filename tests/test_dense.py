@@ -69,6 +69,17 @@ def test_size_cap_enforced():
         DenseState(fp, 3, np.zeros(8))  # cap rejection fires before shape checks
 
 
+def test_size_cap_fires_before_any_allocation():
+    fp = FieldParams(3)  # 3^30 amplitudes would take 2.9 PiB
+    with pytest.raises(StateError, match="cap"):
+        DenseState.uniform(fp, 30, np.array([0, 1]))
+    with pytest.raises(StateError, match="cap"):
+        DenseState(fp, 30, np.zeros(2))
+    emb = RingEmbedding.build(FieldParams(7681), 256)  # n = 128: the indices alone would not fit
+    with pytest.raises(StateError, match="cap"):
+        ring_sample_state(emb, (1,) * emb.n, (0,) * emb.n)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 31, 101])
 def test_qft_matrix_unitary(q):
     f = qft_matrix(q)
@@ -198,15 +209,29 @@ def test_uniform_matches_the_scattered_construction_bit_for_bit():
     lwe = [np.ravel_multi_index((*a, (np.dot(a, s) + e) % q), shape)
            for a, e in zip(zip(*np.unravel_index(spec.subset, (q,) * n)), spec.errors)]
     sis = [np.ravel_multi_index((*a, np.dot(a, s) % q), shape) for a in itertools.product(range(q), repeat=n)]
-    emb, e = RingEmbedding.build(fp, 4), (4, 2)
-    phi_s, phi_e = emb.embed(s), emb.embed(e)
-    ring = []
-    for a in itertools.product(range(q), repeat=n):
-        phi_a = emb.embed(a)
-        second = [(x * y + z) % q for x, y, z in zip(phi_a, phi_s, phi_e)]
-        ring.append(np.ravel_multi_index((*phi_a, *second), (q,) * (2 * n)))
-    for state, flat in ((materialize_dense(spec), lwe), (sis_sample_state(fp, n, s), sis),
-                        (ring_sample_state(emb, s, e), ring)):
+    for state, flat in ((materialize_dense(spec), lwe), (sis_sample_state(fp, n, s), sis)):
+        assert state.amps.tobytes() == _scattered(state.amps.size, flat).tobytes()
+        assert sorted(state.support.tolist()) == sorted(flat)
+
+
+@pytest.mark.parametrize("q, m", [(3, 2), (5, 4), (7, 3), (7, 6), (13, 4), (13, 6)])
+def test_ring_state_matches_the_phi_a_scatter_bit_for_bit(q, m):
+    emb = RingEmbedding.build(FieldParams(q), m)
+    rng = make_rng(100 * q + m)
+
+    def draw(low):
+        return tuple(int(x) for x in rng.integers(low, q, size=emb.n))
+
+    # phi(s) with a zero coordinate makes that coordinate of every second block constant
+    secrets = (emb.unembed((0, *draw(1)[1:])), draw(0))
+    for s, e in itertools.product(secrets, ((0,) * emb.n, draw(1))):
+        phi_s, phi_e = emb.embed(s), emb.embed(e)
+        flat = []
+        for a in itertools.product(range(q), repeat=emb.n):  # every a in R_q, by its coefficients
+            phi_a = emb.embed(a)
+            second = [(x * y + z) % q for x, y, z in zip(phi_a, phi_s, phi_e)]
+            flat.append(np.ravel_multi_index((*phi_a, *second), (q,) * (2 * emb.n)))
+        state = ring_sample_state(emb, s, e)
         assert state.amps.tobytes() == _scattered(state.amps.size, flat).tobytes()
         assert sorted(state.support.tolist()) == sorted(flat)
 
