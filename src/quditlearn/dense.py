@@ -15,13 +15,14 @@ measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
-transformed state.  A sample state built by ``DenseState.uniform`` records
-its support, the flat indices of its nonzero amplitudes, and keeps its
-amplitudes read-only; when fewer than a q-th of register 0's columns are
-live, the first pass of ``measure_qft_all`` skips the empty ones.  The full
-transform, ``apply_qft_all`` followed by ``measure_all``, is the reference
-it reproduces, and stays for the cross-checks that need the whole
-transformed state.
+transformed state.  A sample state built by ``DenseState.uniform`` holds
+only its support, the flat indices of its equal nonzero amplitudes; its
+read-only amplitude vector is built and norm-checked on first read.  When
+at most a q-th of register 0's columns are live, the first pass of
+``measure_qft_all`` builds the live columns straight from the support and
+never reads the amplitudes.  The full transform, ``apply_qft_all``
+followed by ``measure_all``, is the reference it reproduces, and stays for
+the cross-checks that need the whole transformed state.
 """
 
 from __future__ import annotations
@@ -65,37 +66,51 @@ def checked_size(fp: FieldParams, num_registers: int) -> int:
 class DenseState:
     """Unit vector over m registers of dimension q each.
 
-    ``support`` is None, or the flat indices of every nonzero amplitude of
-    a state whose amplitudes are read-only.
+    ``support`` is None, or the flat indices of the equal nonzero amplitudes
+    of a state built by ``uniform``, whose amplitudes are read-only.
     """
 
-    __slots__ = ("fp", "num_registers", "amps", "support")
+    __slots__ = ("fp", "num_registers", "_amps", "support")
 
     def __init__(self, fp: FieldParams, num_registers: int, amps: np.ndarray):
         size = checked_size(fp, num_registers)
         amps = np.ascontiguousarray(amps, dtype=np.complex128).reshape(-1)
         if amps.size != size:
             raise StateError(f"expected {size} amplitudes, got {amps.size}")
+        _require_normalized(amps)
         self.fp = fp
         self.num_registers = num_registers
-        self.amps = amps
+        self._amps = amps
         self.support = None
-        self._require_normalized()
 
     @classmethod
     def uniform(cls, fp: FieldParams, num_registers: int, flat: np.ndarray) -> "DenseState":
-        """Equal amplitudes on the distinct flat basis indices ``flat``, which become the support."""
-        amps = np.zeros(checked_size(fp, num_registers), dtype=np.complex128)
-        amps[flat] = 1.0 / math.sqrt(flat.size)
-        amps.setflags(write=False)
-        state = cls(fp, num_registers, amps)
+        """Equal amplitudes on the distinct flat basis indices ``flat``, which become the support.
+
+        Only the support is kept: the amplitudes are built on first read, and
+        a repeated index fails the norm check there or in ``measure_qft_all``.
+        """
+        checked_size(fp, num_registers)
+        state = cls.__new__(cls)
+        state.fp = fp
+        state.num_registers = num_registers
+        state._amps = None
         state.support = flat
         return state
 
-    def _require_normalized(self) -> None:
-        norm2 = float(np.vdot(self.amps, self.amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise StateError(f"norm not preserved: sum |amp|^2 = {norm2!r}")
+    @property
+    def amps(self) -> np.ndarray:
+        if self._amps is None:
+            amps = np.zeros(self.fp.q**self.num_registers, dtype=np.complex128)
+            amps[self.support] = 1.0 / math.sqrt(self.support.size)
+            amps.setflags(write=False)
+            _require_normalized(amps)
+            self._amps = amps
+        return self._amps
+
+    @amps.setter
+    def amps(self, amps: np.ndarray) -> None:
+        self._amps = amps
 
     def _check_register(self, register: int) -> None:
         if not 0 <= register < self.num_registers:
@@ -146,24 +161,33 @@ class DenseState:
         from the target, and the next register continues on row x alone.  The
         passes shrink by a factor q, so the total cost is about q/(q-1) of one
         full pass.  When a recorded support leaves all but at most a q-th of
-        register 0's columns empty, the first pass multiplies F into the live
-        columns only and scatters row x back into a zeroed vector.  The CDF is
-        summed in another order than the reference's, so the two differ only
-        when u falls within rounding error of a boundary.
+        register 0's columns empty, the first pass builds the live columns
+        from the support, without reading the amplitudes, multiplies F into
+        them only and scatters row x back into a zeroed vector; its total is
+        then the state's only norm check.  The CDF is summed in another order
+        than the reference's, so the two differ only when u falls within
+        rounding error of a boundary.
         """
         q = self.fp.q
         f = qft_matrix(q)
-        vec = self.amps
-        columns = vec.size // q
+        columns = q ** (self.num_registers - 1)
+        support = self.support
         live = None  # register 0's columns holding amplitude, when few enough to skip the rest
-        if self.support is not None and self.support.size * q <= columns:
+        if support is not None and support.size * q <= columns:
             mask = np.zeros(columns, dtype=bool)
-            mask[self.support % columns] = True  # entries sharing a column merge here
+            column = support % columns
+            mask[column] = True  # entries sharing a column merge here
             live = np.flatnonzero(mask)
+            # block[:, live] of the amplitude grid, built from the support alone
+            block = np.zeros((q, live.size), dtype=np.complex128)
+            block[support // columns, live.searchsorted(column)] = 1.0 / math.sqrt(support.size)
+        else:
+            block = self.amps.reshape(q, -1)
         outcome = []
         for register in range(self.num_registers):
-            block = vec.reshape(q, -1)
-            rows = f @ (block if live is None else block[:, live])
+            if register:
+                block = vec.reshape(q, -1)
+            rows = f @ block
             flat = rows.view(np.float64)
             cdf = np.vecdot(flat, flat).cumsum()
             if register == 0:
@@ -216,6 +240,12 @@ class DenseState:
         """Sample a full computational-basis outcome from |amplitude|^2."""
         idx = weighted_index(self.probabilities(), rng)
         return tuple(int(x) for x in np.unravel_index(idx, self.shape))
+
+
+def _require_normalized(amps: np.ndarray) -> None:
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise StateError(f"norm not preserved: sum |amp|^2 = {norm2!r}")
 
 
 def weighted_index(weights: np.ndarray, rng: np.random.Generator) -> int:

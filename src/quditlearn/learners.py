@@ -20,7 +20,7 @@ from typing import Callable, TypeVar, Union
 
 import numpy as np
 
-from .dense import DenseState, weighted_index
+from .dense import DenseState, checked_size, weighted_index
 from .field import ParameterError, centered, centered_abs, mod_inverse
 from .samples import (
     ENUMERABLE_LIMIT,
@@ -237,6 +237,7 @@ def sis_sample_state(fp, n: int, secret: tuple[int, ...]) -> DenseState:
     The sample is fixed for a run: its amplitudes are read-only, and every
     operation on it returns a fresh state.
     """
+    checked_size(fp, n + 1)  # the cap, before any index array is built
     q = fp.q
     if len(secret) != n:
         raise ParameterError(f"secret must be a length-{n} vector")

@@ -84,6 +84,11 @@ class RingEmbedding:
         return self._apply(self.inv_matrix, values, "embedded vectors have {} coordinates")
 
 
+@lru_cache(maxsize=1)  # a run's samples share its embedding and secret
+def _embedded_secret(emb: RingEmbedding, s: tuple[int, ...]) -> tuple[int, ...]:
+    return emb.embed(s)
+
+
 def ring_sample_state(
     emb: RingEmbedding, s: tuple[int, ...], e: tuple[int, ...]
 ) -> DenseState:
@@ -95,7 +100,7 @@ def ring_sample_state(
     checked_size(emb.fp, 2 * emb.n)  # the cap, before any index array is built
     q = emb.fp.q
     second = np.zeros(1, dtype=np.int64)
-    for si, ei in zip(emb.embed(s), emb.embed(e)):
+    for si, ei in zip(_embedded_secret(emb, s), emb.embed(e)):
         second = (second[:, None] * q + (np.arange(q) * si + ei) % q).ravel()
     return DenseState.uniform(emb.fp, 2 * emb.n, np.arange(q**emb.n) * q**emb.n + second)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,8 +237,60 @@ def test_ring_state_matches_the_phi_a_scatter_bit_for_bit(q, m):
         assert sorted(state.support.tolist()) == sorted(flat)
 
 
+@pytest.mark.parametrize("q, registers", [(3, 6), (5, 4), (7, 4), (13, 4)])
+def test_measure_qft_all_is_the_same_before_and_after_the_amplitudes_are_read(q, registers):
+    key = 1000 * q + registers
+    read = _sample_states(q, registers, key)
+    for state in read:
+        assert not state.amps.flags.writeable
+    for which, (fresh, built) in enumerate(zip(_sample_states(q, registers, key), read)):
+        lazy, eager = make_rng(which), make_rng(which)
+        for _ in range(50):
+            assert fresh.measure_qft_all(lazy) == built.measure_qft_all(eager)
+        assert lazy.random() == eager.random()
+
+
+def _with_a_repeated_index(state: DenseState) -> DenseState:
+    """The state's support with its first index written twice and its last dropped."""
+    flat = state.support.copy()
+    flat[-1] = flat[0]
+    return DenseState.uniform(state.fp, state.num_registers, flat)
+
+
+def test_a_repeated_support_index_fails_the_norm_check_in_both_first_passes():
+    fp, q = FieldParams(5), 5
+    ring_state = ring_sample_state(RingEmbedding.build(fp, 4), (1, 2), (3, 4))
+    spec = draw_sample_spec(fp, 3, (1, 2, 3), q**3, NoiseModel.bounded_uniform(1), make_rng(3))
+    lwe_state = materialize_dense(spec)
+    for state, compact in ((ring_state, True), (lwe_state, False)):
+        columns = q ** (state.num_registers - 1)
+        assert (state.support.size * q <= columns) == compact
+        bad, rng = _with_a_repeated_index(state), make_rng(4)
+        with pytest.raises(StateError, match="norm"):
+            bad.measure_qft_all(rng)
+        assert rng.random() == make_rng(4).random()  # no outcome was drawn
+        for _ in range(2):  # a failed read leaves no amplitudes behind
+            with pytest.raises(StateError, match="norm"):
+                bad.amps
+
+
+@pytest.mark.parametrize("q, m", [(13, 4), (29, 4)])
+def test_a_ring_sample_allocates_no_state_sized_array(q, m):
+    emb = RingEmbedding.build(FieldParams(q), m)
+    s, rng = emb.unembed((3, 5)), make_rng(q)
+    ring_sample_state(emb, s, (2, 1)).measure_qft_all(rng)  # warm the memoized matrices
+    tracemalloc.start()
+    try:
+        ring_sample_state(emb, s, (1, 2)).measure_qft_all(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q ** (2 * emb.n) * 16 / 3
+
+
 def test_uniform_state_is_read_only():
     state = DenseState.uniform(FieldParams(5), 3, np.array([0, 7, 31, 124]))
+    assert state.amps is state.amps  # built once, on first read
     with pytest.raises(ValueError, match="read-only"):
         state.amps[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quditlearn.dense import StateError
 from quditlearn.field import FieldParams, ParameterError, centered, centered_abs
 from quditlearn.learners import (
     BOT,
@@ -450,6 +452,17 @@ def test_sis_learn_matches_per_round_screening(q, n, k, L):
         rng, oracle = make_rng(10_000 + seed), make_rng(10_000 + seed)
         assert sis_learn(k, L, state, rng) == _sis_learn_per_round(k, L, state, oracle)
         assert rng.random() == oracle.random()
+
+
+def test_sis_sample_state_checks_the_cap_before_building_indices():
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError, match="cap"):
+            sis_sample_state(FieldParams(11), 6, (1, 2, 3, 4, 5, 6))  # 11^7 amplitudes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sis_learn_requires_valid_parameters():

@@ -92,6 +92,15 @@ def test_ring_sample_state_shape_and_support():
     assert probs.max() == pytest.approx(1 / 13**2, abs=1e-12)
 
 
+def test_a_streams_samples_embed_its_secret_once():
+    ring._embedded_secret.cache_clear()
+    source = ring_sample_stream(RingEmbedding.build(FieldParams(13), 4), (3, 7), make_rng(5))
+    for _ in range(5):
+        source()
+    info = ring._embedded_secret.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
 def test_embedding_memo_is_bounded_and_read_only():
     assert 0 < RingEmbedding.build.cache_info().maxsize < 100
     emb = RingEmbedding.build(FieldParams(13), 4)
