@@ -32,7 +32,6 @@ from .field import (
 from .learners import (
     BOT,
     BvOutcome,
-    LearnerConfig,
     field_bv,
     lpn_learn,
     lwe_learn,

@@ -23,6 +23,7 @@ from .experiments import (
     PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep, write_csv,
 )
 from .field import FieldParams, ParameterError
+from .learners import ENGINES
 from .ring import RingEmbedding
 from .samples import NoiseModel
 from .verify import format_results, run_verification
@@ -61,7 +62,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
         p.add_argument("--L", type=int)
         p.add_argument("--M", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--engine", choices=("dense", "analytic"), default="analytic")
+        p.add_argument("--engine", choices=ENGINES, default="analytic")
         p.add_argument("--noise", choices=tuple(NOISE_MODELS))
         p.add_argument("--config", help="JSON object of flag values; command-line flags win")
 

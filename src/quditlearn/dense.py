@@ -108,10 +108,6 @@ class DenseState:
             self._amps = amps
         return self._amps
 
-    @amps.setter
-    def amps(self, amps: np.ndarray) -> None:
-        self._amps = amps
-
     def _check_register(self, register: int) -> None:
         if not 0 <= register < self.num_registers:
             raise StateError(f"register index {register} out of range [0, {self.num_registers})")

@@ -35,7 +35,7 @@ import numpy as np
 from .dense import MAX_AMPLITUDES
 from .field import FieldParams, ParameterError, is_integer
 from .learners import (
-    LearnerConfig,
+    ENGINES,
     lpn_learn,
     lwe_learn,
     lwr_learn,
@@ -108,7 +108,7 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:  # a Philox key word; a wider seed would alias a narrower one
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.engine not in ("dense", "analytic"):
+        if self.engine not in ENGINES:
             raise ParameterError(f"unknown engine {self.engine!r}")
         if self.v is not None and self.v < 1:
             raise ParameterError(f"v must be >= 1, got {self.v}")
@@ -260,7 +260,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
                 src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lpn_learn(src, config.L, rng, engine=config.engine).secret
+                return lpn_learn(config.L, src, rng, config.engine).secret
 
         else:
             if q == 2 and config.M >= 1:  # centered representatives exist for odd q only
@@ -270,11 +270,10 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
                 bound_opt = theoretical_bound(v, k, q, n, "optimized")
             else:
                 bound_paper = bound_opt = exact
-            learner_cfg = LearnerConfig(L=config.L, M=config.M, k=k, engine=config.engine)
 
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
                 src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lwe_learn(learner_cfg, src, rng).secret
+                return lwe_learn(config.L, src, rng, config.M, k, config.engine).secret
 
         return run, exact, bound_paper, bound_opt
 
@@ -289,10 +288,9 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         exact = outcome_distribution(spec).p_correct  # deterministic spec: exact success
         bound_paper = config.p / (12.0 * (q - 1))
         bound_opt = GAMMA_STAR * v / ((q / (2.0 * config.p)) * q**n)
-        learner_cfg = LearnerConfig(L=config.L, M=config.M, engine=config.engine)
 
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-            return lwr_learn(config.p, learner_cfg, lambda: spec, rng).secret
+            return lwr_learn(config.p, q, lambda: spec, rng, config.L, config.M, config.engine).secret
 
         return run, exact, bound_paper, bound_opt
 
@@ -315,11 +313,10 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     emb = RingEmbedding.build(fp, config.m)
     if config.n != emb.n:
         raise ParameterError(f"ring dimension is phi({config.m}) = {emb.n}, got n = {config.n}")
-    noise_mode = "none" if config.noise.kind == "none" else "uniform-global"
     exact = ((q - 1) / q) ** emb.n
 
     def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-        src = ring_sample_stream(emb, secret, rng, noise=noise_mode)
+        src = ring_sample_stream(emb, secret, rng, config.noise.is_global)
         return ring_lwe_global_learn(emb, src, rng).secret
 
     return run, exact, None, None

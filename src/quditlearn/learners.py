@@ -9,14 +9,15 @@ which preserves the category probabilities that every consumer relies on).
 
 The remaining learners compose this step with the classical candidate test
 and problem-specific reductions (repetition, rounding, coordinate-wise
-short-solution search).
+short-solution search).  They take plain arguments: the repetition count L,
+the test-sample count M, the test bound k and the engine, one of ``ENGINES``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Callable, TypeVar, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .samples import (
 )
 
 SpecSource = Callable[[], SampleSpec]
-T = TypeVar("T")
+ENGINES = ("dense", "analytic")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,24 +52,9 @@ class BvOutcome:
 BOT = BvOutcome()
 
 
-@dataclasses.dataclass(frozen=True)
-class LearnerConfig:
-    """Repetition count L, test-sample count M, test bound k, engine choice."""
-
-    L: int
-    M: int = 1
-    k: int = 0
-    engine: str = "analytic"
-
-    def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ParameterError("repetition count L must be >= 1")
-        if self.M < 0:
-            raise ParameterError("test-sample count M must be >= 0")
-        if self.k < 0:
-            raise ParameterError("test bound k must be >= 0")
-        if self.engine not in ("dense", "analytic"):
-            raise ParameterError(f"unknown engine {self.engine!r}")
+def _require_arguments(L: int, M: int, k: int, engine: str) -> None:
+    if L < 1 or M < 0 or k < 0 or engine not in ENGINES:
+        raise ParameterError(f"need L >= 1, M >= 0, k >= 0, engine in {ENGINES}; got {L}, {M}, {k}, {engine!r}")
 
 
 def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) -> BvOutcome:
@@ -119,39 +105,36 @@ def test_candidate(
 test_candidate.__test__ = False  # library API named by contract, not a pytest case
 
 
-def lwe_learn(config: LearnerConfig, source: SpecSource, rng: np.random.Generator) -> BvOutcome:
+def lwe_learn(
+    L: int, source: SpecSource, rng: np.random.Generator, M: int = 1, k: int = 0, engine: str = "analytic"
+) -> BvOutcome:
     """Up to L recovery attempts, each vetted by the candidate test; first accept wins.
 
-    M = 0 skips the test (noiseless usage).  Consumes at most L * (1 + M)
-    samples.
+    The test reads M classical samples at bound k; M = 0 skips it (noiseless
+    usage).  Consumes at most L * (1 + M) samples.
     """
-    for _ in range(config.L):
+    _require_arguments(L, M, k, engine)
+    for _ in range(L):
         spec = source()
-        sample = materialize_dense(spec) if config.engine == "dense" else spec
+        sample = materialize_dense(spec) if engine == "dense" else spec
         out = field_bv(sample, rng)
         if out.is_bot:
             continue
-        if config.M == 0 or test_candidate(out.secret, source, config.M, config.k, rng):
+        if M == 0 or test_candidate(out.secret, source, M, k, rng):
             return out
     return BOT
 
 
-def lpn_learn(
-    source: SpecSource,
-    rounds: int,
-    rng: np.random.Generator,
-    engine: str = "dense",
-) -> BvOutcome:
-    """Parity learner for q = 2: Hadamard on all qubits, plurality over j* = 1 outcomes.
+def lpn_learn(L: int, source: SpecSource, rng: np.random.Generator, engine: str = "analytic") -> BvOutcome:
+    """Parity learner for q = 2: Hadamard on all qubits, plurality over j* = 1 outcomes of L rounds.
 
     The candidate test degenerates at q = 2 (any k >= 1 covers the whole
     field), so validation is cross-round agreement: the most frequent
     candidate among rounds with j* = 1 is returned, Bot if there were none.
     """
-    if rounds < 1:
-        raise ParameterError("rounds must be >= 1")
+    _require_arguments(L, 0, 0, engine)
     votes: Counter[tuple[int, ...]] = Counter()
-    for _ in range(rounds):
+    for _ in range(L):
         spec = source()
         if spec.fp.q != 2:
             raise ParameterError("lpn_learn requires q = 2 samples")
@@ -162,12 +145,6 @@ def lpn_learn(
     if not votes:
         return BOT
     return BvOutcome(max(votes, key=votes.get))
-
-
-def _peek(source: Callable[[], T]) -> tuple[T, Callable[[], T]]:
-    """Draw one sample to inspect, and a source that hands that sample back first."""
-    pending = [source()]
-    return pending[0], lambda: pending.pop() if pending else source()
 
 
 # --- learning with rounding ---------------------------------------------------
@@ -218,15 +195,10 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
 
 
 def lwr_learn(
-    p: int,
-    config: LearnerConfig,
-    source: SpecSource,
-    rng: np.random.Generator,
+    p: int, q: int, source: SpecSource, rng: np.random.Generator, L: int, M: int = 1, engine: str = "analytic"
 ) -> BvOutcome:
-    """Rounding learner: widen the test bound to the decoding residual, then learn as usual."""
-    first, feed = _peek(source)
-    kp = lwr_noise_bound(p, first.fp.q)
-    return lwe_learn(dataclasses.replace(config, k=kp), feed, rng)
+    """Rounding learner: ``lwe_learn`` at the test bound k = ceil(q/(2p)) + 1 of the decoding residual."""
+    return lwe_learn(L, source, rng, M, lwr_noise_bound(p, q), engine)
 
 
 # --- short integer solution ----------------------------------------------------

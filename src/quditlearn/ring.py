@@ -11,9 +11,10 @@ x = -y (.) phi(s), provided every y_i is invertible.
 There is one shared, read-only embedding per (q, m), compared by identity.  phi
 is a bijection of R_q onto Z_q^n, so a sample state sums over y = phi(a) in Z_q^n.
 
-Per-element ring noise is rejected: the embedding of an independently drawn
-small-coefficient error is unbounded in Z_q^n, and no recovery step here
-applies to it.
+A sample carries one global error or none; per-element ring noise is
+rejected by ``experiments.build_trial``: the embedding of an independently
+drawn small-coefficient error is unbounded in Z_q^n, and no recovery step
+here applies to it.
 """
 
 from __future__ import annotations
@@ -106,29 +107,14 @@ def ring_sample_state(
 
 
 def ring_sample_stream(
-    emb: RingEmbedding,
-    s: tuple[int, ...],
-    rng: np.random.Generator,
-    noise: str = "uniform-global",
+    emb: RingEmbedding, s: tuple[int, ...], rng: np.random.Generator, global_error: bool = True
 ) -> Callable[[], DenseState]:
-    """Fresh ring samples; the global error is redrawn uniformly over R_q per call.
-
-    noise: "uniform-global" or "none".  Per-element ring noise is not a
-    supported model and is rejected.
-    """
-    if noise not in ("uniform-global", "none"):
-        raise ParameterError(
-            f"unsupported ring noise model {noise!r}: only a global shift keeps the "
-            "error a removable phase"
-        )
+    """Fresh ring samples whose global error is redrawn uniformly over R_q per call, or is 0."""
     q = emb.fp.q
     s = tuple(x % q for x in s)
 
     def source() -> DenseState:
-        if noise == "uniform-global":
-            e = uniform_vector(q, emb.n, rng)
-        else:
-            e = (0,) * emb.n
+        e = uniform_vector(q, emb.n, rng) if global_error else (0,) * emb.n
         return ring_sample_state(emb, s, e)
 
     return source

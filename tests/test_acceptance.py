@@ -15,7 +15,6 @@ import pytest
 from quditlearn.cli import main as cli_main
 from quditlearn.field import FieldParams, centered_abs
 from quditlearn.learners import (
-    LearnerConfig,
     field_bv,
     lwe_learn,
     lwr_decode,
@@ -143,7 +142,6 @@ def test_criterion_4_end_to_end_recovery():
     M = 1
     fp = FieldParams(q)
     noise = NoiseModel.gaussian(1.0, k)
-    config = LearnerConfig(L=L, M=M, k=k, engine="analytic")
     runs = 200
     hits = 0
     max_consumed = 0
@@ -158,7 +156,7 @@ def test_criterion_4_end_to_end_recovery():
             consumed += 1
             return inner()
 
-        hits += lwe_learn(config, source, rng).secret == s
+        hits += lwe_learn(L, source, rng, M, k, "analytic").secret == s
         max_consumed = max(max_consumed, consumed)
     rate = hits / runs
     sigma = math.sqrt(0.9 * 0.1 / runs)
@@ -272,11 +270,11 @@ def test_criterion_8_ring_global_noise():
     s = (3, 7)
     trials = 10_000
 
-    noisy_src = ring_sample_stream(emb, s, rng, noise="uniform-global")
+    noisy_src = ring_sample_stream(emb, s, rng, global_error=True)
     noisy_hits = sum(ring_lwe_global_learn(emb, noisy_src, rng).secret == s for _ in range(trials))
 
     # noiseless side: the sample state is fixed, so the pipeline is hoisted
-    base_post = ring_sample_stream(emb, s, rng, noise="none")().apply_qft_all()
+    base_post = ring_sample_stream(emb, s, rng, global_error=False)().apply_qft_all()
     q, nn = 13, emb.n
     clean_hits = 0
     for _ in range(trials):

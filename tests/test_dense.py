@@ -298,9 +298,16 @@ def test_uniform_state_is_read_only():
     assert state.measure_qft_all(make_rng(1)) == state.apply_qft_all().measure_all(make_rng(1))
 
 
+def test_amplitudes_cannot_be_reassigned():
+    uniform = DenseState.uniform(FieldParams(5), 3, np.array([0, 7, 31, 124]))
+    for state in (uniform, random_state(5, 3, key=19)):
+        with pytest.raises(AttributeError):
+            state.amps = np.eye(1, 125, dtype=np.complex128).ravel()
+
+
 def test_measure_qft_all_rejects_amplitudes_scaled_after_construction():
     state = random_state(5, 3, key=19)
-    state.amps *= 1.01
+    np.multiply(state.amps, 1.01, out=state.amps)
     with pytest.raises(StateError, match="norm"):
         state.measure_qft_all(make_rng(1))
 

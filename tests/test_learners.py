@@ -9,7 +9,6 @@ from quditlearn.field import FieldParams, ParameterError, centered, centered_abs
 from quditlearn.learners import (
     BOT,
     BvOutcome,
-    LearnerConfig,
     field_bv,
     lpn_learn,
     lwe_learn,
@@ -39,13 +38,17 @@ def test_bv_outcome_basics():
     assert not BvOutcome((1, 2)).is_bot
 
 
-def test_learner_config_validation():
-    with pytest.raises(ParameterError):
-        LearnerConfig(L=0)
-    with pytest.raises(ParameterError):
-        LearnerConfig(L=1, M=-1)
-    with pytest.raises(ParameterError):
-        LearnerConfig(L=1, engine="qualia")
+def test_learners_reject_bad_arguments_before_any_draw():
+    def source():
+        raise AssertionError("the source was called")
+
+    rng = make_rng(500)
+    for kwargs in ({"L": 0}, {"L": 1, "M": -1}, {"L": 1, "k": -1}, {"L": 1, "engine": "qualia"}):
+        with pytest.raises(ParameterError):
+            lwe_learn(source=source, rng=rng, **kwargs)
+    for kwargs in ({"L": 0}, {"L": 1, "engine": "qualia"}):
+        with pytest.raises(ParameterError):
+            lpn_learn(source=source, rng=rng, **kwargs)
 
 
 def test_field_bv_dense_noiseless_rate():
@@ -151,9 +154,8 @@ def test_lwe_learn_noiseless_single_round():
     rng = make_rng(508)
     s = (3, 5)
     source = sample_stream(fp, 2, s, 49, NoiseModel.none(), rng)
-    config = LearnerConfig(L=1, M=0, engine="analytic")
     n_runs = 10_000
-    hits = sum(lwe_learn(config, source, rng).secret == s for _ in range(n_runs))
+    hits = sum(lwe_learn(1, source, rng, M=0, engine="analytic").secret == s for _ in range(n_runs))
     sigma = math.sqrt((6 / 7) * (1 / 7) / n_runs)
     assert abs(hits / n_runs - 6 / 7) <= 3 * sigma
 
@@ -167,9 +169,8 @@ def test_lwe_learn_failure_bound_deterministic_spec():
     spec = lwr_sample_spec(fp, 1, s, 4)  # deterministic errors, k' = 5
     p_correct = outcome_distribution(spec).p_correct
     L, M, k = 5, 2, lwr_noise_bound(4, 31)
-    config = LearnerConfig(L=L, M=M, k=k, engine="analytic")
     n_runs = 4_000
-    fails = sum(lwe_learn(config, lambda: spec, rng).secret != s for _ in range(n_runs))
+    fails = sum(lwe_learn(L, lambda: spec, rng, M, k, "analytic").secret != s for _ in range(n_runs))
     bound = (1 - p_correct) ** L + (3 * k / 31) ** M * L
     rate = fails / n_runs
     sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / n_runs)
@@ -189,11 +190,11 @@ def test_lwe_learn_sample_budget():
         calls += 1
         return inner()
 
-    config = LearnerConfig(L=10, M=1, k=2, engine="analytic")
+    L, M = 10, 1
     for _ in range(50):
         calls = 0
-        lwe_learn(config, counting_source, rng)
-        assert calls <= config.L * (1 + config.M)
+        lwe_learn(L, counting_source, rng, M, 2, "analytic")
+        assert calls <= L * (1 + M)
 
 
 def test_lwe_learn_scaled_cryptographic_regime():
@@ -202,7 +203,6 @@ def test_lwe_learn_scaled_cryptographic_regime():
     fp = FieldParams(257)
     k = 3
     L = math.ceil(20 * k * math.log(10))
-    config = LearnerConfig(L=L, M=1, k=k, engine="analytic")
     hits = 0
     for run in range(60):
         rng = make_rng(0xC0 + run)
@@ -216,7 +216,7 @@ def test_lwe_learn_scaled_cryptographic_regime():
             consumed += 1
             return inner()
 
-        hits += lwe_learn(config, source, rng).secret == s
+        hits += lwe_learn(L, source, rng, 1, k, "analytic").secret == s
         assert consumed <= L * 2
     assert hits >= 48
 
@@ -226,9 +226,8 @@ def test_lwe_learn_dense_engine_matches_rate():
     rng = make_rng(511)
     s = (1, 2)
     source = sample_stream(fp, 2, s, 25, NoiseModel.none(), rng)
-    config = LearnerConfig(L=1, M=0, engine="dense")
     n_runs = 4_000
-    hits = sum(lwe_learn(config, source, rng).secret == s for _ in range(n_runs))
+    hits = sum(lwe_learn(1, source, rng, M=0, engine="dense").secret == s for _ in range(n_runs))
     sigma = math.sqrt(0.8 * 0.2 / n_runs)
     assert abs(hits / n_runs - 0.8) <= 3 * sigma
 
@@ -282,7 +281,7 @@ def test_lpn_learn_recovers_secret_at_moderate_noise():
     s = (1, 0, 0, 1, 1, 0)
     rng = make_rng(513)
     source = sample_stream(fp, n, s, 64, NoiseModel.bernoulli(0.1), rng)
-    hits = sum(lpn_learn(source, 25, rng).secret == s for _ in range(40))
+    hits = sum(lpn_learn(25, source, rng, "dense").secret == s for _ in range(40))
     assert hits >= 38  # plurality over 25 rounds at eta = 0.1 is near-certain
 
 
@@ -291,7 +290,7 @@ def test_lpn_learn_rejects_wrong_field():
     rng = make_rng(514)
     source = sample_stream(fp, 1, (1,), 3, NoiseModel.none(), rng)
     with pytest.raises(ParameterError):
-        lpn_learn(source, 3, rng)
+        lpn_learn(3, source, rng, "dense")
 
 
 def test_lpn_learn_bot_when_no_votes():
@@ -306,7 +305,7 @@ def test_lpn_learn_bot_when_no_votes():
         return draw_sample_spec(fp, 2, (1, 0), 4, NoiseModel.bernoulli(0.0), rng)
 
     # rounds=1: a single round lands bot with probability 1/2
-    outcomes = {lpn_learn(biased_source, 1, rng).is_bot for _ in range(60)}
+    outcomes = {lpn_learn(1, biased_source, rng, "dense").is_bot for _ in range(60)}
     assert outcomes == {True, False}
 
 
@@ -375,9 +374,29 @@ def test_lwr_learn_recovers():
     rng = make_rng(516)
     s = (200,)
     spec = lwr_sample_spec(fp, 1, s, 16)
-    config = LearnerConfig(L=120, M=3, engine="analytic")
-    hits = sum(lwr_learn(16, config, lambda: spec, rng).secret == s for _ in range(30))
+    hits = sum(lwr_learn(16, 257, lambda: spec, rng, 120, 3, "analytic").secret == s for _ in range(30))
     assert hits >= 27
+
+
+@pytest.mark.parametrize("q, p", [(257, 16), (31, 4)])
+@pytest.mark.parametrize("M", [1, 3])
+def test_lwr_learn_is_lwe_learn_at_the_rounding_bound(q, p, M):
+    fp, L = FieldParams(q), 4
+    k = -(-q // (2 * p)) + 1  # ceil(q / 2p) + 1
+    for seed in range(200):
+        spec = lwr_sample_spec(fp, 1, (seed % q,), p)
+        calls = 0
+
+        def source():
+            nonlocal calls
+            calls += 1
+            return spec
+
+        lwr_rng, lwe_rng = make_rng(seed), make_rng(seed)
+        got = lwr_learn(p, q, source, lwr_rng, L, M)
+        assert calls <= L * (1 + M)
+        assert got == lwe_learn(L, lambda: spec, lwe_rng, M, k)
+        assert lwr_rng.random() == lwe_rng.random()
 
 
 def test_lwr_rejects_bad_modulus():
@@ -385,7 +404,7 @@ def test_lwr_rejects_bad_modulus():
     rng = make_rng(517)
     spec = lwr_sample_spec(fp, 1, (3,), 4)
     with pytest.raises(ParameterError):
-        lwr_learn(40, LearnerConfig(L=1), lambda: spec, rng)
+        lwr_learn(40, 31, lambda: spec, rng, 1)
 
 
 # --- short-solution learner -----------------------------------------------------

@@ -186,19 +186,12 @@ def test_ring_learner_success_rate_matches_closed_form():
     emb = RingEmbedding.build(FieldParams(13), 4)
     rng = make_rng(604)
     s = (5, 11)
-    source = ring_sample_stream(emb, s, rng, noise="none")
+    source = ring_sample_stream(emb, s, rng, global_error=False)
     n_trials = 2_000
     hits = sum(ring_lwe_global_learn(emb, source, rng).secret == s for _ in range(n_trials))
     p = (12 / 13) ** 2
     sigma = math.sqrt(p * (1 - p) / n_trials)
     assert abs(hits / n_trials - p) <= 3 * sigma
-
-
-def test_per_element_ring_noise_rejected():
-    emb = RingEmbedding.build(FieldParams(13), 4)
-    rng = make_rng(605)
-    with pytest.raises(ParameterError):
-        ring_sample_stream(emb, (1, 2), rng, noise="per-element")
 
 
 def test_ring_learner_validates_register_count():
