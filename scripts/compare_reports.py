@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Check that two source trees print the same reports, run for run.
+
+    python scripts/compare_reports.py OLD_SRC NEW_SRC [--seeds 1 1000 7 42]
+
+OLD_SRC and NEW_SRC are directories that hold a ``quditlearn`` package (a
+checkout's ``src``).  Each tree runs in its own Python process, with
+PYTHONPATH set to it, and that process runs a fixed list of command lines
+through ``cli.main``:
+
+  - ``experiment`` on the golden configurations of tests/test_golden.py, plus
+    lwr on the dense engine, lpn on the analytic engine and ring-global at
+    m = 3, each at every seed, at the golden trial count;
+  - ``verify`` and ``verify --inject-fault``;
+  - the golden ``learn`` runs.
+
+A run matches when its exit code and its stdout, without the
+``wall_time_ms:`` line, are equal in both trees.  The script prints each run
+that differs and then "N of N identical", and exits 0 when all match, 1 when
+some differ and 2 when a tree cannot run them.
+"""
+
+import argparse
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN_TESTS = Path(__file__).resolve().parent.parent / "tests" / "test_golden.py"
+
+# Runs each argv of the JSON list on stdin in process; prints [exit code, stdout] per run.
+WORKER = """
+import contextlib, io, json, sys
+from quditlearn.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def golden_tables() -> dict:
+    """TRIALS, CONFIGS and LEARN_RUNS as tests/test_golden.py defines them."""
+    names = ("TRIALS", "CONFIGS", "LEARN_RUNS")
+    tree = ast.parse(GOLDEN_TESTS.read_text())
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names
+    }
+
+
+def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every run, in a fixed order."""
+    golden = golden_tables()
+    configs = dict(golden["CONFIGS"])
+    configs["lwr-dense"] = (*configs["lwr-fixed-spec"], "--engine", "dense")
+    configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
+    configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
+    out = [
+        (f"experiment {name} seed {seed}",
+         ["experiment", *flags, "--trials", str(golden["TRIALS"]), "--seed", str(seed)])
+        for name, flags in configs.items()
+        for seed in seeds
+    ]
+    out += [("verify", ["verify"]), ("verify --inject-fault", ["verify", "--inject-fault"])]
+    out += [(f"learn {name}", ["learn", *argv]) for name, (argv, _) in golden["LEARN_RUNS"].items()]
+    return out
+
+
+def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str]]:
+    src = str(Path(src).resolve())  # also the working directory, so `-c` puts no other tree first
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, cwd=src)
+    if done.returncode != 0:
+        print(f"error: the runs of {src} did not complete:\n{done.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return [
+        (code, "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wall_time_ms:")))
+        for code, out in json.loads(done.stdout)
+    ]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 1000, 7, 42])
+    args = parser.parse_args()
+    for src in (args.old_src, args.new_src):
+        if not (Path(src) / "quditlearn" / "__init__.py").is_file():
+            parser.error(f"{src} holds no quditlearn package")
+
+    named = runs(args.seeds)
+    argvs = [argv for _, argv in named]
+    old, new = run_tree(args.old_src, argvs), run_tree(args.new_src, argvs)
+    differ = [name for (name, _), a, b in zip(named, old, new) if a != b]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(named) - len(differ)} of {len(named)} identical")
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()

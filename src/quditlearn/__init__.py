@@ -49,6 +49,7 @@ from .samples import (
     NoiseModel,
     OutcomeDistribution,
     SampleSpec,
+    dense_outcome_distribution,
     draw_classical_sample,
     draw_sample_spec,
     materialize_dense,

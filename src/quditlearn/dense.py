@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldParams, roots_of_unity
+from .field import FieldParams, phase_table
 
 MAX_AMPLITUDES = 2**22
 NORM_TOL = 1e-9
@@ -46,7 +46,7 @@ class StateError(ValueError):
 def qft_matrix(q: int) -> np.ndarray:
     """The read-only q x q unitary with entries omega^(j*k) / sqrt(q)."""
     idx = np.arange(q, dtype=np.int64)
-    mat = roots_of_unity(q)[np.multiply.outer(idx, idx) % q] / np.sqrt(q)
+    mat = phase_table(q, idx, idx) / np.sqrt(q)
     mat.flags.writeable = False
     return mat
 
@@ -58,7 +58,7 @@ def checked_size(fp: FieldParams, num_registers: int) -> int:
     size = fp.q**num_registers
     if size > MAX_AMPLITUDES:
         raise StateError(
-            f"dense state of {size} amplitudes exceeds the 2**22 cap; use the analytic engine"
+            f"dense state of {fp.q}^{num_registers} amplitudes exceeds the 2**22 cap; use the analytic engine"
         )
     return size
 
@@ -226,11 +226,6 @@ class DenseState:
         if axes:
             marginal = marginal.sum(axis=axes)
         return marginal
-
-    def measure_register(self, register: int, rng: np.random.Generator) -> int:
-        """Sample one register's outcome from its marginal; the state is then discarded."""
-        marginal = self.register_marginal(register)
-        return weighted_index(marginal, rng)
 
     def measure_all(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Sample a full computational-basis outcome from |amplitude|^2."""

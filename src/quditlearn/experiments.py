@@ -211,6 +211,7 @@ def _expected_iteration_success(q: int, n: int, v: int, noise: NoiseModel) -> fl
 
 def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int, ...]:
     """The configured secret, or a fresh one from rng (coefficients in [-k, k] for sis)."""
+    FieldParams(config.q)  # raises ParameterError for a bad q before any reduction or draw mod q
     if config.s is not None:
         return tuple(x % config.q for x in config.s)
     if config.problem == "sis":

@@ -1,9 +1,9 @@
 """Prime-field arithmetic: centered representatives, inverses and roots of unity.
 
 Field elements are plain Python ints reduced to [0, q).  ``FieldParams``
-holds a checked prime modulus, and ``roots_of_unity`` tables all q powers of
-the complex root exp(2*pi*i/q) for the engines' phase arithmetic; everything
-here is immutable and safe to share.
+holds a checked prime modulus, ``roots_of_unity`` tables all q powers of the
+complex root exp(2*pi*i/q), and ``phase_table`` gathers the omega^(r*c) table
+that both engines read; everything here is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 MAX_Q = 2**40  # the largest modulus accepted; int64 array code checks its own bound (RingEmbedding.build)
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24; also is_prime's trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -40,7 +40,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit-scale integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -83,6 +83,11 @@ def roots_of_unity(q: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     roots.flags.writeable = False
     return roots
+
+
+def phase_table(q: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """omega^(r*c) for every r in rows and c in cols, both already reduced mod q."""
+    return roots_of_unity(q)[np.multiply.outer(rows, cols) % q]
 
 
 @lru_cache(maxsize=64)  # an exception is not cached, so a bad q raises on every call

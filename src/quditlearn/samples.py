@@ -9,9 +9,8 @@ their value histogram:
 
 where c_b counts the elements of V with error b.  ``outcome_distribution``
 evaluates this in O(q * support) time without touching the q^(n+1) amplitude
-vector, once per spec: the law is kept with the spec that it describes, so a
-spec reused across attempts pays for it once.  The dense engine provides the
-independent cross-check at small sizes.
+vector, once per spec (the law is kept with the spec that it describes), and
+``dense_outcome_distribution`` reads the same law off the dense engine.
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -36,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .dense import DenseState, StateError, weighted_index
-from .field import FieldParams, ParameterError, is_integer, roots_of_unity
+from .field import FieldParams, ParameterError, is_integer, phase_table
 
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
 MULTINOMIAL_LIMIT = 2**63 - 1  # numpy draws multinomial counts as int64
@@ -264,12 +263,21 @@ class SampleSpec:
         """Counts of each realized error value, in order of first occurrence."""
         if self.histogram is not None:
             return dict(self.histogram)
-        # _outcome_law sums in this order; sorted values would move its last bit
+        # the outcome law sums in this order; sorted values would move its last bit
         return dict(Counter(self.errors.tolist()))
 
     @cached_property
     def _outcome(self) -> "OutcomeDistribution":
-        return _outcome_law(self)
+        q = self.fp.q
+        if q > 2**26:
+            raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
+        hist = self.error_histogram()
+        values = np.fromiter(hist.keys(), dtype=np.int64)
+        counts = np.fromiter(hist.values(), dtype=np.float64)
+        good_amp_sums = counts @ phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
+        per = np.zeros(q, dtype=np.float64)
+        per[1:] = np.abs(good_amp_sums) ** 2 / (float(self.v) * float(q) ** (self.n + 1))
+        return OutcomeDistribution.from_good(per, 1.0 / q)  # bot: Parseval over the j* = 0 slice
 
 
 @dataclass(frozen=True)
@@ -293,6 +301,21 @@ class OutcomeDistribution:
             raise ParameterError("outcome probabilities must sum to 1")
         if abs(float(self.per_jstar_good[1:].sum()) - self.p_correct) > 1e-12:
             raise ParameterError("p_correct must equal the sum over j* != 0")
+
+    @classmethod
+    def from_good(cls, per: np.ndarray, p_bot: float) -> "OutcomeDistribution":
+        """The law of good masses ``per`` (made read-only) and bot mass p_bot; p_wrong is the rest, >= 0."""
+        p_correct = float(per[1:].sum())
+        p_wrong = 1.0 - p_correct - p_bot
+        if p_wrong < -1e-9:
+            raise ParameterError(f"inconsistent outcome probabilities: p_wrong = {p_wrong}")
+        per.flags.writeable = False  # a law memoized on a spec is shared by every caller
+        return cls(p_correct=p_correct, p_bot=p_bot, p_wrong=max(p_wrong, 0.0), per_jstar_good=per)
+
+    def total_variation(self, other: "OutcomeDistribution") -> float:
+        """Total variation distance between two laws over the same q."""
+        good = float(np.abs(self.per_jstar_good - other.per_jstar_good).sum())
+        return 0.5 * (good + abs(self.p_bot - other.p_bot) + abs(self.p_wrong - other.p_wrong))
 
 
 def _read_only(values, name: str) -> np.ndarray:
@@ -462,37 +485,23 @@ def draw_classical_sample(
 
 
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
-    """Exact category probabilities from the error-value histogram.
+    """Exact category probabilities from the error-value histogram (the analytic engine).
 
-    O(q * support) time on the first call for a spec; later calls return the
-    same (read-only) law.  Materializes q-length arrays, so it is meant for
-    experiment-scale q (a guard rejects q > 2**26).
+    The first call for a spec takes O(q * support) time and q-length arrays (q > 2**26
+    is rejected); later calls return the same read-only law.
     """
     return spec._outcome
 
 
-def _outcome_law(spec: SampleSpec) -> OutcomeDistribution:
+def dense_outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
+    """The same law off the dense engine, the cross-check oracle: the good cell (-j*s mod q, j*)
+    of the fully transformed state for each j*, and bot from its j* = 0 slice."""
     q = spec.fp.q
-    if q > 2**26:
-        raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
-    hist = spec.error_histogram()
-    values = np.fromiter(hist.keys(), dtype=np.int64)
-    counts = np.fromiter(hist.values(), dtype=np.float64)
-    jstar = np.arange(1, q, dtype=np.int64)
-    phases = roots_of_unity(q)[np.multiply.outer(values % q, jstar) % q]
-    good_amp_sums = counts @ phases
-    denom = float(spec.v) * float(q) ** (spec.n + 1)
-    per = np.zeros(q, dtype=np.float64)
-    per[1:] = np.abs(good_amp_sums) ** 2 / denom
-    p_correct = float(per[1:].sum())
-    p_bot = 1.0 / q  # Parseval over the j* = 0 slice, exact for any spec
-    p_wrong = 1.0 - p_correct - p_bot
-    if p_wrong < 0.0:
-        if p_wrong < -1e-9:
-            raise ParameterError(f"inconsistent outcome probabilities: p_wrong = {p_wrong}")
-        p_wrong = 0.0
-    per.flags.writeable = False  # shared by every caller of the memoized law
-    return OutcomeDistribution(p_correct=p_correct, p_bot=p_bot, p_wrong=p_wrong, per_jstar_good=per)
+    probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((q,) * (spec.n + 1))
+    per = np.zeros(q)
+    for jstar in range(1, q):
+        per[jstar] = probs[tuple((-jstar * si) % q for si in spec.s) + (jstar,)]
+    return OutcomeDistribution.from_good(per, float(probs[..., 0].sum()))
 
 
 def theoretical_bound(v: int, k: int, q: int, n: int, gamma_mode: str = "paper") -> float:

@@ -20,8 +20,8 @@ from .learners import sis_sample_state, test_candidate
 from .samples import (
     NoiseModel,
     SampleSpec,
+    dense_outcome_distribution,
     draw_sample_spec,
-    materialize_dense,
     outcome_distribution,
     theoretical_bound,
     uniform_vector,
@@ -37,20 +37,6 @@ class CheckResult:
 
 def _rng(tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=0x5EED0000 + tag))
-
-
-def _dense_category_probabilities(spec: SampleSpec) -> tuple[np.ndarray, float, float]:
-    """Full enumeration oracle: per-j* good probabilities, bot and wrong mass."""
-    q = spec.fp.q
-    state = materialize_dense(spec).apply_qft_all()
-    probs = state.probabilities().reshape((q,) * (spec.n + 1))
-    per = np.zeros(q)
-    for jstar in range(1, q):
-        good_j = tuple((-jstar * si) % q for si in spec.s)
-        per[jstar] = probs[good_j + (jstar,)]
-    p_bot = float(probs[..., 0].sum())
-    p_wrong = 1.0 - float(per.sum()) - p_bot
-    return per, p_bot, p_wrong
 
 
 def _check_field_arithmetic() -> CheckResult:
@@ -123,8 +109,8 @@ def _check_noiseless_success() -> CheckResult:
         fp = FieldParams(q)
         s = tuple(_rng(4).integers(0, q, size=n).tolist())
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(), histogram={0: q**n})
-        per, p_bot, p_wrong = _dense_category_probabilities(spec)
-        if abs(per.sum() - (q - 1) / q) > 1e-9 or abs(p_wrong) > 1e-9:
+        dense = dense_outcome_distribution(spec)
+        if abs(dense.p_correct - (q - 1) / q) > 1e-9 or abs(dense.p_wrong) > 1e-9:
             return CheckResult("noiseless-success-rate", False, f"(q,n)=({q},{n})")
     return CheckResult("noiseless-success-rate", True, "dense exact (q-1)/q")
 
@@ -137,16 +123,11 @@ def _check_engine_equivalence() -> CheckResult:
         noise = NoiseModel.bounded_uniform(k) if k else NoiseModel.none()
         v = int(rng.integers(1, q**n + 1))
         spec = draw_sample_spec(fp, n, uniform_vector(q, n, rng), v, noise, rng)
-        analytic = outcome_distribution(spec)
-        per, p_bot, p_wrong = _dense_category_probabilities(spec)
-        tv = 0.5 * (
-            float(np.abs(per - analytic.per_jstar_good).sum())
-            + abs(p_bot - analytic.p_bot)
-            + abs(p_wrong - analytic.p_wrong)
-        )
+        analytic, dense = outcome_distribution(spec), dense_outcome_distribution(spec)
+        tv = dense.total_variation(analytic)
         if tv > 1e-9:
             return CheckResult("engine-equivalence", False, f"(q,n)=({q},{n}), TV={tv:.2e}")
-        if abs(analytic.p_bot - 1.0 / q) > 1e-12 or abs(p_bot - 1.0 / q) > 1e-9:
+        if abs(analytic.p_bot - 1.0 / q) > 1e-12 or abs(dense.p_bot - 1.0 / q) > 1e-9:
             return CheckResult("engine-equivalence", False, f"(q,n)=({q},{n}) abstention != 1/q")
     return CheckResult("engine-equivalence", True, "analytic vs dense TV <= 1e-9, bot = 1/q")
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from quditlearn.cli import main as cli_main
+from quditlearn.dense import weighted_index
 from quditlearn.field import FieldParams, centered_abs
 from quditlearn.learners import (
     field_bv,
@@ -29,6 +30,7 @@ from quditlearn.ring import RingEmbedding, ring_lwe_global_learn, ring_sample_st
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    dense_outcome_distribution,
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
@@ -36,7 +38,6 @@ from quditlearn.samples import (
     theoretical_bound,
 )
 from quditlearn.experiments import wilson_interval
-from quditlearn.verify import _dense_category_probabilities
 
 from conftest import make_rng, naive_poly_mul_mod
 
@@ -57,8 +58,7 @@ def test_criterion_1_noiseless_success_rate():
         fp = FieldParams(q)
         s = tuple(int(x) for x in rng.integers(0, q, size=n))
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(), histogram={0: q**n})
-        per, _, _ = _dense_category_probabilities(spec)
-        exact = float(per.sum())
+        exact = dense_outcome_distribution(spec).p_correct
         if abs(exact - (q - 1) / q) > 1e-9:
             ok = False
         trials = 10_000
@@ -87,8 +87,8 @@ def test_criterion_2_attempt_bound_exhaustive():
             worst_margin = min(worst_margin, margin)
             if margin < -1e-12:
                 ok = False
-            per, p_bot, _ = _dense_category_probabilities(spec)
-            if np.abs(per - dist.per_jstar_good).max() > 1e-9 or abs(p_bot - dist.p_bot) > 1e-9:
+            dense = dense_outcome_distribution(spec)
+            if np.abs(dense.per_jstar_good - dist.per_jstar_good).max() > 1e-9 or abs(dense.p_bot - dist.p_bot) > 1e-9:
                 ok = False
             checked += 1
     rng = make_rng(0x2002)
@@ -98,8 +98,8 @@ def test_criterion_2_attempt_bound_exhaustive():
         dist = outcome_distribution(spec)
         if dist.p_correct < v * bound_scale - 1e-12:
             ok = False
-        per, p_bot, _ = _dense_category_probabilities(spec)
-        if np.abs(per - dist.per_jstar_good).max() > 1e-9 or abs(p_bot - dist.p_bot) > 1e-9:
+        dense = dense_outcome_distribution(spec)
+        if np.abs(dense.per_jstar_good - dist.per_jstar_good).max() > 1e-9 or abs(dense.p_bot - dist.p_bot) > 1e-9:
             ok = False
         checked += 1
     conclude(
@@ -250,8 +250,9 @@ def test_criterion_7_short_solution_recovery():
     screened = sis_sample_state(fp, n, (1, 6)).apply_add_multiple(0, n, 1).apply_qft(0)  # j=1 is wrong for v_0=1
     rounds = 10_000
     zeros = 0
+    marginal = screened.register_marginal(0)
     for _ in range(rounds):
-        zeros += screened.measure_register(0, rng) == 0
+        zeros += weighted_index(marginal, rng) == 0
     p0 = zeros / rounds
     sigma0 = math.sqrt((1 / q) * (1 - 1 / q) / rounds)
     ok = ok and abs(p0 - 1 / q) <= 3 * sigma0
@@ -324,11 +325,10 @@ def test_criterion_9_engine_equivalence_random_specs():
             noise = kinds[int(rng.integers(len(kinds)))]
         spec = draw_sample_spec(fp, n, s, v, noise, rng)
         dist = outcome_distribution(spec)
-        per, p_bot, p_wrong_dense = _dense_category_probabilities(spec)
-        tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
-                    + abs(p_bot - dist.p_bot) + abs(p_wrong_dense - dist.p_wrong))
+        dense = dense_outcome_distribution(spec)
+        tv = dense.total_variation(dist)
         worst_tv = max(worst_tv, tv)
-        if tv > 1e-9 or abs(dist.p_bot - 1 / q) > 1e-9 or abs(p_bot - 1 / q) > 1e-9:
+        if tv > 1e-9 or abs(dist.p_bot - 1 / q) > 1e-9 or abs(dense.p_bot - 1 / q) > 1e-9:
             ok = False
     conclude(9, "engine-equivalence", ok, f"50 specs, worst TV {worst_tv:.2e}", started, 60.0)
 

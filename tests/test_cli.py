@@ -360,6 +360,22 @@ def test_lwe_beyond_the_float_range_exits_2(capsys):
             code, out, err = run_cli(capsys, "experiment", "--problem", problem, "--q", "4099", "--n", "42",
                                      *extra, "--trials", "2")
             assert (code, err) == (0, "")
+        # a shared-noise histogram holds v = 4099^42 > 2^63 as a Python int
+        code, out, err = run_cli(capsys, "experiment", "--problem", "lwe", "--q", "4099", "--n", "42",
+                                 "--noise", "global", "--k", "1", "--trials", "2")
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+@pytest.mark.parametrize("problem", ["lwe", "lpn", "lwr", "sis", "ring-global"])
+@pytest.mark.parametrize("q", ["0", "-7"])
+def test_modulus_is_checked_before_the_secret_is_drawn(capsys, command, problem, q):
+    extra = ("--trials", "2") if command == "experiment" else ()
+    code, out, err = run_cli(capsys, command, "--problem", problem, "--q", q, "--n", "2", *extra)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line == f"error: modulus must be prime, got {q}"
 
 
 @pytest.mark.parametrize("argv, power", [

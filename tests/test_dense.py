@@ -79,6 +79,8 @@ def test_size_cap_fires_before_any_allocation():
     emb = RingEmbedding.build(FieldParams(7681), 256)  # n = 128: the indices alone would not fit
     with pytest.raises(StateError, match="cap"):
         ring_sample_state(emb, (1,) * emb.n, (0,) * emb.n)
+    with pytest.raises(StateError, match=r"^dense state of 4099\^44 amplitudes exceeds the 2\*\*22 cap"):
+        sis_sample_state(FieldParams(4099), 43, (0,) * 43)  # q^44 in full is a 159-digit integer
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 31, 101])
@@ -376,13 +378,13 @@ def test_add_multiple_requires_distinct_registers():
 
 def test_measure_register_deterministic_on_basis_state(rng):
     st_ = basis_state([((0,), 1.0)], FieldParams(3))
-    assert all(st_.measure_register(0, rng) == 0 for _ in range(50))
+    assert all(weighted_index(st_.register_marginal(0), rng) == 0 for _ in range(50))
 
 
 def test_measure_register_uniform_qutrit_frequencies(rng):
     st_ = basis_state([((v,), 1.0) for v in range(3)], FieldParams(3))
     n = 100_000
-    counts = np.bincount([st_.measure_register(0, rng) for _ in range(n)], minlength=3)
+    counts = np.bincount([weighted_index(st_.register_marginal(0), rng) for _ in range(n)], minlength=3)
     sigma = np.sqrt(n * (1 / 3) * (2 / 3))
     assert np.all(np.abs(counts - n / 3) <= 3 * sigma)
 
@@ -394,7 +396,7 @@ def test_sis_correct_candidate_screens_to_zero(rng):
     st_ = basis_state([((a, a * v % 5), 1.0) for a in range(5)], fp)
     screened = st_.apply_add_multiple(0, 1, (-v) % 5).apply_qft(0)
     assert screened.register_marginal(0)[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(screened.measure_register(0, rng) == 0 for _ in range(200))
+    assert all(weighted_index(screened.register_marginal(0), rng) == 0 for _ in range(200))
 
 
 def test_measure_all_on_basis_state(rng):
@@ -409,7 +411,7 @@ def test_measurement_leaves_amplitudes_unchanged(rng, registers):
     before = st_.amps.copy()
     st_.measure_all(rng)
     for register in range(registers):
-        st_.measure_register(register, rng)
+        weighted_index(st_.register_marginal(register), rng)
     assert np.array_equal(st_.amps, before)
     weights = st_.probabilities()
     weighted_index(weights, rng)
@@ -454,7 +456,7 @@ def test_register_index_validation():
     with pytest.raises(StateError):
         st_.apply_qft(2)
     with pytest.raises(StateError):
-        st_.measure_register(-1, make_rng(1))
+        st_.register_marginal(-1)
 
 
 def test_corrupted_amplitudes_rejected():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditlearn.dense import StateError
+from quditlearn.dense import StateError, weighted_index
 from quditlearn.field import FieldParams, ParameterError, centered, centered_abs
 from quditlearn.learners import (
     BOT,
@@ -24,6 +24,7 @@ from quditlearn.learners import (
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    dense_outcome_distribution,
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
@@ -69,11 +70,9 @@ def test_field_bv_engines_agree_on_category_probabilities():
     spec = draw_sample_spec(fp, 1, (4,), 7, NoiseModel.bounded_uniform(1), rng)
     dist = outcome_distribution(spec)
     # dense exact values off the same spec
-    probs = materialize_dense(spec).apply_qft_all().probabilities().reshape(7, 7)
-    dense_correct = sum(probs[(-j * 4) % 7, j] for j in range(1, 7))
-    dense_bot = probs[:, 0].sum()
-    assert abs(dense_correct - dist.p_correct) <= 1e-9
-    assert abs(dense_bot - dist.p_bot) <= 1e-9
+    dense = dense_outcome_distribution(spec)
+    assert abs(dense.p_correct - dist.p_correct) <= 1e-9
+    assert abs(dense.p_bot - dist.p_bot) <= 1e-9
     # analytic sampling matches its own exact category law
     n_trials = 20_000
     cats = {"s": 0, "bot": 0, "wrong": 0}
@@ -246,9 +245,9 @@ def test_lpn_noiseless_joint_probability_exact():
     n = 6
     s = (1, 0, 1, 1, 0, 1)
     spec = SampleSpec(fp=fp, n=n, s=s, v=64, noise=NoiseModel.bernoulli(0.0), histogram={0: 64})
-    probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((2,) * 7)
-    assert probs[s + (1,)] == pytest.approx(0.5, abs=1e-9)
-    assert probs[s + (1,)] == pytest.approx(lpn_joint_secret_probability([0] * 64, n), abs=1e-12)
+    good = dense_outcome_distribution(spec).per_jstar_good[1]  # at q = 2 the cell (s, 1)
+    assert good == pytest.approx(0.5, abs=1e-9)
+    assert good == pytest.approx(lpn_joint_secret_probability([0] * 64, n), abs=1e-12)
 
 
 def test_lpn_dense_joint_probability_matches_oracle_for_noisy_draws():
@@ -259,8 +258,8 @@ def test_lpn_dense_joint_probability_matches_oracle_for_noisy_draws():
     for _ in range(10):
         spec = draw_sample_spec(fp, n, s, 16, NoiseModel.bernoulli(0.2), rng)
         errors = spec.errors.tolist()  # aligned with flat indices 0..2^n-1, i.e. sorted vectors
-        probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((2,) * (n + 1))
-        assert probs[s + (1,)] == pytest.approx(lpn_joint_secret_probability(errors, n), abs=1e-12)
+        good = dense_outcome_distribution(spec).per_jstar_good[1]
+        assert good == pytest.approx(lpn_joint_secret_probability(errors, n), abs=1e-12)
 
 
 def test_lpn_global_flip_probability_is_half_regardless_of_flip():
@@ -271,8 +270,7 @@ def test_lpn_global_flip_probability_is_half_regardless_of_flip():
     for flip in (0, 1):
         spec = SampleSpec(fp=fp, n=n, s=s, v=32,
                           noise=NoiseModel.bernoulli(0.4), histogram={flip: 32})
-        probs = materialize_dense(spec).apply_qft_all().probabilities().reshape((2,) * (n + 1))
-        assert probs[s + (1,)] == pytest.approx(0.5, abs=1e-12)
+        assert dense_outcome_distribution(spec).per_jstar_good[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lpn_learn_recovers_secret_at_moderate_noise():
@@ -446,7 +444,7 @@ def _sis_learn_per_round(k, L, state, rng):
         accepted = None
         for j in range(-k, k + 1):
             if all(
-                state.apply_add_multiple(i, n, j % q).apply_qft(i).measure_register(i, rng) == 0
+                weighted_index(state.apply_add_multiple(i, n, j % q).apply_qft(i).register_marginal(i), rng) == 0
                 for _ in range(L)
             ):
                 accepted = j

@@ -15,6 +15,7 @@ from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
     _vectors_at,
+    dense_outcome_distribution,
     draw_classical_sample,
     draw_sample_spec,
     materialize_dense,
@@ -25,7 +26,6 @@ from quditlearn.samples import (
     theoretical_bound,
     uniform_vector,
 )
-from quditlearn.verify import _dense_category_probabilities
 
 from conftest import basis_state, make_rng
 
@@ -381,11 +381,9 @@ def test_implicit_subset_law_equals_explicit_law_and_dense_oracle(q, n, v, noise
     law, twin = outcome_distribution(explicit), outcome_distribution(implicit)
     assert np.array_equal(law.per_jstar_good.view(np.uint64), twin.per_jstar_good.view(np.uint64))
     assert (law.p_correct, law.p_bot, law.p_wrong) == (twin.p_correct, twin.p_bot, twin.p_wrong)
-    per, p_bot, p_wrong = _dense_category_probabilities(explicit)
+    dense = dense_outcome_distribution(explicit)
     for dist in (law, twin):
-        tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
-                    + abs(p_bot - dist.p_bot) + abs(p_wrong - dist.p_wrong))
-        assert tv <= 1e-9
+        assert dense.total_variation(dist) <= 1e-9
 
 
 def test_implicit_subset_classical_draws_are_uniform_a_and_histogram_errors():
@@ -444,9 +442,9 @@ def test_noiseless_dense_exactness_at_larger_sizes():
         s = tuple((i + 2) % q for i in range(n))
         spec = SampleSpec(fp=fp, n=n, s=s, v=q**n, noise=NoiseModel.none(),
                           histogram={0: q**n})
-        per, p_bot, _ = _dense_category_probabilities(spec)
-        assert abs(per.sum() - (q - 1) / q) <= 1e-9
-        assert abs(p_bot - 1 / q) <= 1e-9
+        dense = dense_outcome_distribution(spec)
+        assert abs(dense.p_correct - (q - 1) / q) <= 1e-9
+        assert abs(dense.p_bot - 1 / q) <= 1e-9
 
 
 def test_outcome_distribution_matches_dense_oracle(rng):
@@ -455,9 +453,9 @@ def test_outcome_distribution_matches_dense_oracle(rng):
         v = int(rng.integers(1, 6))
         spec = draw_sample_spec(fp, 1, (3,), v, NoiseModel.bounded_uniform(1), rng)
         dist = outcome_distribution(spec)
-        per, p_bot, _ = _dense_category_probabilities(spec)
-        assert np.abs(per - dist.per_jstar_good).max() <= 1e-9
-        assert abs(p_bot - dist.p_bot) <= 1e-9
+        dense = dense_outcome_distribution(spec)
+        assert np.abs(dense.per_jstar_good - dist.per_jstar_good).max() <= 1e-9
+        assert abs(dense.p_bot - dist.p_bot) <= 1e-9
 
 
 def test_bot_probability_exact_for_any_noise(rng):
@@ -546,10 +544,7 @@ def small_specs(draw):
 @given(small_specs())
 def test_engine_equivalence_property(spec):
     dist = outcome_distribution(spec)
-    per, p_bot, p_wrong_dense = _dense_category_probabilities(spec)
-    tv = 0.5 * (np.abs(per - dist.per_jstar_good).sum()
-                + abs(p_bot - dist.p_bot) + abs(p_wrong_dense - dist.p_wrong))
-    assert tv <= 1e-9
+    assert dense_outcome_distribution(spec).total_variation(dist) <= 1e-9
     assert abs(dist.p_bot - 1 / spec.fp.q) <= 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,18 @@ def test_scripts_run_and_write_their_tables(tmp_path):
     rows = [[float(x) for x in line.split()] for line in scan.stdout.splitlines()[2:]]
     # the first n whose pass fraction reaches 0.95, for eta = 0.05, 0.10 and 0.25
     assert tuple(next(int(row[0]) for row in rows if row[col] >= 0.95) for col in (1, 2, 3)) == (9, 10, 12)
+
+
+def test_compare_reports_names_a_changed_report(tmp_path):
+    same = run_script("compare_reports.py", SRC, SRC, "--seeds", "1")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == "20 of 20 identical\n"
+    shutil.copytree(Path(SRC) / "quditlearn", tmp_path / "quditlearn", ignore=shutil.ignore_patterns("__pycache__"))
+    experiments = tmp_path / "quditlearn" / "experiments.py"
+    text = experiments.read_text()
+    assert text.count("_Z95 = 1.959963984540054\n") == 1
+    experiments.write_text(text.replace("_Z95 = 1.959963984540054\n", "_Z95 = 1.96\n"))  # moves every Wilson bound
+    changed = run_script("compare_reports.py", SRC, str(tmp_path), "--seeds", "1")
+    assert changed.returncode == 1, changed.stderr
+    assert "differs: experiment lwe-analytic seed 1\n" in changed.stdout
+    assert changed.stdout.endswith("8 of 20 identical\n")
