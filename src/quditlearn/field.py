@@ -33,7 +33,8 @@ class NoRootError(ParameterError):
 
 
 def is_integer(value) -> bool:  # a Python or numpy int, but not a bool
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the exact-type test first: an ABC isinstance costs about 20 times as much
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def is_prime(n: int) -> bool:

@@ -10,7 +10,8 @@ their value histogram:
 where c_b counts the elements of V with error b.  ``outcome_distribution``
 evaluates this in O(q * support) time without touching the q^(n+1) amplitude
 vector, once per spec (the law is kept with the spec that it describes), and
-``dense_outcome_distribution`` reads the same law off the dense engine.
+``dense_outcome_distribution`` reads the same law off the dense engine.  The
+omega^(b j*) rows come from one read-only table per (q, noise support).
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -20,6 +21,11 @@ none, for all of F_q^n or an implicit subset) and its errors as an aligned
 int64 array or a histogram; the vectors and the vector -> error map appear
 only in the JSON form, with the documented keys q, n, s, subset, v,
 noise, errors, seed (see ``spec_to_json``).
+
+Validation runs where data enters: the public ``SampleSpec`` constructor and
+``spec_from_json``.  ``draw_sample_spec`` checks its arguments once, before
+any draw, and builds its spec from data drawn from the noise's own support
+without checking that data again.
 """
 
 from __future__ import annotations
@@ -190,6 +196,34 @@ def _draw_errors(noise: NoiseModel, q: int, size: int, rng: np.random.Generator)
     return values_arr[np.searchsorted(cdf, rng.random(size), side="right")]
 
 
+def _check_arguments(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel):
+    """Check n, s and v (integers, in range) and the noise at q; return ``_distribution(noise, q)``."""
+    q = fp.q
+    if not (is_integer(n) and is_integer(v) and all(map(is_integer, s))):
+        raise ParameterError(f"n, v and the secret must be integers, got n = {n!r}, v = {v!r}, s = {s!r}")
+    if n < 1:
+        raise ParameterError("dimension n must be >= 1")
+    if len(s) != n or min(s) < 0 or max(s) >= q:
+        raise ParameterError("secret must be a length-n vector over [0, q)")
+    qn = q**n
+    if not 1 <= v <= qn:
+        raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
+    return _distribution(noise, q)  # validates the noise for q on a cache miss
+
+
+# Largest good-phase table, in entries (16 MiB), kept for a (q, support); a
+# wider support is gathered per spec over the spec's own values instead.
+_PHASE_TABLE_LIMIT = 2**20
+
+
+@lru_cache(maxsize=8)  # a run reads one (q, support); tests and sweeps a few
+def _good_phases(q: int, low: int, high: int) -> np.ndarray:
+    """Read-only omega^(b j*) for b = low..high (support order, one row each) and j* = 1..q-1."""
+    table = phase_table(q, np.arange(low, high + 1, dtype=np.int64) % q, np.arange(1, q, dtype=np.int64))
+    table.flags.writeable = False  # shared by every law at this (q, support)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSpec:
     """Full description of one quantum sample: secret, subset, realized errors.
@@ -200,8 +234,14 @@ class SampleSpec:
     element of V, aligned with ``subset``, or with flat indices 0..q^n-1 when
     it is None) and ``histogram`` (error value -> count) is present.  An
     implicit subset carries a histogram, and an explicit one an error map or
-    a single-bin histogram (which fixes every element's error).  Both arrays
-    are stored as read-only int64 copies, and a spec is not modified after
+    a single-bin histogram (which fixes every element's error).
+
+    n, v, the secret and the histogram's values and counts must be integers
+    (``field.is_integer``: no floats, no bools).  The constructor checks all
+    of it and stores both arrays as read-only int64 copies.  A spec from
+    ``draw_sample_spec`` is built by ``_drawn`` instead: its data was drawn
+    from the noise's own support, so it is not checked again, and its fresh
+    int64 arrays are made read-only in place.  A spec is not modified after
     construction: its outcome law is computed on first use and kept with it.
     """
 
@@ -216,15 +256,8 @@ class SampleSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        q = self.fp.q
-        if self.n < 1:
-            raise ParameterError("dimension n must be >= 1")
-        if len(self.s) != self.n or any(not 0 <= x < q for x in self.s):
-            raise ParameterError("secret must be a length-n vector over [0, q)")
-        qn = q**self.n
-        if not 1 <= self.v <= qn:
-            raise ParameterError(f"subset size v = {self.v} outside [1, q^n = {qn}]")
-        support = _distribution(self.noise, q)[0]  # validates the noise for q on a cache miss
+        support = _check_arguments(self.fp, self.n, self.s, self.v, self.noise)[0]
+        qn = self.fp.q**self.n
         if self.subset is None:
             if self.errors is not None and self.v != qn:
                 raise ParameterError("an implicit subset (v < q^n) carries a histogram, not an error map")
@@ -251,6 +284,8 @@ class SampleSpec:
         else:
             if self.subset is not None and len(self.histogram) > 1:
                 raise ParameterError("an explicit subset carries an error map or a single-bin histogram")
+            if not all(is_integer(b) and is_integer(c) for b, c in self.histogram.items()):
+                raise ParameterError(f"histogram values and counts must be integers, got {self.histogram!r}")
             if any(c < 0 for c in self.histogram.values()):
                 raise ParameterError("histogram counts must be non-negative")
             if sum(self.histogram.values()) != self.v:
@@ -258,6 +293,26 @@ class SampleSpec:
             bad = [b for b in self.histogram if b not in support]
             if bad:
                 raise ParameterError(f"histogram value {bad[0]} outside the noise support")
+
+    @classmethod
+    def _drawn(
+        cls, fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel,
+        subset: np.ndarray | None, errors: np.ndarray | None, histogram: dict[int, int] | None,
+    ) -> "SampleSpec":
+        """The spec of freshly drawn data, without the constructor's data check.
+
+        The caller has run ``_check_arguments`` and drew subset, errors or
+        histogram from the noise's own support; its int64 arrays become the
+        spec's own, made read-only in place rather than copied.
+        """
+        for arr in (subset, errors):
+            if arr is not None:
+                arr.flags.writeable = False
+        spec = object.__new__(cls)
+        # the fields the frozen __init__ would set, written straight into the instance dict
+        vars(spec).update(fp=fp, n=n, s=s, v=v, noise=noise, subset=subset, errors=errors,
+                          histogram=histogram, seed=None)
+        return spec
 
     def error_histogram(self) -> dict[int, int]:
         """Counts of each realized error value, in order of first occurrence."""
@@ -271,10 +326,16 @@ class SampleSpec:
         q = self.fp.q
         if q > 2**26:
             raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
-        hist = self.error_histogram()
+        hist = self.histogram if self.histogram is not None else self.error_histogram()
         values = np.fromiter(hist.keys(), dtype=np.int64)
         counts = np.fromiter(hist.values(), dtype=np.float64)
-        good_amp_sums = counts @ phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
+        support = _distribution(self.noise, q)[0]
+        if len(support) * q <= _PHASE_TABLE_LIMIT:
+            # rows in the histogram's own order: summing in support order would move the last bit
+            phases = _good_phases(q, support[0], support[-1])[values - support[0]]
+        else:
+            phases = phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
+        good_amp_sums = counts @ phases
         per = np.zeros(q, dtype=np.float64)
         per[1:] = np.abs(good_amp_sums) ** 2 / (float(self.v) * float(q) ** (self.n + 1))
         return OutcomeDistribution.from_good(per, 1.0 / q)  # bot: Parseval over the j* = 0 slice
@@ -374,15 +435,16 @@ def draw_sample_spec(
     depends on the counts alone, and a classical draw from a fresh spec is a
     uniform a with an independent error, so this is distributionally
     identical for every consumer that draws at most one classical sample per
-    spec.
+    spec.  The arguments are checked once, before any draw, as the public
+    constructor checks them; the drawn data is not checked again.
     """
     q = fp.q
-    qn = q**n
-    if not 1 <= v <= qn:
-        raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
     if errors_as not in ("map", "histogram"):
         raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
+    s = tuple(s)
+    values, weights = _check_arguments(fp, n, s, v, noise)[:2]
     require_drawable(v, noise, q, n)
+    qn = q**n
 
     subset: np.ndarray | None = None
     if v < qn and errors_as == "map":
@@ -396,15 +458,11 @@ def draw_sample_spec(
         shift = int(_draw_errors(noise, q, 1, rng)[0]) if noise.is_global else 0
         histogram = {shift: v}
     elif errors_as == "histogram":
-        values, weights = _distribution(noise, q)[:2]
-        counts = rng.multinomial(v, weights)
-        histogram = {b: int(c) for b, c in zip(values, counts) if c}
+        counts = rng.multinomial(v, weights).tolist()
+        histogram = {b: c for b, c in zip(values, counts) if c}
     else:
         errors = _draw_errors(noise, q, v, rng)
-    return SampleSpec(
-        fp=fp, n=n, s=tuple(s), v=v, noise=noise,
-        subset=subset, errors=errors, histogram=histogram,
-    )
+    return SampleSpec._drawn(fp, n, s, v, noise, subset, errors, histogram)
 
 
 def sample_stream(

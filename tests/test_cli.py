@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quditlearn.cli import main
+from quditlearn.cli import NOISE_MODELS, main
+from quditlearn.experiments import PROBLEMS
+from quditlearn.learners import ENGINES
 from quditlearn.verify import run_verification
 
 
@@ -468,3 +474,54 @@ def test_problems_over_all_vectors_reject_another_v(capsys, argv, qn):
     assert err.startswith("error: ") and "v = 10" in err
     code, out, _ = run_cli(capsys, "experiment", *argv, "--v", str(qn), "--trials", "2")
     assert code == 0 and f"v: {qn}" in out.splitlines()
+
+
+# Edge values of each learn/experiment flag.  Up to four flags take an edge
+# value in one example and the rest keep their defaults, so a share of the
+# examples runs to the end.  L stays small, 2 unless drawn: the harness caps
+# states and sizes but not attempts, and the default L = ceil(20 k ln 10)
+# dense attempts at 101^3 amplitudes take seconds.  lwr has no default p and
+# no residual support that fits the default q = 5, so it starts at q = 101, p = 4.
+_FLAG_EDGES = {
+    "q": (0, -1, 1, 2, 4, 101, 10**20),
+    "n": (0, -1, 1, 2, 3, 10**20),
+    "k": (0, -1, 1, 2, 10**20),
+    "p": (0, -1, 1, 2, 4, 101, 10**20),
+    "m": (0, -1, 1, 2, 4, 5, 10**20),
+    "v": (0, -1, 1, 2, 10**20),
+    "L": (-1, 0, 1, 2),
+    "M": (-1, 0, 1, 2),
+    "sigma": ("0", "-1", "nan", "inf", "1e-300"),
+    "eta": ("0", "-1", "nan", "inf", "1e-300"),
+    "noise": tuple(NOISE_MODELS),
+    "engine": ENGINES,
+}
+
+
+@st.composite
+def _flag_sets(draw):
+    command = draw(st.sampled_from(["learn", "experiment"]))
+    problem = draw(st.sampled_from(PROBLEMS))
+    flags = {"L": 2} | ({"q": 101, "p": 4} if problem == "lwr" else {})
+    for flag in draw(st.sets(st.sampled_from(tuple(_FLAG_EDGES)), max_size=4)):
+        flags[flag] = draw(st.sampled_from(_FLAG_EDGES[flag]))
+    if command == "experiment":
+        flags["trials"] = draw(st.integers(1, 3))
+    return [command, f"--problem={problem}", *(f"--{f}={x}" for f, x in flags.items() if x is not None)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_flag_sets())
+def test_every_flag_set_runs_or_exits_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue()
+    assert code in ((0, 1, 2) if argv[0] == "learn" else (0, 2)), (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 2:  # one line, the message, and no traceback or warning text
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)

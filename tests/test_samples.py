@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quditlearn import samples
 from quditlearn.dense import StateError
-from quditlearn.field import FieldParams, ParameterError
+from quditlearn.experiments import ExperimentConfig, run_experiment
+from quditlearn.field import FieldParams, ParameterError, phase_table
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    _good_phases,
     _vectors_at,
     dense_outcome_distribution,
     draw_classical_sample,
@@ -196,6 +199,117 @@ def test_spec_validation_catches_inconsistencies():
     ):
         with pytest.raises(ParameterError, match=f"spec key {key} must hold integers"):
             spec_from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("fields", [
+    {"s": (1.5,)},  # field_bv would "recover" (1.5,)
+    {"s": (True,)},
+    {"v": 5.0},
+    {"n": True},
+    {"noise": NoiseModel.bounded_uniform(1), "histogram": {0: 2.5, 1: 2.5}},  # p_correct 0.3
+    {"histogram": {0.0: 5}},
+    {"histogram": {0: True}, "v": 1},
+])
+def test_spec_fields_must_be_integers(fields, rng):
+    spec = {"fp": FieldParams(5), "n": 1, "s": (1,), "v": 5, "noise": NoiseModel.none(), "histogram": {0: 5}}
+    SampleSpec(**spec)
+    with pytest.raises(ParameterError, match="must be integers"):
+        SampleSpec(**spec | fields)
+    if "histogram" not in fields:  # the draw runs the constructor's argument check
+        args = spec | fields
+        with pytest.raises(ParameterError, match="must be integers"):
+            draw_sample_spec(args["fp"], args["n"], args["s"], args["v"], args["noise"], rng)
+
+
+_DRAW_CASES = [  # (field, n, noise); the two Bernoulli cases share one (q, support)
+    (FieldParams(2), 4, NoiseModel.bernoulli(0.2)),
+    (FieldParams(2), 3, NoiseModel.bernoulli(0.0)),
+    (FieldParams(3), 2, NoiseModel.bounded_uniform(1)),
+    (FieldParams(7), 2, NoiseModel.none()),
+    (FieldParams(7), 2, NoiseModel.bounded_uniform(1)),
+    (FieldParams(11), 1, NoiseModel.gaussian(1.5, 3)),
+    (FieldParams(11), 2, NoiseModel.global_shift(NoiseModel.bounded_uniform(2))),
+    (FieldParams(101), 2, NoiseModel.gaussian(1.0, 2)),
+]
+
+
+def _drawn_specs(count: int, key: int):
+    """Specs drawn over every noise kind, both error forms, full and proper subsets."""
+    local = make_rng(key)
+    for i in range(count):
+        fp, n, noise = _DRAW_CASES[i % len(_DRAW_CASES)]
+        qn = fp.q**n
+        v = qn if i % 3 == 0 else int(local.integers(1, qn))
+        s = tuple(int(x) for x in local.integers(0, fp.q, size=n))
+        yield draw_sample_spec(fp, n, s, v, noise, local, errors_as=("map", "histogram")[i % 2])
+
+
+def test_every_drawn_spec_passes_the_full_check():
+    # drawn specs skip the constructor's data check; this test stands in for it
+    kinds = set()
+    for spec in _drawn_specs(160, 71):
+        rebuilt = dataclasses.replace(spec)  # the public constructor, with every check
+        for field in ("fp", "n", "s", "v", "noise", "histogram", "seed"):
+            assert getattr(rebuilt, field) == getattr(spec, field)
+        for field in ("subset", "errors"):
+            drawn, checked = getattr(spec, field), getattr(rebuilt, field)
+            assert (drawn is None) == (checked is None)
+            if drawn is not None:
+                assert np.array_equal(drawn, checked)
+                assert drawn.dtype == np.int64 and not drawn.flags.writeable
+        kinds.add((spec.noise.kind, spec.subset is not None, spec.errors is not None, spec.v == spec.fp.q**spec.n))
+    assert len({k[0] for k in kinds}) == 5  # every noise kind
+    assert {k[1:] for k in kinds} >= {(True, True, False), (False, True, True), (False, False, False),
+                                     (False, False, True)}  # proper and full subsets, map and histogram
+
+
+def _formula_before_the_shared_table(spec):
+    """The law as written before the phase table was shared: a table over the spec's own values."""
+    q = spec.fp.q
+    hist = spec.error_histogram()
+    values = np.fromiter(hist.keys(), dtype=np.int64)
+    counts = np.fromiter(hist.values(), dtype=np.float64)
+    sums = counts @ phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
+    per = np.zeros(q, dtype=np.float64)
+    per[1:] = np.abs(sums) ** 2 / (float(spec.v) * float(q) ** (spec.n + 1))
+    p_correct = float(per[1:].sum())
+    return per, p_correct, 1.0 / q, max(1.0 - p_correct - 1.0 / q, 0.0)
+
+
+def test_outcome_law_reads_one_table_per_support_bit_for_bit(monkeypatch):
+    _good_phases.cache_clear()
+    checked = 0
+    for spec in _drawn_specs(240, 72):
+        per, p_correct, p_bot, p_wrong = _formula_before_the_shared_table(spec)
+        law = outcome_distribution(spec)
+        assert np.array_equal(law.per_jstar_good, per)
+        assert (law.p_correct, law.p_bot, law.p_wrong) == (p_correct, p_bot, p_wrong)
+        checked += 1
+    assert checked >= 200
+    supports = {(fp.q, noise.distribution(fp.q)[0]) for fp, _, noise in _DRAW_CASES}
+    assert _good_phases.cache_info().currsize == len(supports) == 7
+    q, support = 11, NoiseModel.gaussian(1.5, 3).distribution(11)[0]
+    table = _good_phases(q, support[0], support[-1])
+    assert table.shape == (len(support), q - 1) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # a support too wide to keep a table for is gathered over the spec's own values, to the same bits
+    monkeypatch.setattr(samples, "_PHASE_TABLE_LIMIT", 0)
+    _good_phases.cache_clear()
+    for spec in _drawn_specs(40, 73):
+        per = _formula_before_the_shared_table(spec)[0]
+        assert np.array_equal(outcome_distribution(spec).per_jstar_good, per)
+    assert _good_phases.cache_info().currsize == 0
+
+
+def test_runs_share_one_phase_table_per_modulus_and_support():
+    _good_phases.cache_clear()
+    for seed in range(15):
+        run_experiment(ExperimentConfig(problem="lwr", q=257, n=1, trials=2, seed=seed, p=16, L=5, M=1))
+        run_experiment(ExperimentConfig(problem="lwe", q=101, n=2, trials=2, seed=seed,
+                                        noise=NoiseModel.gaussian(1.0, 2), L=5, M=1, k=2))
+    # lwr: the residual support [-10, 10] at q = 257; lwe: [-2, 2] at q = 101
+    assert _good_phases.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("noise, error, named", [
