@@ -104,6 +104,11 @@ class ExperimentConfig:
             raise ParameterError(f"unknown problem {self.problem!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
+        if self.q > 1 and self.n * math.log10(self.q) > sys.int_info.default_max_str_digits:
+            # a report prints v = q^n in full, even on a failed sweep row
+            raise ParameterError(
+                f"q^n = {self.q}^{self.n} has more than {sys.int_info.default_max_str_digits} digits"
+            )
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:  # a Philox key word; a wider seed would alias a narrower one

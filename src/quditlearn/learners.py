@@ -24,6 +24,7 @@ import numpy as np
 from .dense import DenseState, checked_size, weighted_index
 from .field import ParameterError, centered, centered_abs, mod_inverse
 from .samples import (
+    DECISION_MARGIN,
     ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
@@ -58,7 +59,13 @@ def _require_arguments(L: int, M: int, k: int, engine: str) -> None:
 
 
 def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) -> BvOutcome:
-    """One recovery attempt: returns Secret(-(j*)^-1 j mod q) or Bot when j* = 0."""
+    """One recovery attempt: returns Secret(-(j*)^-1 j mod q) or Bot when j* = 0.
+
+    On a SampleSpec one uniform u picks the category.  The law's exact
+    correct mass and p_bot decide, unless u lies within ``DECISION_MARGIN`` of
+    a category boundary; there the float law (built on first read) decides.
+    So every outcome is the one the float law's p_correct and p_bot give.
+    """
     if isinstance(sample, DenseState):
         q = sample.fp.q
         outcome = sample.measure_qft_all(rng)
@@ -70,9 +77,15 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     if isinstance(sample, SampleSpec):
         dist = outcome_distribution(sample)
         u = rng.random()
-        if u < dist.p_correct:
+        correct_cut = dist.correct_mass
+        bot_cut = correct_cut + dist.p_bot
+        if abs(u - correct_cut) < DECISION_MARGIN or abs(u - bot_cut) < DECISION_MARGIN:
+            # near a category boundary the float law decides, so every outcome is the one it gives
+            correct_cut = dist.p_correct
+            bot_cut = correct_cut + dist.p_bot
+        if u < correct_cut:
             return BvOutcome(sample.s)
-        if u < dist.p_correct + dist.p_bot:
+        if u < bot_cut:
             return BOT
         return BvOutcome(_uniform_wrong_vector(sample, rng))
     raise ParameterError(f"field_bv expects a DenseState or SampleSpec, got {type(sample)!r}")

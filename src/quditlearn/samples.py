@@ -8,10 +8,14 @@ their value histogram:
     P(good at j*) = |sum_b c_b omega^(b j*)|^2 / (q^(n+1) v),
 
 where c_b counts the elements of V with error b.  ``outcome_distribution``
-evaluates this in O(q * support) time without touching the q^(n+1) amplitude
-vector, once per spec (the law is kept with the spec that it describes), and
-``dense_outcome_distribution`` reads the same law off the dense engine.  The
-omega^(b j*) rows come from one read-only table per (q, noise support).
+gives the law of a spec without touching the q^(n+1) amplitude vector, once
+per spec (the law is kept with the spec that it describes).  Its total good
+mass is exact: by Parseval over j* it is the collision count
+(q sum_b c_b^2 - v^2) / (v q^(n+1)), found in O(support) time from integers
+and rounded once.  The per-j* masses take O(q * support) time and are built
+on first read; their omega^(b j*) rows come from one read-only table per
+(q, noise support).  ``dense_outcome_distribution`` reads the same law off
+the dense engine.
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -34,8 +38,8 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -327,51 +331,86 @@ class SampleSpec:
         if q > 2**26:
             raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
         hist = self.histogram if self.histogram is not None else self.error_histogram()
-        values = np.fromiter(hist.keys(), dtype=np.int64)
-        counts = np.fromiter(hist.values(), dtype=np.float64)
-        support = _distribution(self.noise, q)[0]
-        if len(support) * q <= _PHASE_TABLE_LIMIT:
-            # rows in the histogram's own order: summing in support order would move the last bit
-            phases = _good_phases(q, support[0], support[-1])[values - support[0]]
-        else:
-            phases = phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
-        good_amp_sums = counts @ phases
-        per = np.zeros(q, dtype=np.float64)
-        per[1:] = np.abs(good_amp_sums) ** 2 / (float(self.v) * float(q) ** (self.n + 1))
-        return OutcomeDistribution.from_good(per, 1.0 / q)  # bot: Parseval over the j* = 0 slice
+        # Parseval over j*: sum_{j* != 0} |sum_b c_b omega^(b j*)|^2 = q sum_b c_b^2 - v^2, as the
+        # support's values are distinct mod q; one int division rounds the exact ratio once
+        collisions = sum(c * c for c in hist.values())
+        correct = (q * collisions - self.v * self.v) / (self.v * q ** (self.n + 1))
+        good = partial(_good_masses, q, self.n, self.v, _distribution(self.noise, q)[0], hist)
+        return OutcomeDistribution(correct, 1.0 / q, good)  # bot: Parseval over the j* = 0 slice
 
 
-@dataclass(frozen=True)
+def _good_masses(q: int, n: int, v: int, support: tuple[int, ...], hist: dict[int, int]) -> np.ndarray:
+    """P(good at j*) = |sum_b c_b omega^(b j*)|^2 / (q^(n+1) v) for each j* (entry 0 is zero)."""
+    values = np.fromiter(hist.keys(), dtype=np.int64)
+    counts = np.fromiter(hist.values(), dtype=np.float64)
+    if len(support) * q <= _PHASE_TABLE_LIMIT:
+        # rows in the histogram's own order: summing in support order would move the last bit
+        phases = _good_phases(q, support[0], support[-1])[values - support[0]]
+    else:
+        phases = phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
+    good_amp_sums = counts @ phases
+    per = np.zeros(q, dtype=np.float64)
+    per[1:] = np.abs(good_amp_sums) ** 2 / (float(v) * float(q) ** (n + 1))
+    return per
+
+
+# field_bv decides an attempt from ``correct_mass`` unless its uniform lies
+# within this distance of a category boundary, where the float law decides.
+# The two masses agree to 1e-12 (checked whenever the float law is built), so
+# every outcome is the one the float law gives.
+DECISION_MARGIN = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact outcome-category probabilities of the QFT-and-measure recovery step.
 
+    ``correct_mass`` (all good outcomes) and ``p_bot`` are set at
+    construction.  The analytic engine's correct mass is the collision count
+    (q sum_b c_b^2 - v^2) / (v q^(n+1)), found in O(support) time and rounded
+    once from exact integers; the dense engine's is the float sum of its good
+    cells.
+
     ``per_jstar_good[j*]`` is the probability of the outcome
-    (-j*s mod q, j*); entry 0 is unused and zero.
+    (-j*s mod q, j*); entry 0 is unused and zero.  It, p_correct (its float
+    sum) and p_wrong (the rest, >= 0) are built by ``good`` on first read and
+    checked then: the masses lie in [0, 1] and sum to 1, and p_correct is
+    within 1e-12 of ``correct_mass``.  The array is read-only.
     """
 
-    p_correct: float
+    correct_mass: float
     p_bot: float
-    p_wrong: float
-    per_jstar_good: np.ndarray
+    good: Callable[[], np.ndarray] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        for name, value in (("p_correct", self.p_correct), ("p_bot", self.p_bot), ("p_wrong", self.p_wrong)):
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise ParameterError(f"{name} = {value} outside [0, 1]")
-        if abs(self.p_correct + self.p_bot + self.p_wrong - 1.0) > 1e-12:
-            raise ParameterError("outcome probabilities must sum to 1")
-        if abs(float(self.per_jstar_good[1:].sum()) - self.p_correct) > 1e-12:
-            raise ParameterError("p_correct must equal the sum over j* != 0")
-
-    @classmethod
-    def from_good(cls, per: np.ndarray, p_bot: float) -> "OutcomeDistribution":
-        """The law of good masses ``per`` (made read-only) and bot mass p_bot; p_wrong is the rest, >= 0."""
+    @cached_property
+    def _float_law(self) -> tuple[np.ndarray, float, float]:
+        per = self.good()
         p_correct = float(per[1:].sum())
-        p_wrong = 1.0 - p_correct - p_bot
+        p_wrong = 1.0 - p_correct - self.p_bot
         if p_wrong < -1e-9:
             raise ParameterError(f"inconsistent outcome probabilities: p_wrong = {p_wrong}")
+        p_wrong = max(p_wrong, 0.0)
+        for name, value in (("p_correct", p_correct), ("p_bot", self.p_bot), ("p_wrong", p_wrong)):
+            if not -1e-12 <= value <= 1.0 + 1e-12:
+                raise ParameterError(f"{name} = {value} outside [0, 1]")
+        if abs(p_correct + self.p_bot + p_wrong - 1.0) > 1e-12:
+            raise ParameterError("outcome probabilities must sum to 1")
+        if abs(p_correct - self.correct_mass) > 1e-12:
+            raise ParameterError(f"p_correct = {p_correct} differs from the correct mass {self.correct_mass}")
         per.flags.writeable = False  # a law memoized on a spec is shared by every caller
-        return cls(p_correct=p_correct, p_bot=p_bot, p_wrong=max(p_wrong, 0.0), per_jstar_good=per)
+        return per, p_correct, p_wrong
+
+    @property
+    def per_jstar_good(self) -> np.ndarray:
+        return self._float_law[0]
+
+    @property
+    def p_correct(self) -> float:
+        return self._float_law[1]
+
+    @property
+    def p_wrong(self) -> float:
+        return self._float_law[2]
 
     def total_variation(self, other: "OutcomeDistribution") -> float:
         """Total variation distance between two laws over the same q."""
@@ -545,8 +584,10 @@ def draw_classical_sample(
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     """Exact category probabilities from the error-value histogram (the analytic engine).
 
-    The first call for a spec takes O(q * support) time and q-length arrays (q > 2**26
-    is rejected); later calls return the same read-only law.
+    The first call for a spec takes O(support) time: it finds the exact
+    correct mass and p_bot = 1/q (q > 2**26 is rejected).  The per-j* masses
+    and the float p_correct and p_wrong take O(q * support) time and q-length
+    arrays, and are built on first read.  Later calls return the same law.
     """
     return spec._outcome
 
@@ -559,7 +600,7 @@ def dense_outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     per = np.zeros(q)
     for jstar in range(1, q):
         per[jstar] = probs[tuple((-jstar * si) % q for si in spec.s) + (jstar,)]
-    return OutcomeDistribution.from_good(per, float(probs[..., 0].sum()))
+    return OutcomeDistribution(float(per[1:].sum()), float(probs[..., 0].sum()), lambda: per)
 
 
 def theoretical_bound(v: int, k: int, q: int, n: int, gamma_mode: str = "paper") -> float:

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
 import warnings
 
 import pytest
@@ -407,6 +409,18 @@ def test_lpn_rejects_non_bernoulli_noise(capsys, command):
     assert err.startswith("error: ") and "bernoulli" in err
 
 
+@pytest.mark.parametrize("command", ["learn", "experiment", "sweep"])
+def test_q_to_the_n_beyond_printable_digits_exits_2_at_once(capsys, tmp_path, command):
+    # a failed sweep row used to print v = 101^(10^20) and never returned
+    obj = {"problem": "lwr", "q": 101, "p": 4, "L": 2, "n": 10**20} | ({} if command == "learn" else {"trials": 2})
+    path = write_config(tmp_path, [obj] if command == "sweep" else obj)
+    code, out, err = run_cli(capsys, command, "--config", path)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"q^n = 101^{10**20} has more than 4300 digits")
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"noise": "gaussain"}, "argument --noise: invalid choice: 'gaussain'"),
     ({"q": 7.9}, "argument --q: invalid int value: '7.9'"),
@@ -510,18 +524,85 @@ def _flag_sets(draw):
     return [command, f"--problem={problem}", *(f"--{f}={x}" for f, x in flags.items() if x is not None)]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_flag_sets())
-def test_every_flag_set_runs_or_exits_2(argv):
+def _assert_runs_or_exits_2(argv, inputs=None, usage=False):
+    """Run ``main(argv)`` in process: exit 0 (or 1 for learn) with nothing on stderr, or 2 with one error line.
+
+    With ``usage``, argparse's usage lines may come before that line (a
+    config file value that its flag rejects).  A sweep exits 0 with its
+    failed rows counted on stderr; each row's error must be a ValueError,
+    which the same flags would exit 2 with on the command line.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
-    err = err.getvalue()
-    assert code in ((0, 1, 2) if argv[0] == "learn" else (0, 2)), (argv, err)
-    assert not caught, (argv, [str(w.message) for w in caught])
-    if code == 2:  # one line, the message, and no traceback or warning text
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    out, err = out.getvalue(), err.getvalue()
+    context = (argv, inputs, err)
+    assert code in ((0, 1, 2) if argv[0] == "learn" else (0, 2)), context
+    assert not caught, (context, [str(w.message) for w in caught])
+    if code == 2 and usage and err.startswith("usage: "):
+        *lines, last = err.splitlines()
+        assert last.startswith(f"quditlearn {argv[0]}: error: argument --"), context
+        assert not any("error" in line or "Traceback" in line for line in lines), context
+    elif code == 2:  # one line, the message, and no traceback or warning text
+        assert err.startswith("error: ") and err.count("\n") == 1, context
+    elif argv[0] == "sweep":
+        failed = [line for line in out.splitlines() if line.startswith("error: ")]
+        assert all(re.match(r"error: (ParameterError|StateError|ValueError): ", line) for line in failed), (context, failed)
+        assert err == (f"{len(failed)} configuration(s) failed\n" if failed else ""), (context, out)
     else:
-        assert err == "", (argv, err)
+        assert err == "", context
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_flag_sets())
+def test_every_flag_set_runs_or_exits_2(argv):
+    _assert_runs_or_exits_2(argv)
+
+
+# JSON values that no flag takes as written; null means "not given", so L
+# and trials never take one (their defaults run long) and keep their values.
+_JSON_ODDITIES = (None, True, 1.5, "x", [5], {"k": 1})
+
+
+@st.composite
+def _config_objects(draw, command):
+    """A learn/experiment config object or a sweep entry: edge values as JSON, odd values, unknown keys."""
+    problem = draw(st.sampled_from(PROBLEMS))
+    obj = {"problem": problem, "L": 2} | ({"q": 101, "p": 4} if problem == "lwr" else {})
+    if command != "learn":
+        obj["trials"] = draw(st.integers(0, 3))
+    for key in draw(st.sets(st.sampled_from(tuple(_FLAG_EDGES)), max_size=3)):
+        obj[key] = draw(st.sampled_from(_FLAG_EDGES[key]))
+    odd = ("problem", "q", "n", "k", "sigma", "eta", "p", "m", "v", "M", "seed", "engine", "noise", "trails",
+           "csv" if command == "sweep" else "config")
+    for key in draw(st.sets(st.sampled_from(odd), max_size=1)):
+        obj[key] = draw(st.sampled_from(_JSON_ODDITIES))
+    return obj
+
+
+@st.composite
+def _config_runs(draw):
+    """(command, JSON text of its --config file, command-line flags after it)."""
+    command = draw(st.sampled_from(["learn", "experiment", "sweep"]))
+    if command == "sweep":
+        # not {"k": 1}: a valid entry without trials runs the default 1,000
+        entry = st.one_of(_config_objects("sweep"), st.sampled_from((None, True, 1.5, "x", [5])))
+        data = draw(st.one_of(st.lists(entry, min_size=1, max_size=2), st.sampled_from(([], {}, 5, None))))
+        return command, json.dumps(data), []
+    data = draw(st.one_of(_config_objects(command), st.sampled_from(([{}], 5, "x", None))))
+    flags = {flag: draw(st.sampled_from(_FLAG_EDGES[flag]))
+             for flag in draw(st.sets(st.sampled_from(tuple(_FLAG_EDGES)), max_size=1))}
+    return command, json.dumps(data), [f"--{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_config_runs())
+def test_every_config_file_and_sweep_entry_runs_or_exits_2(run):
+    command, text, flags = run
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "config.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        _assert_runs_or_exits_2([command, "--config", path, *flags], text, usage=True)

@@ -3,17 +3,20 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn import samples
+from quditlearn import learners, samples
 from quditlearn.dense import StateError
 from quditlearn.experiments import ExperimentConfig, run_experiment
 from quditlearn.field import FieldParams, ParameterError, phase_table
+from quditlearn.learners import field_bv
 from quditlearn.samples import (
+    DECISION_MARGIN,
     NoiseModel,
     SampleSpec,
     _good_phases,
@@ -302,14 +305,90 @@ def test_outcome_law_reads_one_table_per_support_bit_for_bit(monkeypatch):
     assert _good_phases.cache_info().currsize == 0
 
 
-def test_runs_share_one_phase_table_per_modulus_and_support():
+def test_runs_share_one_phase_table_per_modulus_and_support(monkeypatch):
+    laws = []
+
+    def recorded(spec):
+        laws.append(outcome_distribution(spec))
+        return laws[-1]
+
+    monkeypatch.setattr(learners, "outcome_distribution", recorded)
     _good_phases.cache_clear()
     for seed in range(15):
         run_experiment(ExperimentConfig(problem="lwr", q=257, n=1, trials=2, seed=seed, p=16, L=5, M=1))
         run_experiment(ExperimentConfig(problem="lwe", q=101, n=2, trials=2, seed=seed,
                                         noise=NoiseModel.gaussian(1.0, 2), L=5, M=1, k=2))
+    # an attempt decides from the exact mass, so the per-j* tables are read here, after the runs
+    assert {law.per_jstar_good.shape for law in laws} == {(257,), (101,)}
     # lwr: the residual support [-10, 10] at q = 257; lwe: [-2, 2] at q = 101
     assert _good_phases.cache_info().currsize == 2
+
+
+def _exact_correct_mass(spec) -> Fraction:
+    """sum_{j* != 0} P(good at j*) as an exact fraction, by Parseval over j*."""
+    q, v = spec.fp.q, spec.v
+    collisions = sum(c * c for c in spec.error_histogram().values())
+    return Fraction(q * collisions - v * v, v * q ** (spec.n + 1))
+
+
+def test_exact_correct_mass_matches_the_float_law():
+    kinds = set()
+    for spec in _drawn_specs(240, 74):
+        law = outcome_distribution(spec)
+        assert law.correct_mass == float(_exact_correct_mass(spec))  # rounded once
+        assert abs(law.p_correct - law.correct_mass) <= DECISION_MARGIN / 1000
+        kinds.add((spec.noise.kind, spec.errors is not None, spec.v == spec.fp.q**spec.n))
+    assert len({k[0] for k in kinds}) == 5 and {k[1:] for k in kinds} == set(itertools.product((False, True), repeat=2))
+    # supports too wide to keep a table for: each law gathers its rows over the spec's own values
+    local = make_rng(75)
+    wide = 0
+    for q, noise in ((8191, NoiseModel.bounded_uniform(4095)), (12289, NoiseModel.gaussian(2000.0, 6144))):
+        assert len(noise.distribution(q)[0]) * q > samples._PHASE_TABLE_LIMIT
+        for v, errors_as in ((1, "map"), (40, "histogram"), (90, "map"), (120, "histogram")):
+            spec = draw_sample_spec(FieldParams(q), 1, (int(local.integers(q)),), v, noise, local, errors_as=errors_as)
+            law = outcome_distribution(spec)
+            assert law.correct_mass == float(_exact_correct_mass(spec))
+            assert abs(law.p_correct - law.correct_mass) <= DECISION_MARGIN / 1000
+            wide += 1
+    assert wide == 8
+
+
+def test_outcome_law_rejects_a_modulus_beyond_2_to_the_26_before_any_array():
+    q = 2**26 + 15  # the least prime above 2**26
+    spec = SampleSpec(fp=FieldParams(q), n=1, s=(1,), v=3, noise=NoiseModel.none(), histogram={0: 3})
+    with pytest.raises(ParameterError, match="q too large"):
+        outcome_distribution(spec)
+
+
+class _FixedUniforms:
+    """A generator stub: random() returns the given uniforms in turn, integers() draws from a real generator."""
+
+    def __init__(self, uniforms, key: int):
+        self._uniforms = iter(uniforms)
+        self._rng = make_rng(key)
+
+    def random(self) -> float:
+        return next(self._uniforms)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_field_bv_decides_as_the_float_law_at_category_boundaries():
+    below = 0
+    for i, spec in enumerate(_drawn_specs(240, 76)):
+        law = outcome_distribution(spec)
+        bot_cut = law.correct_mass + law.p_bot
+        uniforms = (law.p_correct, law.p_correct + law.p_bot, law.correct_mass - DECISION_MARGIN / 2,
+                    law.correct_mass + DECISION_MARGIN / 2, bot_cut - DECISION_MARGIN / 2, bot_cut + DECISION_MARGIN / 2)
+        for u in uniforms:
+            out = field_bv(spec, _FixedUniforms([u], i))
+            got = "bot" if out.is_bot else "correct" if out.secret == spec.s else "wrong"
+            expected = "correct" if u < law.p_correct else "bot" if u < law.p_correct + law.p_bot else "wrong"
+            assert got == expected, (spec.error_histogram(), u)
+        below += law.p_correct < law.correct_mass
+    # where the float p_correct lies below the exact mass, only the fallback gives the float law's outcome at u = p_correct
+    assert below >= 20
 
 
 @pytest.mark.parametrize("noise, error, named", [
