@@ -54,7 +54,7 @@ from .samples import (
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
-    sample_stream,
+    spec_drawer,
     spec_from_json,
     spec_to_json,
     theoretical_bound,

@@ -4,9 +4,10 @@ Exit codes: 0 success / secret recovered, 1 abstention or failed checks,
 2 usage errors, 3 internal errors.  A learn/experiment ``--config`` file is
 a JSON object of flag names and values, read as those flags placed before
 the command-line ones (so a flag given on the command line wins, and a null
-value means "not given"); each sweep entry is such an object for
-``experiment``, without ``csv`` or ``config``.  QUDITLEARN_SEED provides the
-default seed.
+value means "not given"; a string is the flag's text, any other value its
+JSON); each sweep entry is such an object for ``experiment``, without
+``csv`` or ``config``.  A value that its flag rejects exits 2 with one error
+line naming the file or entry.  QUDITLEARN_SEED provides the default seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ NOISE_MODELS = {  # --noise value -> the NoiseModel built from the parsed flags
 
 
 class _EntryParser(argparse.ArgumentParser):
-    """Raises a usage error instead of printing usage and exiting, so a sweep can name the entry."""
+    """Raises a usage error instead of printing usage and exiting, so the message can name its config."""
 
     def error(self, message: str):
         raise ParameterError(message)
@@ -92,7 +93,9 @@ def _config_flags(obj, keys: set[str], what: str) -> list[str]:
     for key in obj:
         if key not in keys:
             raise ParameterError(f"{what} key {key!r} names no flag it can set")
-    return [f"--{key}={value}" for key, value in obj.items() if value is not None]
+    # a string is the flag's text; any other value is written as JSON (true, not True)
+    return [f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in obj.items() if value is not None]
 
 
 def _format_vector(vec: tuple[int, ...]) -> str:
@@ -190,10 +193,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand in ("learn", "experiment") and args.config is not None:
             with open(args.config) as handle:
                 obj = json.load(handle)
-            keys = set(vars(args)) - {"subcommand", "config"}
-            flags = _config_flags(obj, keys, f"{args.subcommand} config file")
+            what = f"{args.subcommand} config file"
+            flags = _config_flags(obj, set(vars(args)) - {"subcommand", "config"}, what)
             at = argv.index(args.subcommand) + 1
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            try:  # the command-line flags parsed above, so a usage error here is the file's
+                args = build_parser(_EntryParser).parse_args(argv[:at] + flags + argv[at:])
+            except ValueError as exc:
+                raise ParameterError(f"{what}: {exc}") from exc
         return handlers[args.subcommand](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code) if exc.code is not None else 2

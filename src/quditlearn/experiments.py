@@ -28,6 +28,7 @@ import dataclasses
 import math
 import sys
 import time
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -49,8 +50,7 @@ from .samples import (
     GAMMA_STAR,
     NoiseModel,
     outcome_distribution,
-    require_drawable,
-    sample_stream,
+    spec_drawer,
     theoretical_bound,
     uniform_vector,
 )
@@ -221,6 +221,8 @@ def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int
         return tuple(x % config.q for x in config.s)
     if config.problem == "sis":
         k = config.effective_k
+        if k > np.iinfo(np.int64).max:  # rng.integers draws int64
+            raise ParameterError(f"k must be <= 2**63 - 1 for sis, whose secret is drawn from [-k, k]; got k = {k}")
         return tuple(int(x) % config.q for x in rng.integers(-k, k + 1, size=config.n))
     return uniform_vector(config.q, config.n, rng)
 
@@ -245,8 +247,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         raise ParameterError(
             f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap"
         )
-    if config.problem in ("lwe", "lpn"):
-        require_drawable(v, config.noise, q, n)
+    if config.problem in ("lwe", "lpn"):  # one checked drawer per run
+        draw = spec_drawer(fp, n, secret, v, config.noise, "histogram" if config.engine == "analytic" else "map")
     if config.problem in ("lwe", "lpn", "lwr") and v * q ** (n + 1) > sys.float_info.max:
         # the success laws divide by v q^(n+1) in floats
         raise ParameterError(
@@ -254,7 +256,6 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         )
 
     if config.problem in ("lwe", "lpn"):
-        errors_as = "histogram" if config.engine == "analytic" else "map"
         exact = _expected_iteration_success(q, n, v, config.noise)
         if config.problem == "lpn":
             if q != 2:
@@ -265,8 +266,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
             bound_opt = None
 
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-                src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lpn_learn(config.L, src, rng, config.engine).secret
+                return lpn_learn(config.L, partial(draw, rng), rng, config.engine).secret
 
         else:
             if q == 2 and config.M >= 1:  # centered representatives exist for odd q only
@@ -278,8 +278,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
                 bound_paper = bound_opt = exact
 
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-                src = sample_stream(fp, n, secret, v, config.noise, rng, errors_as=errors_as)
-                return lwe_learn(config.L, src, rng, config.M, k, config.engine).secret
+                return lwe_learn(config.L, partial(draw, rng), rng, config.M, k, config.engine).secret
 
         return run, exact, bound_paper, bound_opt
 

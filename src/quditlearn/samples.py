@@ -27,9 +27,9 @@ only in the JSON form, with the documented keys q, n, s, subset, v,
 noise, errors, seed (see ``spec_to_json``).
 
 Validation runs where data enters: the public ``SampleSpec`` constructor and
-``spec_from_json``.  ``draw_sample_spec`` checks its arguments once, before
-any draw, and builds its spec from data drawn from the noise's own support
-without checking that data again.
+``spec_from_json``.  ``spec_drawer`` checks its arguments once per drawer,
+before any draw; every spec its ``draw(rng)`` returns is built from data
+drawn from the noise's own support, without checking that data again.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import DenseState, StateError, weighted_index
+from .dense import DenseState, StateError
 from .field import FieldParams, ParameterError, is_integer, phase_table
 
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
@@ -192,12 +192,15 @@ def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
         )
 
 
-def _draw_errors(noise: NoiseModel, q: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    values, _, values_arr, cdf = _distribution(noise, q)
+def _draw_errors(table, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` i.i.d. errors from a noise table ``_distribution(noise, q)``, as a read-only int64 array."""
+    values, _, values_arr, cdf = table
     if len(values) == 1:
-        return np.full(size, values[0], dtype=np.int64)
-    # u < 1.0 = cdf[-1], so the right-side index never passes the last value
-    return values_arr[np.searchsorted(cdf, rng.random(size), side="right")]
+        errors = np.full(size, values[0], dtype=np.int64)
+    else:  # u < 1.0 = cdf[-1], so the right-side index never passes the last value
+        errors = values_arr[np.searchsorted(cdf, rng.random(size), side="right")]
+    errors.flags.writeable = False
+    return errors
 
 
 def _check_arguments(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel):
@@ -242,10 +245,10 @@ class SampleSpec:
 
     n, v, the secret and the histogram's values and counts must be integers
     (``field.is_integer``: no floats, no bools).  The constructor checks all
-    of it and stores both arrays as read-only int64 copies.  A spec from
-    ``draw_sample_spec`` is built by ``_drawn`` instead: its data was drawn
-    from the noise's own support, so it is not checked again, and its fresh
-    int64 arrays are made read-only in place.  A spec is not modified after
+    of it and stores both arrays as read-only int64 copies.  A spec from a
+    ``spec_drawer`` skips the constructor: its arguments were checked when
+    the drawer was built and its data was drawn from the noise's own support,
+    and its fresh int64 arrays are read-only.  A spec is not modified after
     construction: its outcome law is computed on first use and kept with it.
     """
 
@@ -298,26 +301,6 @@ class SampleSpec:
             if bad:
                 raise ParameterError(f"histogram value {bad[0]} outside the noise support")
 
-    @classmethod
-    def _drawn(
-        cls, fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel,
-        subset: np.ndarray | None, errors: np.ndarray | None, histogram: dict[int, int] | None,
-    ) -> "SampleSpec":
-        """The spec of freshly drawn data, without the constructor's data check.
-
-        The caller has run ``_check_arguments`` and drew subset, errors or
-        histogram from the noise's own support; its int64 arrays become the
-        spec's own, made read-only in place rather than copied.
-        """
-        for arr in (subset, errors):
-            if arr is not None:
-                arr.flags.writeable = False
-        spec = object.__new__(cls)
-        # the fields the frozen __init__ would set, written straight into the instance dict
-        vars(spec).update(fp=fp, n=n, s=s, v=v, noise=noise, subset=subset, errors=errors,
-                          histogram=histogram, seed=None)
-        return spec
-
     def error_histogram(self) -> dict[int, int]:
         """Counts of each realized error value, in order of first occurrence."""
         if self.histogram is not None:
@@ -335,12 +318,13 @@ class SampleSpec:
         # support's values are distinct mod q; one int division rounds the exact ratio once
         collisions = sum(c * c for c in hist.values())
         correct = (q * collisions - self.v * self.v) / (self.v * q ** (self.n + 1))
-        good = partial(_good_masses, q, self.n, self.v, _distribution(self.noise, q)[0], hist)
+        good = partial(_good_masses, q, self.n, self.v, self.noise, hist)
         return OutcomeDistribution(correct, 1.0 / q, good)  # bot: Parseval over the j* = 0 slice
 
 
-def _good_masses(q: int, n: int, v: int, support: tuple[int, ...], hist: dict[int, int]) -> np.ndarray:
+def _good_masses(q: int, n: int, v: int, noise: NoiseModel, hist: dict[int, int]) -> np.ndarray:
     """P(good at j*) = |sum_b c_b omega^(b j*)|^2 / (q^(n+1) v) for each j* (entry 0 is zero)."""
+    support = _distribution(noise, q)[0]
     values = np.fromiter(hist.keys(), dtype=np.int64)
     counts = np.fromiter(hist.values(), dtype=np.float64)
     if len(support) * q <= _PHASE_TABLE_LIMIT:
@@ -456,6 +440,56 @@ def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
     return dots
 
 
+def spec_drawer(
+    fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
+) -> Callable[[np.random.Generator], SampleSpec]:
+    """``draw(rng)``, a fresh sample spec per call: uniform size-v subset, errors from the noise model.
+
+    ``errors_as="map"`` (what the dense engine needs) draws the subset and an
+    error per element.  ``"histogram"`` (enough for the analytic engine)
+    draws only the error counts and leaves a proper subset implicit; the law
+    depends on the counts alone, and a classical draw from a fresh spec is a
+    uniform a with an independent error, so this is distributionally
+    identical for every consumer that draws at most one classical sample per
+    spec.  The arguments are checked here, once per drawer, as the public
+    constructor checks them, and the noise table is looked up once; ``draw``
+    only makes the RNG calls and builds the frozen spec, whose fresh int64
+    arrays are read-only.
+    """
+    q = fp.q
+    if errors_as not in ("map", "histogram"):
+        raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
+    s = tuple(s)
+    table = _check_arguments(fp, n, s, v, noise)
+    require_drawable(v, noise, q, n)
+    qn = q**n
+    draw_subset = v < qn and errors_as == "map"
+    if draw_subset and qn > np.iinfo(np.int64).max:
+        raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
+    shared = noise.is_global or noise.kind == "none"  # one error value for every element
+    counts_only = not shared and errors_as == "histogram"
+    values, weights = table[0], np.asarray(table[1])  # an array: multinomial converts a tuple per call
+    # the fields the frozen __init__ would set; draw writes them straight into each instance dict
+    fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, subset=None, errors=None, histogram=None, seed=None)
+
+    def draw(rng: np.random.Generator) -> SampleSpec:
+        spec = object.__new__(SampleSpec)
+        own = vars(spec)
+        own.update(fields)
+        if draw_subset:
+            subset = own["subset"] = rng.choice(qn, size=v, replace=False)
+            subset.flags.writeable = False
+        if shared:
+            own["histogram"] = {int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0: v}
+        elif counts_only:
+            own["histogram"] = {b: c for b, c in zip(values, rng.multinomial(v, weights).tolist()) if c}
+        else:
+            own["errors"] = _draw_errors(table, v, rng)
+        return spec
+
+    return draw
+
+
 def draw_sample_spec(
     fp: FieldParams,
     n: int,
@@ -466,59 +500,8 @@ def draw_sample_spec(
     *,
     errors_as: str = "map",
 ) -> SampleSpec:
-    """Draw a fresh sample spec: uniform size-v subset, errors from the noise model.
-
-    ``errors_as="map"`` (what the dense engine needs) draws the subset and an
-    error per element.  ``"histogram"`` (enough for the analytic engine)
-    draws only the error counts and leaves a proper subset implicit; the law
-    depends on the counts alone, and a classical draw from a fresh spec is a
-    uniform a with an independent error, so this is distributionally
-    identical for every consumer that draws at most one classical sample per
-    spec.  The arguments are checked once, before any draw, as the public
-    constructor checks them; the drawn data is not checked again.
-    """
-    q = fp.q
-    if errors_as not in ("map", "histogram"):
-        raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
-    s = tuple(s)
-    values, weights = _check_arguments(fp, n, s, v, noise)[:2]
-    require_drawable(v, noise, q, n)
-    qn = q**n
-
-    subset: np.ndarray | None = None
-    if v < qn and errors_as == "map":
-        if qn > np.iinfo(np.int64).max:
-            raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-        subset = rng.choice(qn, size=v, replace=False)
-
-    errors: np.ndarray | None = None
-    histogram: dict[int, int] | None = None
-    if noise.is_global or noise.kind == "none":
-        shift = int(_draw_errors(noise, q, 1, rng)[0]) if noise.is_global else 0
-        histogram = {shift: v}
-    elif errors_as == "histogram":
-        counts = rng.multinomial(v, weights).tolist()
-        histogram = {b: c for b, c in zip(values, counts) if c}
-    else:
-        errors = _draw_errors(noise, q, v, rng)
-    return SampleSpec._drawn(fp, n, s, v, noise, subset, errors, histogram)
-
-
-def sample_stream(
-    fp: FieldParams,
-    n: int,
-    s: tuple[int, ...],
-    v: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    errors_as: str = "map",
-) -> Callable[[], SampleSpec]:
-    """Source of i.i.d. fresh sample specs (new subset and errors per call)."""
-
-    def source() -> SampleSpec:
-        return draw_sample_spec(fp, n, s, v, noise, rng, errors_as=errors_as)
-
-    return source
+    """One spec, ``spec_drawer(fp, n, s, v, noise, errors_as)(rng)``; a run builds one drawer instead."""
+    return spec_drawer(fp, n, s, v, noise, errors_as)(rng)
 
 
 def materialize_dense(spec: SampleSpec) -> DenseState:
@@ -562,7 +545,10 @@ def draw_classical_sample(
     """Computational-basis measurement: a uniform over V, b = a.s + e.
 
     An implicit subset draws a uniform over F_q^n and e by the histogram
-    counts: the marginal law of one draw from a fresh uniform v-subset.
+    counts: the marginal law of one draw from a fresh uniform v-subset.  A
+    histogram's e is ``values[weighted_index(counts, rng)]`` bit for bit: one
+    uniform u, the float running sums in the histogram's order, and the
+    first bin whose sum exceeds u times the total (else the last bin).
     """
     q = spec.fp.q
     if spec.subset is not None:
@@ -574,9 +560,14 @@ def draw_classical_sample(
         # flat indices are numpy's row-major order, so errors over all of F_q^n index as a (q,)*n grid
         e = int(spec.errors[pos] if spec.subset is not None else spec.errors.reshape((q,) * spec.n)[a])
     else:
-        values = tuple(spec.histogram)
-        counts = np.fromiter(spec.histogram.values(), dtype=np.float64)
-        e = values[weighted_index(counts, rng)]
+        total = 0.0
+        for c in spec.histogram.values():
+            total += c
+        target, running = rng.random() * total, 0.0
+        for e, c in spec.histogram.items():
+            running += c
+            if running > target:
+                break
     b = (sum(ai * si for ai, si in zip(a, spec.s)) + e) % q
     return a, b
 

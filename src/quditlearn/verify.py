@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .samples import (
     dense_outcome_distribution,
     draw_sample_spec,
     outcome_distribution,
+    spec_drawer,
     theoretical_bound,
     uniform_vector,
 )
@@ -166,7 +168,7 @@ def _check_test_candidate_completeness() -> CheckResult:
     rng = _rng(7)
     fp = FieldParams(11)
     s = (4, 9)
-    source = lambda: draw_sample_spec(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1), rng)
+    source = partial(spec_drawer(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1)), rng)
     for _ in range(200):
         if not test_candidate(s, source, 2, 1, rng):
             return CheckResult("test-candidate-completeness", False, "true secret rejected")

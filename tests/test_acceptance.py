@@ -8,6 +8,7 @@ trial counts.
 import itertools
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from quditlearn.samples import (
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
-    sample_stream,
+    spec_drawer,
     theoretical_bound,
 )
 from quditlearn.experiments import wilson_interval
@@ -118,7 +119,7 @@ def test_criterion_3_candidate_test_rates():
     details = []
     for idx, M in enumerate((1, 2, 3)):
         rng = make_rng(0x3003 + idx)
-        source = sample_stream(fp, 1, s, 11, NoiseModel.bounded_uniform(1), rng)
+        source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
         accepts = sum(test_candidate(wrong, source, M, 1, rng) for _ in range(trials))
         p = (3 / 11) ** M
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -126,7 +127,7 @@ def test_criterion_3_candidate_test_rates():
             ok = False
         details.append(f"M={M}: {accepts / trials:.5f} vs {p:.5f}")
     rng = make_rng(0x3007)
-    source = sample_stream(fp, 1, s, 11, NoiseModel.bounded_uniform(1), rng)
+    source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
     correct_accepts = sum(test_candidate(s, source, 1, 1, rng) for _ in range(trials))
     if correct_accepts != trials:
         ok = False
@@ -148,7 +149,7 @@ def test_criterion_4_end_to_end_recovery():
     for run in range(runs):
         rng = make_rng(0x4000 + run)
         s = tuple(int(x) for x in rng.integers(0, q, size=n))
-        inner = sample_stream(fp, n, s, q**n, noise, rng, errors_as="histogram")
+        inner = partial(spec_drawer(fp, n, s, q**n, noise, errors_as="histogram"), rng)
         consumed = 0
 
         def source():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from quditlearn.samples import (
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
-    sample_stream,
+    spec_drawer,
 )
 
 from conftest import make_rng
@@ -93,7 +94,7 @@ def test_field_bv_bot_rate_one_over_q_both_engines():
     fp = FieldParams(5)
     rng = make_rng(503)
     n_trials = 8_000
-    spec_src = sample_stream(fp, 1, (2,), 5, NoiseModel.bounded_uniform(2), rng)
+    spec_src = partial(spec_drawer(fp, 1, (2,), 5, NoiseModel.bounded_uniform(2)), rng)
     bots_analytic = sum(field_bv(spec_src(), rng).is_bot for _ in range(n_trials))
     bots_dense = sum(field_bv(materialize_dense(spec_src()), rng).is_bot for _ in range(n_trials))
     sigma = math.sqrt(0.2 * 0.8 / n_trials)
@@ -121,7 +122,7 @@ def test_correct_candidate_always_accepted():
     fp = FieldParams(11)
     rng = make_rng(505)
     s = (4, 9)
-    source = sample_stream(fp, 2, s, 121, NoiseModel.bounded_uniform(1), rng)
+    source = partial(spec_drawer(fp, 2, s, 121, NoiseModel.bounded_uniform(1)), rng)
     assert all(test_candidate(s, source, 3, 1, rng) for _ in range(2_000))
 
 
@@ -130,7 +131,7 @@ def test_wrong_candidate_acceptance_rate():
     rng = make_rng(506)
     s = (7,)
     wrong = (8,)
-    source = sample_stream(fp, 1, s, 11, NoiseModel.bounded_uniform(1), rng)
+    source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
     n_trials = 20_000
     accepts = sum(test_candidate(wrong, source, 2, 1, rng) for _ in range(n_trials))
     p = (3 / 11) ** 2
@@ -141,7 +142,7 @@ def test_wrong_candidate_acceptance_rate():
 def test_vacuous_candidate_test_accepts_everything():
     fp = FieldParams(11)
     rng = make_rng(507)
-    source = sample_stream(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1), rng)
+    source = partial(spec_drawer(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1)), rng)
     assert all(test_candidate((c,), source, 1, 5, rng) for c in range(11))  # k = (q-1)/2
 
 
@@ -152,7 +153,7 @@ def test_lwe_learn_noiseless_single_round():
     fp = FieldParams(7)
     rng = make_rng(508)
     s = (3, 5)
-    source = sample_stream(fp, 2, s, 49, NoiseModel.none(), rng)
+    source = partial(spec_drawer(fp, 2, s, 49, NoiseModel.none()), rng)
     n_runs = 10_000
     hits = sum(lwe_learn(1, source, rng, M=0, engine="analytic").secret == s for _ in range(n_runs))
     sigma = math.sqrt((6 / 7) * (1 / 7) / n_runs)
@@ -182,7 +183,7 @@ def test_lwe_learn_sample_budget():
     s = (13, 57)
     noise = NoiseModel.gaussian(1.0, 2)
     calls = 0
-    inner = sample_stream(fp, 2, s, 101**2, noise, rng, errors_as="histogram")
+    inner = partial(spec_drawer(fp, 2, s, 101**2, noise, errors_as="histogram"), rng)
 
     def counting_source():
         nonlocal calls
@@ -206,8 +207,7 @@ def test_lwe_learn_scaled_cryptographic_regime():
     for run in range(60):
         rng = make_rng(0xC0 + run)
         s = tuple(int(x) for x in rng.integers(0, 257, size=1))
-        inner = sample_stream(fp, 1, s, 257, NoiseModel.bounded_uniform(k), rng,
-                              errors_as="histogram")
+        inner = partial(spec_drawer(fp, 1, s, 257, NoiseModel.bounded_uniform(k), errors_as="histogram"), rng)
         consumed = 0
 
         def source():
@@ -224,7 +224,7 @@ def test_lwe_learn_dense_engine_matches_rate():
     fp = FieldParams(5)
     rng = make_rng(511)
     s = (1, 2)
-    source = sample_stream(fp, 2, s, 25, NoiseModel.none(), rng)
+    source = partial(spec_drawer(fp, 2, s, 25, NoiseModel.none()), rng)
     n_runs = 4_000
     hits = sum(lwe_learn(1, source, rng, M=0, engine="dense").secret == s for _ in range(n_runs))
     sigma = math.sqrt(0.8 * 0.2 / n_runs)
@@ -278,7 +278,7 @@ def test_lpn_learn_recovers_secret_at_moderate_noise():
     n = 6
     s = (1, 0, 0, 1, 1, 0)
     rng = make_rng(513)
-    source = sample_stream(fp, n, s, 64, NoiseModel.bernoulli(0.1), rng)
+    source = partial(spec_drawer(fp, n, s, 64, NoiseModel.bernoulli(0.1)), rng)
     hits = sum(lpn_learn(25, source, rng, "dense").secret == s for _ in range(40))
     assert hits >= 38  # plurality over 25 rounds at eta = 0.1 is near-certain
 
@@ -286,7 +286,7 @@ def test_lpn_learn_recovers_secret_at_moderate_noise():
 def test_lpn_learn_rejects_wrong_field():
     fp = FieldParams(3)
     rng = make_rng(514)
-    source = sample_stream(fp, 1, (1,), 3, NoiseModel.none(), rng)
+    source = partial(spec_drawer(fp, 1, (1,), 3, NoiseModel.none()), rng)
     with pytest.raises(ParameterError):
         lpn_learn(3, source, rng, "dense")
 

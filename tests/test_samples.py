@@ -4,6 +4,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quditlearn import learners, samples
-from quditlearn.dense import StateError
+from quditlearn.dense import StateError, weighted_index
 from quditlearn.experiments import ExperimentConfig, run_experiment
-from quditlearn.field import FieldParams, ParameterError, phase_table
+from quditlearn.field import FieldParams, ParameterError, centered, phase_table
 from quditlearn.learners import field_bv
 from quditlearn.samples import (
     DECISION_MARGIN,
@@ -26,7 +27,7 @@ from quditlearn.samples import (
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
-    sample_stream,
+    spec_drawer,
     spec_from_json,
     spec_to_json,
     theoretical_bound,
@@ -489,6 +490,27 @@ def test_uniform_vector_is_the_array_draw(q):
         assert _state_of(scalar) == _state_of(array)
 
 
+@pytest.mark.parametrize("histogram", [
+    {-2: 3, 0: 1, 1: 40, 2: 7, -1: 9},  # several bins, not in value order
+    {1: 11},  # a single bin still takes its uniform
+    {-1: 2**60 + 1, 0: 3, 1: 2**55 + 7, 2: 2**54 - 1},  # above 2**53 the float running sums round
+    {0: 2**70 + 1, -2: 1, 1: 2**66 + 3},  # counts beyond int64
+])
+def test_histogram_classical_draw_is_the_weighted_index_draw(histogram):
+    # a and e as uniform_vector and values[weighted_index(counts, rng)] draw them, with the same state after
+    q, n, s = 101, 12, tuple(range(1, 13))
+    spec = SampleSpec(fp=FieldParams(q), n=n, s=s, v=sum(histogram.values()), noise=NoiseModel.bounded_uniform(2),
+                      histogram=histogram)
+    values, counts = tuple(histogram), np.array(list(histogram.values()), dtype=np.float64)
+    for seed in range(1_200):
+        drawn, reference = make_rng(seed), make_rng(seed)
+        a, b = draw_classical_sample(spec, drawn)
+        a_ref = uniform_vector(q, n, reference)
+        e_ref = values[weighted_index(counts, reference)]
+        assert a == a_ref and centered(b - sum(x * y for x, y in zip(a, s)), q) == e_ref
+        assert _state_of(drawn) == _state_of(reference)
+
+
 def test_classical_sample_noiseless_identity(rng):
     spec = draw_sample_spec(FieldParams(7), 2, (1, 4), 49, NoiseModel.none(), rng)
     for _ in range(200):
@@ -827,10 +849,44 @@ def test_materialize_all_of_fq_n_matches_the_enumerated_vectors(q, n, noise):
     assert np.array_equal(materialize_dense(spec).amps, expected)
 
 
-def test_sample_stream_yields_fresh_errors(rng):
-    stream = sample_stream(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1), rng)
+def test_spec_drawer_yields_fresh_errors(rng):
+    stream = partial(spec_drawer(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1)), rng)
     histograms = {tuple(sorted(stream().error_histogram().items())) for _ in range(25)}
     assert len(histograms) > 1
+
+
+@pytest.mark.parametrize("config", [
+    dict(problem="lwe", q=101, n=2, noise=NoiseModel.gaussian(1.0, 2), L=10, M=1),
+    dict(problem="lwe", q=7, n=2, noise=NoiseModel.bounded_uniform(1), L=3, M=2, engine="dense"),
+    dict(problem="lpn", q=2, n=4, noise=NoiseModel.bernoulli(0.1), L=9),
+], ids=["lwe-analytic", "lwe-dense", "lpn"])
+def test_a_run_checks_its_sample_arguments_once(monkeypatch, config):
+    calls = []
+    check = samples._check_arguments
+    monkeypatch.setattr(samples, "_check_arguments", lambda *args: calls.append(args) or check(*args))
+    run_experiment(ExperimentConfig(trials=40, seed=3, **config))
+    assert len(calls) == 1  # one drawer for every spec of every trial
+
+
+@pytest.mark.parametrize("args, errors_as, match", [
+    ((FieldParams(5), 1, (1,), 6, NoiseModel.none()), "map", "subset size"),
+    ((FieldParams(5), 1, (1,), 5.0, NoiseModel.none()), "histogram", "integers"),
+    ((FieldParams(5), 0, (), 1, NoiseModel.none()), "map", "dimension"),
+    ((FieldParams(5), 2, (1, 5), 25, NoiseModel.none()), "map", "secret"),
+    ((FieldParams(5), 1, (1,), 5, NoiseModel.bounded_uniform(3)), "histogram", "exceeds q"),
+    ((FieldParams(5), 1, (1,), 5, NoiseModel.bernoulli(0.1)), "map", "q = 2"),
+    ((FieldParams(2), 64, (0,) * 64, 2**64, NoiseModel.bernoulli(0.1)), "histogram", "largest count"),
+    ((FieldParams(101), 10, (0,) * 10, 2_000_000, NoiseModel.bounded_uniform(1)), "map", "indexed in int64"),
+    ((FieldParams(5), 1, (1,), 5, NoiseModel.none()), "auto", "errors_as"),
+])
+def test_spec_drawer_checks_its_arguments_before_any_draw(args, errors_as, match):
+    with pytest.raises(ParameterError, match=match):
+        spec_drawer(*args, errors_as)
+    rng = make_rng(17)
+    before = _state_of(rng)
+    with pytest.raises(ParameterError, match=match):
+        draw_sample_spec(*args, rng, errors_as=errors_as)
+    assert _state_of(rng) == before
 
 
 def test_outcome_law_is_computed_once_per_spec(rng):
