@@ -9,8 +9,9 @@ PYTHONPATH set to it, and that process runs a fixed list of command lines
 through ``cli.main``:
 
   - ``experiment`` on the golden configurations of tests/test_golden.py, plus
-    lwr on the dense engine, lpn on the analytic engine and ring-global at
-    m = 3, each at every seed, at the golden trial count;
+    lwr on the dense engine, lpn on the analytic engine, ring-global at
+    m = 3 and lwe-dense on a proper subset (v = 100), with global noise and
+    with gaussian noise, each at every seed, at the golden trial count;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs.
 
@@ -62,6 +63,10 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lwr-dense"] = (*configs["lwr-fixed-spec"], "--engine", "dense")
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
+    # later flags override the golden ones
+    configs["lwe-dense-subset"] = (*configs["lwe-dense"], "--v", "100")
+    configs["lwe-dense-global"] = (*configs["lwe-dense"], "--noise", "global", "--k", "1")
+    configs["lwe-dense-gaussian"] = (*configs["lwe-dense"], "--noise", "gaussian", "--sigma", "1", "--k", "1")
     out = [
         (f"experiment {name} seed {seed}",
          ["experiment", *flags, "--trials", str(golden["TRIALS"]), "--seed", str(seed)])

@@ -14,20 +14,26 @@ fixed sample from it; every other consumer discards a sample after its one
 measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
-transforms and measures one register at a time and never forms the
+transforms and measures one register at a time, each pass one real product
+on the real and imaginary halves of a block, and never forms the
 transformed state.  A sample state built by ``DenseState.uniform`` holds
-only its support, the flat indices of its equal nonzero amplitudes; its
-read-only amplitude vector is built and norm-checked on first read.  When
-at most a q-th of register 0's columns are live, the first pass of
-``measure_qft_all`` builds the live columns straight from the support and
-never reads the amplitudes.  The full transform, ``apply_qft_all``
-followed by ``measure_all``, is the reference it reproduces, and stays for
-the cross-checks that need the whole transformed state.
+only its support, the checked, read-only flat indices of its equal nonzero
+amplitudes.  The first pass of ``measure_qft_all`` builds register 0's
+block from the support as a real array (only its live columns, when at
+most a q-th of them hold amplitude) and applies F to it as one real
+product, so measuring a sample state never builds its amplitude vector.
+Among the learners only the SIS screening, whose operations act on
+amplitudes, reads that vector; it is built and norm-checked on first read,
+and the cross-checks read it too.  The rows agree with ``f @ block`` to
+rounding.  The full transform, ``apply_qft_all`` followed by
+``measure_all``, is the reference that ``measure_qft_all`` reproduces, and
+stays for the cross-checks that need the whole transformed state.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +55,45 @@ def qft_matrix(q: int) -> np.ndarray:
     mat = phase_table(q, idx, idx) / np.sqrt(q)
     mat.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=4)  # 32 q^2 bytes, twice F: 128 MB at q = 2048
+def _real_qft(q: int) -> np.ndarray:
+    """F on a register as one real product: the read-only 2q x 2q matrix R with
+    R @ [Re X; Im X] = Y, whose rows 2x and 2x+1 are Re (F @ X)[x] and Im (F @ X)[x].
+
+    So ``(R @ [Re X; Im X]).reshape(q, -1)`` has row x = Re then Im of (F @ X)[x],
+    and for a real X the product is ``R[:, :q] @ X``.
+    """
+    f = qft_matrix(q)
+    mat = np.empty((q, 2, 2, q))
+    mat[:, 0, 0], mat[:, 0, 1] = f.real, -f.imag
+    mat[:, 1, 0], mat[:, 1, 1] = f.imag, f.real
+    mat = mat.reshape(2 * q, 2 * q)
+    mat.flags.writeable = False
+    return mat
+
+
+def _support_block(support: np.ndarray, q: int, columns: int) -> tuple:
+    """(live, block): register 0's real amplitude block of a uniform state, built from its support.
+
+    When at most a q-th of the columns hold amplitude, ``block`` keeps only
+    those, the sorted ``live`` columns; else ``live`` is None.
+    Entries sharing a column merge; a repeated support index leaves the
+    block's mass below 1, which the caller's norm check catches.
+    """
+    value = 1.0 / math.sqrt(support.size)
+    if support.size * q <= columns:
+        mask = np.zeros(columns, dtype=bool)
+        column = support % columns
+        mask[column] = True
+        live = np.flatnonzero(mask)
+        block = np.zeros((q, live.size))
+        block[support // columns, live.searchsorted(column)] = value
+        return live, block
+    block = np.zeros(q * columns)
+    block[support] = value
+    return None, block.reshape(q, columns)
 
 
 def checked_size(fp: FieldParams, num_registers: int) -> int:
@@ -84,13 +129,26 @@ class DenseState:
         self.support = None
 
     @classmethod
-    def uniform(cls, fp: FieldParams, num_registers: int, flat: np.ndarray) -> "DenseState":
+    def uniform(cls, fp: FieldParams, num_registers: int, flat) -> "DenseState":
         """Equal amplitudes on the distinct flat basis indices ``flat``, which become the support.
 
-        Only the support is kept: the amplitudes are built on first read, and
-        a repeated index fails the norm check there or in ``measure_qft_all``.
+        The support must be a non-empty 1-d integer array with every index in
+        [0, q^m); it is kept read-only, as int64.  Only the support is kept:
+        ``measure_qft_all`` reads it alone, and the amplitude vector is built
+        (and norm-checked) only when something reads ``amps``.  A repeated
+        index fails the norm check there or in ``measure_qft_all``.
         """
-        checked_size(fp, num_registers)
+        size = checked_size(fp, num_registers)
+        flat = np.asarray(flat)
+        if flat.ndim != 1 or flat.size == 0:
+            raise StateError(f"a support is a non-empty 1-d array of flat indices, got shape {flat.shape}")
+        if flat.dtype.kind not in "iu":
+            raise StateError(f"support indices must be integers, got dtype {flat.dtype}")
+        flat = flat.astype(np.int64, copy=False)
+        # one reduction checks both ends: a negative index reads as 2**63 or more unsigned
+        if flat.view(np.uint64).max() >= size:
+            raise StateError(f"support index outside [0, {size})")
+        flat.setflags(write=False)
         state = cls.__new__(cls)
         state.fp = fp
         state.num_registers = num_registers
@@ -146,6 +204,21 @@ class DenseState:
             amps = amps.reshape(q, rest).T @ f
         return DenseState(self.fp, self.num_registers, amps)
 
+    def _first_pass(self) -> tuple:
+        """(live, rows): F applied to register 0, as the real 2q x k array of ``_real_qft``.
+
+        A state built by ``uniform`` builds its real block from the support
+        (``_support_block``), so ``rows`` spans only the live columns when
+        ``live`` is not None; any other state transforms [Re; Im] of its
+        amplitudes.  Reshaped to q rows, row x is Re then Im of (F @ block)[x].
+        """
+        q = self.fp.q
+        if self.support is None:
+            amps = self.amps.reshape(q, -1)
+            return None, _real_qft(q) @ np.concatenate((amps.real, amps.imag))
+        live, block = _support_block(self.support, q, q ** (self.num_registers - 1))
+        return live, _real_qft(q)[:, :q] @ block  # the block's imaginary half is zero
+
     def measure_qft_all(self, rng: np.random.Generator) -> tuple[int, ...]:
         """The outcome of ``apply_qft_all().measure_all(rng)``, from the same single uniform.
 
@@ -156,51 +229,42 @@ class DenseState:
         u * total picks row x, the mass of the rows before x is subtracted
         from the target, and the next register continues on row x alone.  The
         passes shrink by a factor q, so the total cost is about q/(q-1) of one
-        full pass.  When a recorded support leaves all but at most a q-th of
-        register 0's columns empty, the first pass builds the live columns
-        from the support, without reading the amplitudes, multiplies F into
-        them only and scatters row x back into a zeroed vector; its total is
-        then the state's only norm check.  The CDF is summed in another order
-        than the reference's, so the two differ only when u falls within
-        rounding error of a boundary.
+        full pass.
+
+        Every pass is one real product: a block X is held as [Re X; Im X],
+        ``_real_qft(q)`` applies F to it, and row x of the result is the next
+        register's block in the same form.  A state built by ``uniform``
+        never builds its amplitude vector here: its first pass is a real
+        product from the support (see ``_first_pass``), and a kept row over
+        the live columns only is scattered into a zeroed block over all of
+        them.  The first pass's total is the state's only norm check.  The
+        rows agree with ``f @ block`` to rounding, and the CDF is summed in
+        another order than the reference's, so the two differ only when u
+        falls within rounding error of a boundary.
         """
         q = self.fp.q
-        f = qft_matrix(q)
-        columns = q ** (self.num_registers - 1)
-        support = self.support
-        live = None  # register 0's columns holding amplitude, when few enough to skip the rest
-        if support is not None and support.size * q <= columns:
-            mask = np.zeros(columns, dtype=bool)
-            column = support % columns
-            mask[column] = True  # entries sharing a column merge here
-            live = np.flatnonzero(mask)
-            # block[:, live] of the amplitude grid, built from the support alone
-            block = np.zeros((q, live.size), dtype=np.complex128)
-            block[support // columns, live.searchsorted(column)] = 1.0 / math.sqrt(support.size)
-        else:
-            block = self.amps.reshape(q, -1)
+        step = _real_qft(q)
+        live, rows = self._first_pass()
+        rows = rows.reshape(q, -1)
+        cdf = np.vecdot(rows, rows).cumsum().tolist()  # the inverse CDF runs on Python floats
+        if abs(cdf[-1] - 1.0) > NORM_TOL:
+            raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
+        target = rng.random() * cdf[-1]
         outcome = []
         for register in range(self.num_registers):
             if register:
-                block = vec.reshape(q, -1)
-            rows = f @ block
-            flat = rows.view(np.float64)
-            cdf = np.vecdot(flat, flat).cumsum()
-            if register == 0:
-                if abs(cdf[-1] - 1.0) > NORM_TOL:
-                    raise StateError(f"norm not preserved: sum |amp|^2 = {float(cdf[-1])!r}")
-                target = rng.random() * cdf[-1]
+                rows = (step @ kept.reshape(2 * q, -1)).reshape(q, -1)
+                cdf = np.vecdot(rows, rows).cumsum().tolist()
             # rounding can leave the target past this row's mass; clamp as weighted_index does
-            x = min(int(cdf.searchsorted(target, "right")), q - 1)
+            x = min(bisect_right(cdf, target), q - 1)
             if x:
                 target -= cdf[x - 1]
             outcome.append(x)
-            if live is None:
-                vec = rows[x]
-            else:
-                vec = np.zeros(columns, dtype=np.complex128)
-                vec[live] = rows[x]
-                live = None
+            kept = rows[x]
+            if live is not None:
+                kept = np.zeros((2, q ** (self.num_registers - 1)))
+                kept[:, live] = rows[x].reshape(2, -1)
+                live = rows = None  # the first pass's rows are not held with the next pass's
         return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":

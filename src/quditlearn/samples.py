@@ -158,8 +158,8 @@ class NoiseModel:
 
 
 @lru_cache(maxsize=256)
-def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[float, ...], np.ndarray, np.ndarray]:
-    """(values, weights, values array, cdf) for a noise model at modulus q."""
+def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[float, ...], np.ndarray]:
+    """(values, weights, cdf) for a noise model at modulus q; the values are a run of integers."""
     noise.validate_for(q)
     if noise.kind == "none":
         values, weights = (0,), (1.0,)
@@ -176,11 +176,12 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
         values, weights = (0, 1), (1.0 - noise.eta, noise.eta)
     else:
         values, weights = _distribution(noise.inner, q)[:2]
-    # SampleSpec checks error values against [min, max], exact for a run of integers.
+    # SampleSpec checks error values against [min, max], and _draw_errors offsets a CDF index by
+    # values[0]: both exact for a run of integers.
     assert values == tuple(range(values[0], values[-1] + 1))
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
-    return values, weights, np.asarray(values, dtype=np.int64), cdf
+    return values, weights, cdf
 
 
 def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
@@ -194,12 +195,13 @@ def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
 
 def _draw_errors(table, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` i.i.d. errors from a noise table ``_distribution(noise, q)``, as a read-only int64 array."""
-    values, _, values_arr, cdf = table
+    values, _, cdf = table
     if len(values) == 1:
         errors = np.full(size, values[0], dtype=np.int64)
     else:  # u < 1.0 = cdf[-1], so the right-side index never passes the last value
-        errors = values_arr[np.searchsorted(cdf, rng.random(size), side="right")]
-    errors.flags.writeable = False
+        errors = cdf.searchsorted(rng.random(size), "right")
+        errors += values[0]  # the values are a run of integers
+    errors.setflags(write=False)
     return errors
 
 
@@ -425,7 +427,7 @@ def _vectors_at(idx, q: int, n: int) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (q,) * n), axis=-1).astype(np.int64)
 
 
-@lru_cache(maxsize=1)  # dense LWE: a trial's attempts share its secret; LWR, SIS: one call per run
+@lru_cache(maxsize=1)  # dense LWE: every trial of a run shares its secret; LWR, SIS: one call per run
 def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
     """a.s for every a of F_q^n in flat-index order, as a read-only int64 array.
 
@@ -438,6 +440,14 @@ def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
         dots = (dots[:, None] + si * digits).ravel()
     dots.flags.writeable = False  # shared by every caller of the memoized array
     return dots
+
+
+@lru_cache(maxsize=1)  # dense LWE on all of F_q^n: one (q, n) per run
+def _row_starts(q: int, n: int) -> np.ndarray:
+    """a*q for every a of F_q^n in flat-index order, the flat index of |a>|0>, as a read-only int64 array."""
+    starts = np.arange(q**n, dtype=np.int64) * q
+    starts.flags.writeable = False
+    return starts
 
 
 def spec_drawer(
@@ -512,13 +522,15 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
     if spec.subset is None:
         if spec.v < q**spec.n:
             raise StateError("an implicit subset has no vectors to place amplitudes on")
-        idx, dots = np.arange(spec.v, dtype=np.int64), _dots_over_space(q, spec.s)
+        dots, starts = _dots_over_space(q, spec.s), _row_starts(q, spec.n)
     else:
-        idx = spec.subset
         dots = _vectors_at(spec.subset, q, spec.n) @ np.asarray(spec.s, dtype=np.int64)
+        starts = spec.subset * q
     # a single-bin histogram fixes the assignment: every element carries its one value
-    errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
-    return DenseState.uniform(spec.fp, spec.n + 1, idx * q + (dots + errs) % q)
+    support = dots + (spec.errors if spec.errors is not None else next(iter(spec.histogram)))
+    support %= q
+    support += starts  # flat index a*q + (a.s + e_a mod q), built in place in one fresh array
+    return DenseState.uniform(spec.fp, spec.n + 1, support)
 
 
 # Up to this n, n scalar draws beat one array draw: a scalar draw costs

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, qft_matrix, weighted_index
+from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, _real_qft, qft_matrix, weighted_index
 from quditlearn.field import FieldParams
 from quditlearn.learners import sis_sample_state
 from quditlearn.ring import RingEmbedding, ring_sample_state
-from quditlearn.samples import NoiseModel, draw_sample_spec, materialize_dense
+from quditlearn.samples import NoiseModel, draw_sample_spec, materialize_dense, spec_drawer
 
 from conftest import basis_state, make_rng
 
@@ -171,16 +171,15 @@ def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
         def random(self):
             return self.u
 
-    def row_masses(rows):  # summed as measure_qft_all sums them
-        flat = rows.view(np.float64)
-        return np.vecdot(flat, flat)
+    def transform(block):  # [Re X; Im X] -> rows of F @ X, formed and summed as measure_qft_all does
+        rows = (_real_qft(3) @ block).reshape(3, -1)
+        return rows, np.vecdot(rows, rows).cumsum()
 
-    f = qft_matrix(3)
     for key in range(100):
         state = random_state(3, 2, key)
-        rows = f @ state.amps.reshape(3, 3)
-        first = row_masses(rows).cumsum()
-        row_total = row_masses(f @ rows[0].reshape(3, 1)).cumsum()[-1]
+        amps = state.amps.reshape(3, 3)
+        rows, first = transform(np.concatenate((amps.real, amps.imag)))
+        row_total = transform(rows[0].reshape(6, 1))[1][-1]
         u = np.nextafter(first[0] / first[-1], 0.0)
         if row_total <= u * first[-1] < first[0]:
             assert state.measure_qft_all(FixedUniform(float(u))) == (0, 2)
@@ -288,6 +287,87 @@ def test_a_ring_sample_allocates_no_state_sized_array(q, m):
     finally:
         tracemalloc.stop()
     assert peak < q ** (2 * emb.n) * 16 / 3
+
+
+def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
+    """``count`` drawn sample states of one builder, each from fresh draws.
+
+    lwe-subset (v = 40 <= 7^2) and ring take the compact first pass; the
+    others take the full one.
+    """
+    rng = make_rng(key)
+    if builder == "ring":
+        emb = RingEmbedding.build(FieldParams(7), 3)
+        return [ring_sample_state(emb, tuple(int(x) for x in rng.integers(7, size=2)),
+                                  tuple(int(x) for x in rng.integers(7, size=2))) for _ in range(count)]
+    if builder == "sis":
+        return [sis_sample_state(FieldParams(7), 2, tuple(int(x) for x in rng.integers(-1, 2, size=2)))
+                for _ in range(count)]
+    q, n, v, noise = {
+        "lwe-full": (7, 3, 343, NoiseModel.bounded_uniform(1)),
+        "lwe-subset": (7, 3, 40, NoiseModel.gaussian(1.0, 2)),
+        "lwe-global": (7, 3, 343, NoiseModel.global_shift(NoiseModel.bounded_uniform(2))),
+        "lpn": (2, 8, 256, NoiseModel.bernoulli(0.1)),
+    }[builder]
+    draw = spec_drawer(FieldParams(q), n, tuple(int(x) for x in rng.integers(q, size=n)), v, noise)
+    return [materialize_dense(draw(rng)) for _ in range(count)]
+
+
+BUILDERS = ("lwe-full", "lwe-subset", "lwe-global", "lpn", "ring", "sis")
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_the_support_built_first_pass_matches_the_complex_product(builder):
+    compact = set()
+    for state in _builder_states(builder, 1000, key=len(builder)):
+        q = state.fp.q
+        live, rows = state._first_pass()
+        assert state._amps is None  # the first pass reads the support only
+        rows = rows.reshape(q, 2, -1)
+        first = np.zeros((q, state.amps.size // q), dtype=np.complex128)
+        first[:, slice(None) if live is None else live] = rows[:, 0] + 1j * rows[:, 1]
+        assert np.abs(first - qft_matrix(q) @ state.amps.reshape(q, -1)).max() <= 1e-15
+        compact.add(live is not None)
+    assert compact == {builder in ("lwe-subset", "ring")}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_measure_qft_all_matches_the_full_transform_on_2000_seeds(builder):
+    seed = 0
+    for state in _builder_states(builder, 200, key=100 + len(builder)):
+        transformed = state.apply_qft_all()
+        for _ in range(10):
+            fast, reference = make_rng(seed), make_rng(seed)
+            assert state.measure_qft_all(fast) == transformed.measure_all(reference)
+            assert fast.random() == reference.random()
+            seed += 1
+    assert seed == 2000
+
+
+@pytest.mark.parametrize("flat, message", [
+    ([], "non-empty 1-d"),
+    (np.zeros(0, dtype=np.int64), "non-empty 1-d"),
+    ([[0, 7]], "non-empty 1-d"),
+    ([0.0, 7.0], "must be integers"),
+    (np.array([True, False]), "must be integers"),
+    ([0, 125], r"outside \[0, 125\)"),
+    ([-1, 3], r"outside \[0, 125\)"),
+    (np.array([2**63 + 3, 0], dtype=np.uint64), r"outside \[0, 125\)"),
+])
+def test_uniform_rejects_a_support_it_cannot_measure(flat, message):
+    with pytest.raises(StateError, match=message):
+        DenseState.uniform(FieldParams(5), 3, flat)
+
+
+def test_uniform_keeps_an_integer_support_as_read_only_int64():
+    small = DenseState.uniform(FieldParams(5), 3, np.array([0, 7, 124], dtype=np.uint8))
+    own = np.array([0, 7, 124], dtype=np.int64)
+    wide = DenseState.uniform(FieldParams(5), 3, own)
+    assert wide.support is own and not own.flags.writeable  # an int64 array is kept, not copied
+    for state in (small, wide):
+        assert state.support.dtype == np.int64 and not state.support.flags.writeable
+        assert state.support.tolist() == [0, 7, 124]
+    assert small.measure_qft_all(make_rng(3)) == wide.apply_qft_all().measure_all(make_rng(3))
 
 
 def test_uniform_state_is_read_only():

@@ -267,6 +267,35 @@ def test_every_drawn_spec_passes_the_full_check():
                                      (False, False, True)}  # proper and full subsets, map and histogram
 
 
+def test_error_draws_and_dense_supports_match_the_gather_formulas():
+    # _draw_errors offsets a CDF index by the first value and materialize_dense builds the support in
+    # place; both must give the arrays of the formulas they replaced, for every noise kind
+    for fp, _, noise in _DRAW_CASES:
+        table = samples._distribution(noise, fp.q)
+        values, _, cdf = table
+        for size in (1, 5, 343):
+            new_rng, old_rng = make_rng(size), make_rng(size)
+            drawn = samples._draw_errors(table, size, new_rng)
+            if len(values) == 1:
+                old = np.full(size, values[0], dtype=np.int64)
+            else:
+                old = np.asarray(values, dtype=np.int64)[np.searchsorted(cdf, old_rng.random(size), side="right")]
+            assert drawn.dtype == np.int64 and not drawn.flags.writeable and np.array_equal(drawn, old)
+            assert new_rng.random() == old_rng.random()
+    local = make_rng(73)
+    for fp, n, noise in _DRAW_CASES:
+        q = fp.q
+        for v in (q**n, q**n // 2, 1) * 5:
+            s = tuple(int(x) for x in local.integers(0, q, size=n))
+            spec = draw_sample_spec(fp, n, s, v, noise, local)
+            idx = spec.subset if spec.subset is not None else np.arange(v, dtype=np.int64)
+            dots = _vectors_at(idx, q, n) @ np.asarray(s, dtype=np.int64)
+            errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
+            support = materialize_dense(spec).support
+            assert support.dtype == np.int64 and np.array_equal(support, idx * q + (dots + errs) % q)
+    assert {noise.kind for _, _, noise in _DRAW_CASES} == set(samples._NOISE_KEYS)  # all five kinds
+
+
 def _formula_before_the_shared_table(spec):
     """The law as written before the phase table was shared: a table over the spec's own values."""
     q = spec.fp.q
