@@ -29,6 +29,7 @@ from .samples import (
     NoiseModel,
     SampleSpec,
     _dots_over_space,
+    _row_starts,
     draw_classical_sample,
     materialize_dense,
     outcome_distribution,
@@ -194,7 +195,7 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     qn = q**n
     s = tuple(s)
     if qn <= ENUMERABLE_LIMIT:
-        dots = _dots_over_space(q, s) % q
+        dots = _dots_over_space(q, s)
         errors = np.asarray(residual, dtype=np.int64)[dots]
         return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, errors=errors)
     # a.s is uniform over F_q when s != 0, hitting each residue q^(n-1) times.
@@ -227,7 +228,7 @@ def sis_sample_state(fp, n: int, secret: tuple[int, ...]) -> DenseState:
     if len(secret) != n:
         raise ParameterError(f"secret must be a length-{n} vector")
     dots = _dots_over_space(q, tuple(x % q for x in secret))
-    return DenseState.uniform(fp, n + 1, np.arange(q**n, dtype=np.int64) * q + dots % q)
+    return DenseState.uniform(fp, n + 1, _row_starts(q, n) + dots)
 
 
 def sis_learn(

@@ -429,7 +429,7 @@ def _vectors_at(idx, q: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # dense LWE: every trial of a run shares its secret; LWR, SIS: one call per run
 def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
-    """a.s for every a of F_q^n in flat-index order, as a read-only int64 array.
+    """a.s mod q for every a of F_q^n in flat-index order, as a read-only int64 array.
 
     Built as an outer sum over the registers, so no table of the q^n vectors
     is formed and any q^n that fits a dense state works.
@@ -438,16 +438,30 @@ def _dots_over_space(q: int, s: tuple[int, ...]) -> np.ndarray:
     dots = s[0] * digits
     for si in s[1:]:
         dots = (dots[:, None] + si * digits).ravel()
+    dots %= q
     dots.flags.writeable = False  # shared by every caller of the memoized array
     return dots
 
 
-@lru_cache(maxsize=1)  # dense LWE on all of F_q^n: one (q, n) per run
+@lru_cache(maxsize=1)  # dense LWE on all of F_q^n, SIS: one (q, n) per run
 def _row_starts(q: int, n: int) -> np.ndarray:
     """a*q for every a of F_q^n in flat-index order, the flat index of |a>|0>, as a read-only int64 array."""
     starts = np.arange(q**n, dtype=np.int64) * q
     starts.flags.writeable = False
     return starts
+
+
+@lru_cache(maxsize=4)  # a run reads one q
+def _residues(q: int) -> np.ndarray:
+    """arange(2q) mod q, read-only: indexed by any i in [-2q, 2q) it gives i mod q.
+
+    An index below 0 reads from the end, at 2q + i, which is i mod q too; so
+    a gather through it reduces a.s mod q plus an error in (-q, q) without a
+    division.
+    """
+    residues = np.arange(2 * q, dtype=np.int64) % q
+    residues.flags.writeable = False
+    return residues
 
 
 def spec_drawer(
@@ -524,12 +538,12 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
             raise StateError("an implicit subset has no vectors to place amplitudes on")
         dots, starts = _dots_over_space(q, spec.s), _row_starts(q, spec.n)
     else:
-        dots = _vectors_at(spec.subset, q, spec.n) @ np.asarray(spec.s, dtype=np.int64)
+        dots = (_vectors_at(spec.subset, q, spec.n) @ np.asarray(spec.s, dtype=np.int64)) % q
         starts = spec.subset * q
     # a single-bin histogram fixes the assignment: every element carries its one value
-    support = dots + (spec.errors if spec.errors is not None else next(iter(spec.histogram)))
-    support %= q
-    support += starts  # flat index a*q + (a.s + e_a mod q), built in place in one fresh array
+    errs = spec.errors if spec.errors is not None else next(iter(spec.histogram))
+    support = _residues(q)[dots + errs]  # (a.s + e_a) mod q: every error lies in (-q, q)
+    support += starts  # the flat index of |a>|a.s + e_a>
     return DenseState.uniform(spec.fp, spec.n + 1, support)
 
 

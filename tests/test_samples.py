@@ -285,6 +285,8 @@ def test_error_draws_and_dense_supports_match_the_gather_formulas():
     local = make_rng(73)
     for fp, n, noise in _DRAW_CASES:
         q = fp.q
+        every = np.arange(-2 * q, 2 * q)
+        assert np.array_equal(samples._residues(q)[every], every % q)
         for v in (q**n, q**n // 2, 1) * 5:
             s = tuple(int(x) for x in local.integers(0, q, size=n))
             spec = draw_sample_spec(fp, n, s, v, noise, local)
