@@ -111,11 +111,12 @@ def checked_size(fp: FieldParams, num_registers: int) -> int:
 class DenseState:
     """Unit vector over m registers of dimension q each.
 
-    ``support`` is None, or the flat indices of the equal nonzero amplitudes
-    of a state built by ``uniform``, whose amplitudes are read-only.
+    ``support`` is None, or the checked, read-only flat indices of the equal
+    nonzero amplitudes of a state built by ``uniform``, whose amplitudes are
+    read-only too.  Neither can be reassigned.
     """
 
-    __slots__ = ("fp", "num_registers", "_amps", "support")
+    __slots__ = ("fp", "num_registers", "_amps", "_support")
 
     def __init__(self, fp: FieldParams, num_registers: int, amps: np.ndarray):
         size = checked_size(fp, num_registers)
@@ -126,7 +127,7 @@ class DenseState:
         self.fp = fp
         self.num_registers = num_registers
         self._amps = amps
-        self.support = None
+        self._support = None
 
     @classmethod
     def uniform(cls, fp: FieldParams, num_registers: int, flat) -> "DenseState":
@@ -153,14 +154,18 @@ class DenseState:
         state.fp = fp
         state.num_registers = num_registers
         state._amps = None
-        state.support = flat
+        state._support = flat
         return state
+
+    @property
+    def support(self) -> np.ndarray | None:
+        return self._support
 
     @property
     def amps(self) -> np.ndarray:
         if self._amps is None:
             amps = np.zeros(self.fp.q**self.num_registers, dtype=np.complex128)
-            amps[self.support] = 1.0 / math.sqrt(self.support.size)
+            amps[self._support] = 1.0 / math.sqrt(self._support.size)
             amps.setflags(write=False)
             _require_normalized(amps)
             self._amps = amps
@@ -213,10 +218,10 @@ class DenseState:
         amplitudes.  Reshaped to q rows, row x is Re then Im of (F @ block)[x].
         """
         q = self.fp.q
-        if self.support is None:
+        if self._support is None:
             amps = self.amps.reshape(q, -1)
             return None, _real_qft(q) @ np.concatenate((amps.real, amps.imag))
-        live, block = _support_block(self.support, q, q ** (self.num_registers - 1))
+        live, block = _support_block(self._support, q, q ** (self.num_registers - 1))
         return live, _real_qft(q)[:, :q] @ block  # the block's imaginary half is zero
 
     def measure_qft_all(self, rng: np.random.Generator) -> tuple[int, ...]:

@@ -385,6 +385,8 @@ def test_amplitudes_cannot_be_reassigned():
     for state in (uniform, random_state(5, 3, key=19)):
         with pytest.raises(AttributeError):
             state.amps = np.eye(1, 125, dtype=np.complex128).ravel()
+        with pytest.raises(AttributeError):  # the checked support is the first pass's only input
+            state.support = np.array([-1, 3])
 
 
 def test_measure_qft_all_rejects_amplitudes_scaled_after_construction():
