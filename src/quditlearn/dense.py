@@ -74,28 +74,6 @@ def _real_qft(q: int) -> np.ndarray:
     return mat
 
 
-def _support_block(support: np.ndarray, q: int, columns: int) -> tuple:
-    """(live, block): register 0's real amplitude block of a uniform state, built from its support.
-
-    When at most a q-th of the columns hold amplitude, ``block`` keeps only
-    those, the sorted ``live`` columns; else ``live`` is None.
-    Entries sharing a column merge; a repeated support index leaves the
-    block's mass below 1, which the caller's norm check catches.
-    """
-    value = 1.0 / math.sqrt(support.size)
-    if support.size * q <= columns:
-        mask = np.zeros(columns, dtype=bool)
-        column = support % columns
-        mask[column] = True
-        live = np.flatnonzero(mask)
-        block = np.zeros((q, live.size))
-        block[support // columns, live.searchsorted(column)] = value
-        return live, block
-    block = np.zeros(q * columns)
-    block[support] = value
-    return None, block.reshape(q, columns)
-
-
 def checked_size(fp: FieldParams, num_registers: int) -> int:
     """q^num_registers, checked against the cap before any amplitude is allocated."""
     if num_registers < 1:
@@ -212,17 +190,34 @@ class DenseState:
     def _first_pass(self) -> tuple:
         """(live, rows): F applied to register 0, as the real 2q x k array of ``_real_qft``.
 
-        A state built by ``uniform`` builds its real block from the support
-        (``_support_block``), so ``rows`` spans only the live columns when
-        ``live`` is not None; any other state transforms [Re; Im] of its
-        amplitudes.  Reshaped to q rows, row x is Re then Im of (F @ block)[x].
+        A state built by ``uniform`` builds its real block from the support.
+        When at most a q-th of the columns hold amplitude, the block keeps
+        only those, the sorted ``live`` columns; else ``live`` is None.
+        Entries sharing a column merge, and a repeated support index leaves
+        the block's mass below 1, which the caller's norm check catches.  Any
+        other state transforms [Re; Im] of its amplitudes.  Reshaped to q
+        rows, row x of ``rows`` is Re then Im of (F @ block)[x].
         """
         q = self.fp.q
-        if self._support is None:
+        step = _real_qft(q)
+        support = self._support
+        if support is None:
             amps = self.amps.reshape(q, -1)
-            return None, _real_qft(q) @ np.concatenate((amps.real, amps.imag))
-        live, block = _support_block(self._support, q, q ** (self.num_registers - 1))
-        return live, _real_qft(q)[:, :q] @ block  # the block's imaginary half is zero
+            return None, step @ np.concatenate((amps.real, amps.imag))
+        columns = q ** (self.num_registers - 1)
+        value = 1.0 / math.sqrt(support.size)
+        if support.size * q <= columns:
+            mask = np.zeros(columns, dtype=bool)
+            column = support % columns
+            mask[column] = True
+            live = np.flatnonzero(mask)
+            block = np.zeros((q, live.size))
+            block[support // columns, live.searchsorted(column)] = value
+        else:
+            live, block = None, np.zeros(q * columns)
+            block[support] = value
+            block = block.reshape(q, columns)
+        return live, step[:, :q] @ block  # the block's imaginary half is zero
 
     def measure_qft_all(self, rng: np.random.Generator) -> tuple[int, ...]:
         """The outcome of ``apply_qft_all().measure_all(rng)``, from the same single uniform.
@@ -240,7 +235,7 @@ class DenseState:
         ``_real_qft(q)`` applies F to it, and row x of the result is the next
         register's block in the same form.  A state built by ``uniform``
         never builds its amplitude vector here: its first pass is a real
-        product from the support (see ``_first_pass``), and a kept row over
+        product from the support (``_first_pass``), and a kept row over
         the live columns only is scattered into a zeroed block over all of
         them.  The first pass's total is the state's only norm check.  The
         rows agree with ``f @ block`` to rounding, and the CDF is summed in
