@@ -64,7 +64,7 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
     # later flags override the golden ones
-    configs["lwe-dense-subset"] = (*configs["lwe-dense"], "--v", "100")
+    configs["lwe-dense-v100"] = (*configs["lwe-dense"], "--v", "100")
     configs["lwe-dense-global"] = (*configs["lwe-dense"], "--noise", "global", "--k", "1")
     configs["lwe-dense-gaussian"] = (*configs["lwe-dense"], "--noise", "gaussian", "--sigma", "1", "--k", "1")
     out = [

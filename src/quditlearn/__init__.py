@@ -35,6 +35,7 @@ from .learners import (
     field_bv,
     lpn_learn,
     lwe_learn,
+    lwr_classical_drawer,
     lwr_decode,
     lwr_learn,
     lwr_noise_bound,
@@ -49,6 +50,7 @@ from .samples import (
     NoiseModel,
     OutcomeDistribution,
     SampleSpec,
+    classical_drawer,
     dense_outcome_distribution,
     draw_classical_sample,
     draw_sample_spec,

@@ -39,6 +39,7 @@ from .learners import (
     ENGINES,
     lpn_learn,
     lwe_learn,
+    lwr_classical_drawer,
     lwr_learn,
     lwr_sample_spec,
     sis_learn,
@@ -46,9 +47,9 @@ from .learners import (
 )
 from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
 from .samples import (
-    ENUMERABLE_LIMIT,
     GAMMA_STAR,
     NoiseModel,
+    classical_drawer,
     outcome_distribution,
     spec_drawer,
     theoretical_bound,
@@ -191,11 +192,10 @@ def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generat
     buffered 32-bit half-word, so the stream is exactly that of a fresh
     ``Generator(Philox(key=...))``, without the OS entropy a fresh build pulls.
     """
-    key = np.array([seed ^ index, 0], dtype=np.uint64)
-    rng.bit_generator.state = {
+    rng.bit_generator.state = {  # tuples, not fresh arrays: the setter converts either
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (seed ^ index, 0)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -248,7 +248,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
             f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap"
         )
     if config.problem in ("lwe", "lpn"):  # one checked drawer per run
-        draw = spec_drawer(fp, n, secret, v, config.noise, "histogram" if config.engine == "analytic" else "map")
+        errors_as = "histogram" if config.engine == "analytic" else "map"
+        draw = spec_drawer(fp, n, secret, v, config.noise, errors_as)
     if config.problem in ("lwe", "lpn", "lwr") and v * q ** (n + 1) > sys.float_info.max:
         # the success laws divide by v q^(n+1) in floats
         raise ParameterError(
@@ -271,6 +272,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         else:
             if q == 2 and config.M >= 1:  # centered representatives exist for odd q only
                 raise ParameterError("the lwe candidate test needs an odd q; run lpn, or lwe with --M 0")
+            classical = classical_drawer(fp, n, secret, v, config.noise, errors_as)  # the test samples
             if k >= 1:
                 bound_paper = theoretical_bound(v, k, q, n, "paper")
                 bound_opt = theoretical_bound(v, k, q, n, "optimized")
@@ -278,7 +280,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
                 bound_paper = bound_opt = exact
 
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-                return lwe_learn(config.L, partial(draw, rng), rng, config.M, k, config.engine).secret
+                return lwe_learn(config.L, partial(draw, rng), classical, rng, config.M, k, config.engine).secret
 
         return run, exact, bound_paper, bound_opt
 
@@ -287,15 +289,14 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
     if config.problem == "lwr":
         if config.p is None:
             raise ParameterError("lwr needs the rounding modulus p")
-        if config.M >= 1 and q**n > ENUMERABLE_LIMIT:  # a residual histogram cannot tie b to a.s
-            raise ParameterError(f"lwr with M >= 1 needs q^n <= ENUMERABLE_LIMIT = {ENUMERABLE_LIMIT}, got {q**n}")
         spec = lwr_sample_spec(fp, n, secret, config.p)
+        classical = lwr_classical_drawer(fp, n, secret, config.p)
         exact = outcome_distribution(spec).p_correct  # deterministic spec: exact success
         bound_paper = config.p / (12.0 * (q - 1))
         bound_opt = GAMMA_STAR * v / ((q / (2.0 * config.p)) * q**n)
 
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-            return lwr_learn(config.p, q, lambda: spec, rng, config.L, config.M, config.engine).secret
+            return lwr_learn(config.p, q, lambda: spec, classical, rng, config.L, config.M, config.engine).secret
 
         return run, exact, bound_paper, bound_opt
 

@@ -11,12 +11,15 @@ The remaining learners compose this step with the classical candidate test
 and problem-specific reductions (repetition, rounding, coordinate-wise
 short-solution search).  They take plain arguments: the repetition count L,
 the test-sample count M, the test bound k and the engine, one of ``ENGINES``.
+Its test samples come from a per-run oracle ``classical(rng) -> (a, b)``:
+``samples.classical_drawer`` for LWE, ``lwr_classical_drawer`` for LWR.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from operator import mul
 from typing import Callable, Union
 
 import numpy as np
@@ -30,13 +33,14 @@ from .samples import (
     SampleSpec,
     _dots_over_space,
     _row_starts,
-    draw_classical_sample,
+    draw_classical_sample,  # noqa: F401 - perfbench's tracer wraps it in this namespace
     materialize_dense,
     outcome_distribution,
     uniform_vector,
 )
 
 SpecSource = Callable[[], SampleSpec]
+ClassicalOracle = Callable[[np.random.Generator], tuple[tuple[int, ...], int]]
 ENGINES = ("dense", "analytic")
 
 
@@ -100,18 +104,12 @@ def _uniform_wrong_vector(spec: SampleSpec, rng: np.random.Generator) -> tuple[i
 
 
 def test_candidate(
-    candidate: tuple[int, ...],
-    source: SpecSource,
-    M: int,
-    k: int,
-    rng: np.random.Generator,
+    candidate: tuple[int, ...], classical: ClassicalOracle, q: int, M: int, k: int, rng: np.random.Generator
 ) -> bool:
-    """Accept iff M fresh classical samples all satisfy |b - a.candidate| <= k."""
+    """Accept iff M fresh classical samples ``classical(rng)`` all satisfy |b - a.candidate| <= k mod q."""
     for _ in range(M):
-        spec = source()
-        a, b = draw_classical_sample(spec, rng)
-        predicted = sum(ai * ci for ai, ci in zip(a, candidate))
-        if centered_abs(b - predicted, spec.fp.q) > k:
+        a, b = classical(rng)
+        if centered_abs(b - sum(map(mul, a, candidate)), q) > k:
             return False
     return True
 
@@ -120,12 +118,14 @@ test_candidate.__test__ = False  # library API named by contract, not a pytest c
 
 
 def lwe_learn(
-    L: int, source: SpecSource, rng: np.random.Generator, M: int = 1, k: int = 0, engine: str = "analytic"
+    L: int, source: SpecSource, classical: ClassicalOracle | None, rng: np.random.Generator,
+    M: int = 1, k: int = 0, engine: str = "analytic",
 ) -> BvOutcome:
     """Up to L recovery attempts, each vetted by the candidate test; first accept wins.
 
-    The test reads M classical samples at bound k; M = 0 skips it (noiseless
-    usage).  Consumes at most L * (1 + M) samples.
+    The test reads M samples of ``classical`` at bound k; M = 0 skips it
+    (noiseless usage; ``classical`` may be None).  Consumes at most L
+    samples of ``source`` and L * M of ``classical``.
     """
     _require_arguments(L, M, k, engine)
     for _ in range(L):
@@ -134,7 +134,7 @@ def lwe_learn(
         out = field_bv(sample, rng)
         if out.is_bot:
             continue
-        if M == 0 or test_candidate(out.secret, source, M, k, rng):
+        if M == 0 or test_candidate(out.secret, classical, spec.fp.q, M, k, rng):
             return out
     return BOT
 
@@ -208,11 +208,26 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, histogram=histogram)
 
 
+def lwr_classical_drawer(fp, n: int, s: tuple[int, ...], p: int) -> ClassicalOracle:
+    """``classical(rng) -> (a, b)``: a = ``uniform_vector(q, n, rng)`` and b = decode(round(a.s)), exact at any q^n.
+
+    Below ``ENUMERABLE_LIMIT`` it equals ``draw_classical_sample`` on ``lwr_sample_spec``, draw for draw.
+    """
+    q, s = fp.q, tuple(s)
+
+    def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+        a = uniform_vector(q, n, rng)
+        return a, lwr_decode(lwr_round(sum(map(mul, a, s)), p, q), p, q)
+
+    return classical
+
+
 def lwr_learn(
-    p: int, q: int, source: SpecSource, rng: np.random.Generator, L: int, M: int = 1, engine: str = "analytic"
+    p: int, q: int, source: SpecSource, classical: ClassicalOracle | None, rng: np.random.Generator, L: int,
+    M: int = 1, engine: str = "analytic",
 ) -> BvOutcome:
     """Rounding learner: ``lwe_learn`` at the test bound k = ceil(q/(2p)) + 1 of the decoding residual."""
-    return lwe_learn(L, source, rng, M, lwr_noise_bound(p, q), engine)
+    return lwe_learn(L, source, classical, rng, M, lwr_noise_bound(p, q), engine)
 
 
 # --- short integer solution ----------------------------------------------------

@@ -30,6 +30,8 @@ Validation runs where data enters: the public ``SampleSpec`` constructor and
 ``spec_from_json``.  ``spec_drawer`` checks its arguments once per drawer,
 before any draw; every spec its ``draw(rng)`` returns is built from data
 drawn from the noise's own support, without checking that data again.
+``classical_drawer``, the candidate test's sample oracle, makes a fresh
+spec's RNG calls and its classical draw's, but builds no spec.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -464,6 +468,31 @@ def _residues(q: int) -> np.ndarray:
     return residues
 
 
+def _spec_draws(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str):
+    """A drawer's once-per-run checks and ``draws(rng) -> (subset, histogram)``, a fresh spec's RNG calls
+    up to its error map: histogram None means the caller draws the map next (``_draw_errors``)."""
+    if errors_as not in ("map", "histogram"):
+        raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
+    table = _check_arguments(fp, n, s, v, noise)
+    require_drawable(v, noise, fp.q, n)
+    qn = fp.q**n
+    draw_subset = v < qn and errors_as == "map"
+    if draw_subset and qn > np.iinfo(np.int64).max:
+        raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
+    shared = noise.is_global or noise.kind == "none"  # one error value for every element
+    values, weights = table[0], np.asarray(table[1])  # an array: multinomial converts a tuple per call
+
+    def draws(rng: np.random.Generator) -> tuple[np.ndarray | None, dict[int, int] | None]:
+        subset = rng.choice(qn, size=v, replace=False) if draw_subset else None
+        if shared:
+            return subset, {int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0: v}
+        if errors_as == "histogram":
+            return subset, {b: c for b, c in zip(values, rng.multinomial(v, weights).tolist()) if c}
+        return subset, None
+
+    return table, draws
+
+
 def spec_drawer(
     fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
 ) -> Callable[[np.random.Generator], SampleSpec]:
@@ -472,46 +501,59 @@ def spec_drawer(
     ``errors_as="map"`` (what the dense engine needs) draws the subset and an
     error per element.  ``"histogram"`` (enough for the analytic engine)
     draws only the error counts and leaves a proper subset implicit; the law
-    depends on the counts alone, and a classical draw from a fresh spec is a
-    uniform a with an independent error, so this is distributionally
-    identical for every consumer that draws at most one classical sample per
-    spec.  The arguments are checked here, once per drawer, as the public
-    constructor checks them, and the noise table is looked up once; ``draw``
-    only makes the RNG calls and builds the frozen spec, whose fresh int64
-    arrays are read-only.
+    depends on the counts alone.  The arguments are checked here, once per
+    drawer, as the public constructor checks them, and the noise table is
+    looked up once; ``draw`` only makes the RNG calls and builds the frozen
+    spec, whose fresh int64 arrays are read-only.
     """
-    q = fp.q
-    if errors_as not in ("map", "histogram"):
-        raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
     s = tuple(s)
-    table = _check_arguments(fp, n, s, v, noise)
-    require_drawable(v, noise, q, n)
-    qn = q**n
-    draw_subset = v < qn and errors_as == "map"
-    if draw_subset and qn > np.iinfo(np.int64).max:
-        raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-    shared = noise.is_global or noise.kind == "none"  # one error value for every element
-    counts_only = not shared and errors_as == "histogram"
-    values, weights = table[0], np.asarray(table[1])  # an array: multinomial converts a tuple per call
+    table, draws = _spec_draws(fp, n, s, v, noise, errors_as)
     # the fields the frozen __init__ would set; draw writes them straight into each instance dict
-    fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, subset=None, errors=None, histogram=None, seed=None)
+    fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, seed=None)
 
     def draw(rng: np.random.Generator) -> SampleSpec:
-        spec = object.__new__(SampleSpec)
-        own = vars(spec)
-        own.update(fields)
-        if draw_subset:
-            subset = own["subset"] = rng.choice(qn, size=v, replace=False)
+        subset, histogram = draws(rng)
+        if subset is not None:
             subset.flags.writeable = False
-        if shared:
-            own["histogram"] = {int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0: v}
-        elif counts_only:
-            own["histogram"] = {b: c for b, c in zip(values, rng.multinomial(v, weights).tolist()) if c}
-        else:
-            own["errors"] = _draw_errors(table, v, rng)
+        errors = _draw_errors(table, v, rng) if histogram is None else None
+        spec = object.__new__(SampleSpec)
+        vars(spec).update(fields, subset=subset, errors=errors, histogram=histogram)
         return spec
 
     return draw
+
+
+def classical_drawer(
+    fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
+) -> Callable[[np.random.Generator], tuple[tuple[int, ...], int]]:
+    """``classical(rng) -> (a, b)``: ``draw_classical_sample(spec_drawer(...)(rng), rng)`` without the spec.
+
+    It makes the same RNG calls in the same order and returns the same (a, b); of an error map's v
+    uniforms it reads only a's, through the noise CDF (``bisect_right`` as ``searchsorted(..., "right")``).
+    """
+    q, s, strides = fp.q, tuple(s), [fp.q ** (n - 1 - i) for i in range(n)]
+    (values, _, cdf), draws = _spec_draws(fp, n, s, v, noise, errors_as)
+    cdf = cdf.tolist()
+
+    def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+        subset, histogram = draws(rng)
+        uniforms = rng.random(v) if histogram is None and len(values) > 1 else None  # _draw_errors's draw
+        if subset is None:
+            a = uniform_vector(q, n, rng)
+        else:
+            pos = int(rng.integers(v))
+            a = tuple(_vectors_at(subset[pos], q, n).tolist())
+        if histogram is not None:
+            e = _histogram_pick(histogram, rng)
+        elif uniforms is None:
+            e = values[0]
+        else:  # the uniform at a's position in V, its row-major flat index when V is F_q^n
+            if subset is None:
+                pos = sum(map(mul, a, strides))
+            e = values[0] + bisect_right(cdf, uniforms.item(pos))
+        return a, (sum(map(mul, a, s)) + e) % q
+
+    return classical
 
 
 def draw_sample_spec(
@@ -571,10 +613,9 @@ def draw_classical_sample(
     """Computational-basis measurement: a uniform over V, b = a.s + e.
 
     An implicit subset draws a uniform over F_q^n and e by the histogram
-    counts: the marginal law of one draw from a fresh uniform v-subset.  A
-    histogram's e is ``values[weighted_index(counts, rng)]`` bit for bit: one
-    uniform u, the float running sums in the histogram's order, and the
-    first bin whose sum exceeds u times the total (else the last bin).
+    counts (``_histogram_pick``): the marginal law of one draw from a fresh
+    uniform v-subset.  A run's test samples come from ``classical_drawer``,
+    which draws the same (a, b) without building the spec.
     """
     q = spec.fp.q
     if spec.subset is not None:
@@ -586,16 +627,23 @@ def draw_classical_sample(
         # flat indices are numpy's row-major order, so errors over all of F_q^n index as a (q,)*n grid
         e = int(spec.errors[pos] if spec.subset is not None else spec.errors.reshape((q,) * spec.n)[a])
     else:
-        total = 0.0
-        for c in spec.histogram.values():
-            total += c
-        target, running = rng.random() * total, 0.0
-        for e, c in spec.histogram.items():
-            running += c
-            if running > target:
-                break
+        e = _histogram_pick(spec.histogram, rng)
     b = (sum(ai * si for ai, si in zip(a, spec.s)) + e) % q
     return a, b
+
+
+def _histogram_pick(histogram: dict[int, int], rng: np.random.Generator) -> int:
+    """``values[weighted_index(counts, rng)]`` bit for bit: one uniform u, the float running sums in
+    the histogram's order, and the first bin whose sum exceeds u times the total (else the last bin)."""
+    total = 0.0
+    for c in histogram.values():
+        total += c
+    target, running = rng.random() * total, 0.0
+    for e, c in histogram.items():
+        running += c
+        if running > target:
+            break
+    return e
 
 
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:

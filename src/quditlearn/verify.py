@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,10 +20,10 @@ from .learners import sis_sample_state, test_candidate
 from .samples import (
     NoiseModel,
     SampleSpec,
+    classical_drawer,
     dense_outcome_distribution,
     draw_sample_spec,
     outcome_distribution,
-    spec_drawer,
     theoretical_bound,
     uniform_vector,
 )
@@ -168,9 +167,9 @@ def _check_test_candidate_completeness() -> CheckResult:
     rng = _rng(7)
     fp = FieldParams(11)
     s = (4, 9)
-    source = partial(spec_drawer(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1)), rng)
+    classical = classical_drawer(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1))
     for _ in range(200):
-        if not test_candidate(s, source, 2, 1, rng):
+        if not test_candidate(s, classical, 11, 2, 1, rng):
             return CheckResult("test-candidate-completeness", False, "true secret rejected")
     return CheckResult("test-candidate-completeness", True, "true secret always accepted")
 

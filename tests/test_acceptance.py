@@ -31,6 +31,7 @@ from quditlearn.ring import RingEmbedding, ring_lwe_global_learn, ring_sample_st
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    classical_drawer,
     dense_outcome_distribution,
     draw_sample_spec,
     materialize_dense,
@@ -119,16 +120,16 @@ def test_criterion_3_candidate_test_rates():
     details = []
     for idx, M in enumerate((1, 2, 3)):
         rng = make_rng(0x3003 + idx)
-        source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
-        accepts = sum(test_candidate(wrong, source, M, 1, rng) for _ in range(trials))
+        classical = classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
+        accepts = sum(test_candidate(wrong, classical, 11, M, 1, rng) for _ in range(trials))
         p = (3 / 11) ** M
         sigma = math.sqrt(p * (1 - p) / trials)
         if abs(accepts / trials - p) > 3 * sigma:
             ok = False
         details.append(f"M={M}: {accepts / trials:.5f} vs {p:.5f}")
     rng = make_rng(0x3007)
-    source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
-    correct_accepts = sum(test_candidate(s, source, 1, 1, rng) for _ in range(trials))
+    classical = classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
+    correct_accepts = sum(test_candidate(s, classical, 11, 1, 1, rng) for _ in range(trials))
     if correct_accepts != trials:
         ok = False
     details.append(f"correct: {correct_accepts}/{trials}")
@@ -150,6 +151,7 @@ def test_criterion_4_end_to_end_recovery():
         rng = make_rng(0x4000 + run)
         s = tuple(int(x) for x in rng.integers(0, q, size=n))
         inner = partial(spec_drawer(fp, n, s, q**n, noise, errors_as="histogram"), rng)
+        inner_classical = classical_drawer(fp, n, s, q**n, noise, errors_as="histogram")
         consumed = 0
 
         def source():
@@ -157,7 +159,12 @@ def test_criterion_4_end_to_end_recovery():
             consumed += 1
             return inner()
 
-        hits += lwe_learn(L, source, rng, M, k, "analytic").secret == s
+        def classical(generator):
+            nonlocal consumed
+            consumed += 1
+            return inner_classical(generator)
+
+        hits += lwe_learn(L, source, classical, rng, M, k, "analytic").secret == s
         max_consumed = max(max_consumed, consumed)
     rate = hits / runs
     sigma = math.sqrt(0.9 * 0.1 / runs)

@@ -4,9 +4,10 @@ A canonical report must stay byte-identical for a fixed configuration and
 seed, so any change to the trial logic, the RNG layout or the float
 arithmetic behind ``exact_prob`` shows up here.  The expected texts live in
 ``tests/golden/<name>-seed<seed>.txt``; the configurations are the four
-benchmark workloads plus one LPN run, two SIS runs, one analytic LWE run
-on a proper subset (v < q^n) and one noiseless ring run at a second
-conductor (q = 7, m = 3).  ``sis`` screens with L = 3, where a wrong
+benchmark workloads plus one LPN run, two SIS runs, one LWE run on a proper
+subset (v < q^n) on each engine (the dense one draws an explicit subset and
+its error map) and one noiseless ring run at a second conductor (q = 7,
+m = 3).  ``sis`` screens with L = 3, where a wrong
 candidate survives with probability 1/343; ``sis-screening`` screens with
 L = 1, so a wrong candidate survives one time in 11 and every uniform of the
 screening decides an outcome.  The output of ``verify`` and of ``verify
@@ -33,6 +34,8 @@ CONFIGS = {
     "lwr-fixed-spec": ("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--L", "20", "--M", "1"),
     "lwe-dense": ("--problem", "lwe", "--q", "7", "--n", "3", "--noise", "bounded", "--k", "1",
                   "--L", "3", "--M", "2", "--engine", "dense"),
+    "lwe-dense-subset": ("--problem", "lwe", "--q", "11", "--n", "2", "--v", "50", "--noise", "bounded",
+                         "--k", "1", "--L", "20", "--M", "1", "--engine", "dense"),
     "ring-global": ("--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global", "--k", "1"),
     "ring-global-none": ("--problem", "ring-global", "--q", "7", "--m", "3", "--noise", "none"),
     "lpn-dense": ("--problem", "lpn", "--q", "2", "--n", "8", "--eta", "0.1", "--L", "9", "--engine", "dense"),

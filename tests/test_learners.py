@@ -13,6 +13,7 @@ from quditlearn.learners import (
     field_bv,
     lpn_learn,
     lwe_learn,
+    lwr_classical_drawer,
     lwr_decode,
     lwr_learn,
     lwr_noise_bound,
@@ -25,7 +26,9 @@ from quditlearn.learners import (
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
+    classical_drawer,
     dense_outcome_distribution,
+    draw_classical_sample,
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
@@ -47,7 +50,7 @@ def test_learners_reject_bad_arguments_before_any_draw():
     rng = make_rng(500)
     for kwargs in ({"L": 0}, {"L": 1, "M": -1}, {"L": 1, "k": -1}, {"L": 1, "engine": "qualia"}):
         with pytest.raises(ParameterError):
-            lwe_learn(source=source, rng=rng, **kwargs)
+            lwe_learn(source=source, classical=source, rng=rng, **kwargs)
     for kwargs in ({"L": 0}, {"L": 1, "engine": "qualia"}):
         with pytest.raises(ParameterError):
             lpn_learn(source=source, rng=rng, **kwargs)
@@ -122,8 +125,8 @@ def test_correct_candidate_always_accepted():
     fp = FieldParams(11)
     rng = make_rng(505)
     s = (4, 9)
-    source = partial(spec_drawer(fp, 2, s, 121, NoiseModel.bounded_uniform(1)), rng)
-    assert all(test_candidate(s, source, 3, 1, rng) for _ in range(2_000))
+    classical = classical_drawer(fp, 2, s, 121, NoiseModel.bounded_uniform(1))
+    assert all(test_candidate(s, classical, 11, 3, 1, rng) for _ in range(2_000))
 
 
 def test_wrong_candidate_acceptance_rate():
@@ -131,9 +134,9 @@ def test_wrong_candidate_acceptance_rate():
     rng = make_rng(506)
     s = (7,)
     wrong = (8,)
-    source = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
+    classical = classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
     n_trials = 20_000
-    accepts = sum(test_candidate(wrong, source, 2, 1, rng) for _ in range(n_trials))
+    accepts = sum(test_candidate(wrong, classical, 11, 2, 1, rng) for _ in range(n_trials))
     p = (3 / 11) ** 2
     sigma = math.sqrt(p * (1 - p) / n_trials)
     assert abs(accepts / n_trials - p) <= 3 * sigma
@@ -142,8 +145,8 @@ def test_wrong_candidate_acceptance_rate():
 def test_vacuous_candidate_test_accepts_everything():
     fp = FieldParams(11)
     rng = make_rng(507)
-    source = partial(spec_drawer(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1)), rng)
-    assert all(test_candidate((c,), source, 1, 5, rng) for c in range(11))  # k = (q-1)/2
+    classical = classical_drawer(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1))
+    assert all(test_candidate((c,), classical, 11, 1, 5, rng) for c in range(11))  # k = (q-1)/2
 
 
 # --- the repetition learner --------------------------------------------------
@@ -155,7 +158,7 @@ def test_lwe_learn_noiseless_single_round():
     s = (3, 5)
     source = partial(spec_drawer(fp, 2, s, 49, NoiseModel.none()), rng)
     n_runs = 10_000
-    hits = sum(lwe_learn(1, source, rng, M=0, engine="analytic").secret == s for _ in range(n_runs))
+    hits = sum(lwe_learn(1, source, None, rng, M=0, engine="analytic").secret == s for _ in range(n_runs))
     sigma = math.sqrt((6 / 7) * (1 / 7) / n_runs)
     assert abs(hits / n_runs - 6 / 7) <= 3 * sigma
 
@@ -170,7 +173,8 @@ def test_lwe_learn_failure_bound_deterministic_spec():
     p_correct = outcome_distribution(spec).p_correct
     L, M, k = 5, 2, lwr_noise_bound(4, 31)
     n_runs = 4_000
-    fails = sum(lwe_learn(L, lambda: spec, rng, M, k, "analytic").secret != s for _ in range(n_runs))
+    classical = lwr_classical_drawer(fp, 1, s, 4)
+    fails = sum(lwe_learn(L, lambda: spec, classical, rng, M, k, "analytic").secret != s for _ in range(n_runs))
     bound = (1 - p_correct) ** L + (3 * k / 31) ** M * L
     rate = fails / n_runs
     sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / n_runs)
@@ -182,19 +186,28 @@ def test_lwe_learn_sample_budget():
     rng = make_rng(510)
     s = (13, 57)
     noise = NoiseModel.gaussian(1.0, 2)
-    calls = 0
+    quantum = classical = 0
     inner = partial(spec_drawer(fp, 2, s, 101**2, noise, errors_as="histogram"), rng)
+    inner_classical = classical_drawer(fp, 2, s, 101**2, noise, errors_as="histogram")
 
     def counting_source():
-        nonlocal calls
-        calls += 1
+        nonlocal quantum
+        quantum += 1
         return inner()
 
-    L, M = 10, 1
+    def counting_classical(generator):
+        nonlocal classical
+        classical += 1
+        return inner_classical(generator)
+
+    L, M = 10, 2
+    tested = 0
     for _ in range(50):
-        calls = 0
-        lwe_learn(L, counting_source, rng, M, 2, "analytic")
-        assert calls <= L * (1 + M)
+        quantum = classical = 0
+        lwe_learn(L, counting_source, counting_classical, rng, M, 2, "analytic")
+        assert quantum <= L and classical <= L * M
+        tested += classical > 0
+    assert tested > 0  # some run reached the candidate test
 
 
 def test_lwe_learn_scaled_cryptographic_regime():
@@ -208,6 +221,7 @@ def test_lwe_learn_scaled_cryptographic_regime():
         rng = make_rng(0xC0 + run)
         s = tuple(int(x) for x in rng.integers(0, 257, size=1))
         inner = partial(spec_drawer(fp, 1, s, 257, NoiseModel.bounded_uniform(k), errors_as="histogram"), rng)
+        inner_classical = classical_drawer(fp, 1, s, 257, NoiseModel.bounded_uniform(k), errors_as="histogram")
         consumed = 0
 
         def source():
@@ -215,7 +229,12 @@ def test_lwe_learn_scaled_cryptographic_regime():
             consumed += 1
             return inner()
 
-        hits += lwe_learn(L, source, rng, 1, k, "analytic").secret == s
+        def classical(generator):
+            nonlocal consumed
+            consumed += 1
+            return inner_classical(generator)
+
+        hits += lwe_learn(L, source, classical, rng, 1, k, "analytic").secret == s
         assert consumed <= L * 2
     assert hits >= 48
 
@@ -226,7 +245,7 @@ def test_lwe_learn_dense_engine_matches_rate():
     s = (1, 2)
     source = partial(spec_drawer(fp, 2, s, 25, NoiseModel.none()), rng)
     n_runs = 4_000
-    hits = sum(lwe_learn(1, source, rng, M=0, engine="dense").secret == s for _ in range(n_runs))
+    hits = sum(lwe_learn(1, source, None, rng, M=0, engine="dense").secret == s for _ in range(n_runs))
     sigma = math.sqrt(0.8 * 0.2 / n_runs)
     assert abs(hits / n_runs - 0.8) <= 3 * sigma
 
@@ -353,6 +372,38 @@ def test_lwr_histogram_spec_above_the_enumeration_limit(s):
     assert abs(outcome_distribution(spec).p_correct - p_correct) <= 1e-12
 
 
+@pytest.mark.parametrize("q, n, p", [(31, 1, 4), (257, 1, 16), (11, 3, 3), (101, 2, 8)])
+def test_lwr_oracle_draws_the_spec_classical_sample_below_the_enumeration_limit(q, n, p):
+    fp = FieldParams(q)
+    for seed in range(300):
+        s = tuple(int(x) for x in make_rng(seed).integers(0, q, size=n))
+        spec, classical = lwr_sample_spec(fp, n, s, p), lwr_classical_drawer(fp, n, s, p)
+        oracle_rng, spec_rng = make_rng(1000 + seed), make_rng(1000 + seed)
+        assert classical(oracle_rng) == draw_classical_sample(spec, spec_rng)
+        assert oracle_rng.random() == spec_rng.random()
+
+
+def test_lwr_oracle_ties_b_to_a_s_above_the_enumeration_limit():
+    # q^n = 101^3 > ENUMERABLE_LIMIT: the candidate -s passes one test sample when
+    # |decode(round(x)) + x| <= k' (centered) for x = a.s, which holds for 25 of the
+    # 101 values of a.s in real LWR samples; a residual drawn independently of a.s
+    # would pass at 17/101
+    q, n, p = 101, 3, 8
+    k = lwr_noise_bound(p, q)
+    assert sum(centered_abs(lwr_decode(lwr_round(x, p, q), p, q) + x, q) <= k for x in range(q)) == 25
+    s = (5, 0, 77)
+    classical = lwr_classical_drawer(FieldParams(q), n, s, p)
+    rng = make_rng(518)
+    for _ in range(200):
+        a, b = classical(rng)
+        assert b == lwr_decode(lwr_round(sum(x * y for x, y in zip(a, s)), p, q), p, q)
+    minus_s = tuple(-x % q for x in s)
+    trials = 20_000
+    passes = sum(test_candidate(minus_s, classical, q, 1, k, rng) for _ in range(trials))
+    sigma = math.sqrt((25 / 101) * (76 / 101) / trials)
+    assert abs(passes / trials - 25 / 101) <= 5 * sigma
+
+
 def test_lwr_law_sums_error_counts_in_first_occurrence_order():
     # Pinned to the last bit: summing the histogram in sorted value order gives ...186.
     spec = lwr_sample_spec(FieldParams(257), 1, (52,), 16)
@@ -371,8 +422,8 @@ def test_lwr_learn_recovers():
     fp = FieldParams(257)
     rng = make_rng(516)
     s = (200,)
-    spec = lwr_sample_spec(fp, 1, s, 16)
-    hits = sum(lwr_learn(16, 257, lambda: spec, rng, 120, 3, "analytic").secret == s for _ in range(30))
+    spec, classical = lwr_sample_spec(fp, 1, s, 16), lwr_classical_drawer(fp, 1, s, 16)
+    hits = sum(lwr_learn(16, 257, lambda: spec, classical, rng, 120, 3, "analytic").secret == s for _ in range(30))
     assert hits >= 27
 
 
@@ -383,6 +434,7 @@ def test_lwr_learn_is_lwe_learn_at_the_rounding_bound(q, p, M):
     k = -(-q // (2 * p)) + 1  # ceil(q / 2p) + 1
     for seed in range(200):
         spec = lwr_sample_spec(fp, 1, (seed % q,), p)
+        classical = lwr_classical_drawer(fp, 1, (seed % q,), p)
         calls = 0
 
         def source():
@@ -391,9 +443,9 @@ def test_lwr_learn_is_lwe_learn_at_the_rounding_bound(q, p, M):
             return spec
 
         lwr_rng, lwe_rng = make_rng(seed), make_rng(seed)
-        got = lwr_learn(p, q, source, lwr_rng, L, M)
-        assert calls <= L * (1 + M)
-        assert got == lwe_learn(L, lambda: spec, lwe_rng, M, k)
+        got = lwr_learn(p, q, source, classical, lwr_rng, L, M)
+        assert calls <= L
+        assert got == lwe_learn(L, lambda: spec, classical, lwe_rng, M, k)
         assert lwr_rng.random() == lwe_rng.random()
 
 
@@ -402,7 +454,7 @@ def test_lwr_rejects_bad_modulus():
     rng = make_rng(517)
     spec = lwr_sample_spec(fp, 1, (3,), 4)
     with pytest.raises(ParameterError):
-        lwr_learn(40, 31, lambda: spec, rng, 1)
+        lwr_learn(40, 31, lambda: spec, None, rng, 1)
 
 
 # --- short-solution learner -----------------------------------------------------

@@ -542,6 +542,41 @@ def test_histogram_classical_draw_is_the_weighted_index_draw(histogram):
         assert _state_of(drawn) == _state_of(reference)
 
 
+_GLOBAL = NoiseModel.global_shift(NoiseModel.bounded_uniform(1))
+
+
+@pytest.mark.parametrize("q, n, v, noise, errors_as", [
+    (7, 3, 343, NoiseModel.bounded_uniform(1), "map"),  # an error map over all of F_q^n (array a)
+    (11, 2, 121, NoiseModel.gaussian(1.0, 2), "map"),  # the same with scalar draws of a
+    (11, 2, 50, NoiseModel.bounded_uniform(1), "map"),  # an explicit proper subset
+    (2, 6, 40, NoiseModel.bernoulli(0.3), "map"),
+    (101, 2, 101**2, NoiseModel.gaussian(1.0, 2), "histogram"),  # error counts
+    (11, 2, 50, NoiseModel.bounded_uniform(1), "histogram"),  # an implicit proper subset
+    (2, 6, 64, NoiseModel.bernoulli(0.3), "histogram"),
+    (4099, 5, 4099**5, NoiseModel.bounded_uniform(1), "histogram"),  # v > 2**53: the running sums round
+    (13, 2, 169, _GLOBAL, "map"),  # one shared value
+    (13, 2, 60, _GLOBAL, "map"),
+    (13, 2, 60, _GLOBAL, "histogram"),
+    (4099, 5, 4099**5, _GLOBAL, "histogram"),
+    (7, 2, 49, NoiseModel.none(), "map"),
+    (7, 2, 20, NoiseModel.none(), "map"),
+    (7, 2, 20, NoiseModel.none(), "histogram"),
+    (5, 2, 25, NoiseModel.bounded_uniform(0), "map"),  # one value: no error draw
+    (5, 2, 10, NoiseModel.bounded_uniform(0), "map"),
+    (5, 2, 25, NoiseModel.bounded_uniform(0), "histogram"),
+    (7, 2, 49, NoiseModel.global_shift(NoiseModel.none()), "map"),
+])
+def test_classical_drawer_is_the_classical_draw_of_a_fresh_spec(q, n, v, noise, errors_as):
+    fp = FieldParams(q)
+    s = tuple(int(x) for x in make_rng(q + n + v).integers(0, q, size=n))
+    draw = spec_drawer(fp, n, s, v, noise, errors_as)
+    classical = samples.classical_drawer(fp, n, s, v, noise, errors_as)
+    for seed in range(1_000):
+        oracle, reference = make_rng(seed), make_rng(seed)
+        assert classical(oracle) == draw_classical_sample(draw(reference), reference)
+        assert _state_of(oracle) == _state_of(reference)
+
+
 def test_classical_sample_noiseless_identity(rng):
     spec = draw_sample_spec(FieldParams(7), 2, (1, 4), 49, NoiseModel.none(), rng)
     for _ in range(200):
@@ -896,7 +931,8 @@ def test_a_run_checks_its_sample_arguments_once(monkeypatch, config):
     check = samples._check_arguments
     monkeypatch.setattr(samples, "_check_arguments", lambda *args: calls.append(args) or check(*args))
     run_experiment(ExperimentConfig(trials=40, seed=3, **config))
-    assert len(calls) == 1  # one drawer for every spec of every trial
+    # one check per drawer: the specs of every trial, and lwe's test samples of every trial
+    assert len(calls) == (2 if config["problem"] == "lwe" else 1)
 
 
 @pytest.mark.parametrize("args, errors_as, match", [
@@ -911,8 +947,9 @@ def test_a_run_checks_its_sample_arguments_once(monkeypatch, config):
     ((FieldParams(5), 1, (1,), 5, NoiseModel.none()), "auto", "errors_as"),
 ])
 def test_spec_drawer_checks_its_arguments_before_any_draw(args, errors_as, match):
-    with pytest.raises(ParameterError, match=match):
-        spec_drawer(*args, errors_as)
+    for drawer in (spec_drawer, samples.classical_drawer):
+        with pytest.raises(ParameterError, match=match):
+            drawer(*args, errors_as)
     rng = make_rng(17)
     before = _state_of(rng)
     with pytest.raises(ParameterError, match=match):
