@@ -9,9 +9,10 @@ PYTHONPATH set to it, and that process runs a fixed list of command lines
 through ``cli.main``:
 
   - ``experiment`` on the golden configurations of tests/test_golden.py, plus
-    lwr on the dense engine, lpn on the analytic engine, ring-global at
-    m = 3 and lwe-dense on a proper subset (v = 100), with global noise and
-    with gaussian noise, each at every seed, at the golden trial count;
+    lwr on the dense engine, lwr above ``ENUMERABLE_LIMIT`` (its histogram
+    spec and exact oracle), lpn on the analytic engine, ring-global at m = 3
+    and lwe-dense on a proper subset (v = 100), with global noise and with
+    gaussian noise, each at every seed, at the golden trial count;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs.
 
@@ -61,6 +62,7 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     golden = golden_tables()
     configs = dict(golden["CONFIGS"])
     configs["lwr-dense"] = (*configs["lwr-fixed-spec"], "--engine", "dense")
+    configs["lwr-histogram"] = ("--problem", "lwr", "--q", "101", "--n", "3", "--p", "8", "--M", "1")
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
     # later flags override the golden ones

@@ -13,6 +13,7 @@ line naming the file or entry.  QUDITLEARN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,8 +46,9 @@ class _EntryParser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+@functools.cache
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The quditlearn parser; its subcommand parsers are of ``parser_class`` too."""
+    """One shared quditlearn parser per ``parser_class``, also its subparsers' class; callers must not modify it."""
     parser = parser_class(prog="quditlearn")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -110,12 +112,17 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     noisy = noise.kind != "none"
     default_L = math.ceil(20 * max(args.k, 1) * math.log(10)) if noisy else 1
     m = args.m if args.problem == "ring-global" else None
+    env_seed = os.environ.get("QUDITLEARN_SEED", "0")
+    try:
+        seed = args.seed if args.seed is not None else int(env_seed)
+    except ValueError:
+        raise ParameterError(f"QUDITLEARN_SEED must be an integer, got {env_seed!r}") from None
     return ExperimentConfig(
         problem=args.problem,
         q=q,
         n=args.n if m is None else RingEmbedding.build(FieldParams(q), m).n,
         trials=getattr(args, "trials", 1),
-        seed=args.seed if args.seed is not None else int(os.environ.get("QUDITLEARN_SEED", "0")),
+        seed=seed,
         engine=args.engine,
         noise=noise,
         v=args.v,
@@ -200,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
                 args = build_parser(_EntryParser).parse_args(argv[:at] + flags + argv[at:])
             except ValueError as exc:
                 raise ParameterError(f"{what}: {exc}") from exc
+        csv_path = getattr(args, "csv", None)  # checked before any trial, creating nothing
+        if csv_path and (os.path.isdir(csv_path) or not os.path.isdir(os.path.dirname(csv_path) or ".")):
+            raise ParameterError(f"cannot write --csv {csv_path}: not a file in an existing directory")
         return handlers[args.subcommand](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code) if exc.code is not None else 2

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Union
 
 import numpy as np
 
 from .dense import DenseState, checked_size, weighted_index
-from .field import ParameterError, centered, centered_abs, mod_inverse
+from .field import ParameterError, centered, centered_abs, mod_inverse  # noqa: F401 - traced here by perfbench
 from .samples import (
     DECISION_MARGIN,
     ENUMERABLE_LIMIT,
@@ -106,10 +107,12 @@ def _uniform_wrong_vector(spec: SampleSpec, rng: np.random.Generator) -> tuple[i
 def test_candidate(
     candidate: tuple[int, ...], classical: ClassicalOracle, q: int, M: int, k: int, rng: np.random.Generator
 ) -> bool:
-    """Accept iff M fresh classical samples ``classical(rng)`` all satisfy |b - a.candidate| <= k mod q."""
+    """Accept iff M fresh classical samples ``classical(rng)`` all satisfy |b - a.candidate| <= k mod q, q odd."""
+    if q % 2 == 0:  # before any draw
+        raise ParameterError(f"the candidate test needs an odd modulus, got q = {q}")
     for _ in range(M):
         a, b = classical(rng)
-        if centered_abs(b - sum(map(mul, a, candidate)), q) > k:
+        if k < (b - sum(map(mul, a, candidate))) % q < q - k:  # |centered| > k, as q is odd
             return False
     return True
 
@@ -180,44 +183,51 @@ def lwr_noise_bound(p: int, q: int) -> int:
     return -(-q // (2 * p)) + 1
 
 
+@lru_cache(maxsize=16)
+def lwr_decoding_table(q: int, p: int) -> np.ndarray:
+    """Read-only int64 ``lwr_decode(lwr_round(x, p, q), p, q)`` for x in Z_q; needs 2 <= p < q <= 2**26."""
+    lwr_noise_bound(p, q)
+    if q > 2**26:  # the outcome law's cap; it also keeps 2pq within int64
+        raise ParameterError("the LWR decoding table holds q entries; q too large")
+    decoded = (2 * q * ((2 * p * np.arange(q, dtype=np.int64) + q) // (2 * q) % p) + p) // (2 * p) % q
+    decoded.setflags(write=False)
+    return decoded
+
+
 def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     """Deterministic sample spec equivalent to |a>|a.s rounded to Z_p>, decoded back to Z_q.
 
     The decoded register is a.s plus a residual of magnitude at most
-    ceil(q/(2p)) + 1, so the returned sample spec carries those residuals as
-    its errors.
+    ceil(q/(2p)) + 1, so the returned sample spec carries those residuals
+    (read off ``lwr_decoding_table``) as its errors.
     """
     q = fp.q
     kp = lwr_noise_bound(p, q)
     noise = NoiseModel.bounded_uniform(kp)
     noise.validate_for(q)
-    residual = [centered(lwr_decode(lwr_round(x, p, q), p, q) - x, q) for x in range(q)]
+    residual = (lwr_decoding_table(q, p) - np.arange(q) + q // 2) % q - q // 2  # centered: q > p >= 2 is odd
     qn = q**n
     s = tuple(s)
     if qn <= ENUMERABLE_LIMIT:
-        dots = _dots_over_space(q, s)
-        errors = np.asarray(residual, dtype=np.int64)[dots]
-        return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, errors=errors)
-    # a.s is uniform over F_q when s != 0, hitting each residue q^(n-1) times.
-    if all(x == 0 for x in s):
-        histogram = {residual[0]: qn}
-    else:
-        histogram: dict[int, int] = {}
-        for r in residual:
-            histogram[r] = histogram.get(r, 0) + qn // q
+        return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, errors=residual[_dots_over_space(q, s)])
+    # a.s is uniform over F_q when s != 0, hitting each residue q^(n-1) times; the
+    # counts keep first-occurrence order, which fixes the law's float sums to the bit.
+    support = residual if any(s) else residual[:1]
+    histogram = {r: c * (qn // support.size) for r, c in Counter(support.tolist()).items()}
     return SampleSpec(fp=fp, n=n, s=s, v=qn, noise=noise, histogram=histogram)
 
 
 def lwr_classical_drawer(fp, n: int, s: tuple[int, ...], p: int) -> ClassicalOracle:
-    """``classical(rng) -> (a, b)``: a = ``uniform_vector(q, n, rng)`` and b = decode(round(a.s)), exact at any q^n.
+    """``classical(rng) -> (a, b)``: a = ``uniform_vector(q, n, rng)``, b = ``lwr_decoding_table(q, p)[a.s % q]``.
 
-    Below ``ENUMERABLE_LIMIT`` it equals ``draw_classical_sample`` on ``lwr_sample_spec``, draw for draw.
+    Exact at any q^n; below ``ENUMERABLE_LIMIT`` it draws as ``draw_classical_sample`` on ``lwr_sample_spec``.
     """
     q, s = fp.q, tuple(s)
+    decoded = lwr_decoding_table(q, p).tolist()
 
     def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
         a = uniform_vector(q, n, rng)
-        return a, lwr_decode(lwr_round(sum(map(mul, a, s)), p, q), p, q)
+        return a, decoded[sum(map(mul, a, s)) % q]
 
     return classical
 

@@ -3,14 +3,18 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditlearn.cli import NOISE_MODELS, main
+import quditlearn
+from quditlearn.cli import NOISE_MODELS, build_parser, main
 from quditlearn.experiments import PROBLEMS
 from quditlearn.learners import ENGINES
 from quditlearn.verify import run_verification
@@ -20,6 +24,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strip_timing(text):
+    return [line for line in text.splitlines() if not line.startswith("wall_time_ms")]
 
 
 def test_learn_noiseless_recovers_and_prints_vector(capsys):
@@ -78,6 +86,37 @@ def test_env_variable_provides_seed(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_env_seed_that_is_not_an_integer_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QUDITLEARN_SEED", "abc")
+    code, out, err = run_cli(capsys, "experiment", "--trials", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: QUDITLEARN_SEED must be an integer, got 'abc'\n"
+    assert run_cli(capsys, "experiment", "--trials", "3", "--seed", "1")[0] == 0  # the flag wins
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys, tmp_path, monkeypatch):
+    # the parser is built once and shared, so no call may leave state in it for the next
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("QUDITLEARN_SEED", raising=False)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"problem": "lwe", "q": 11, "n": 2, "noise": "bounded", "k": 1,
+                                  "M": 2, "trials": 40, "seed": 4}))
+    calls = [
+        ["experiment", "--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--L", "20", "--M", "1",
+         "--trials", "40", "--seed", "3"],
+        ["experiment", "--config", str(config)],
+        ["experiment"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "QUDITLEARN_SEED"}
+    env["PYTHONPATH"] = str(Path(quditlearn.__file__).resolve().parent.parent)
+    for argv in calls:
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "quditlearn", *argv], capture_output=True, text=True,
+                               env=env, timeout=120)
+        assert in_process[0] == fresh.returncode == 0, fresh.stderr
+        assert strip_timing(in_process[1]) == strip_timing(fresh.stdout), argv
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"problem": "lwe", "q": 5, "n": 2, "noise": "none", "seed": 7}))
@@ -99,10 +138,6 @@ def test_experiment_output_is_deterministic_without_timing(capsys):
     first = capsys.readouterr().out
     main(args)
     second = capsys.readouterr().out
-
-    def strip_timing(text):
-        return [line for line in text.splitlines() if not line.startswith("wall_time_ms")]
-
     assert strip_timing(first) == strip_timing(second)
     assert any(line.startswith("empirical_rate") for line in first.splitlines())
 
@@ -194,6 +229,25 @@ def test_experiment_csv_replaces_the_file(capsys, tmp_path):
     rows = path.read_text().splitlines()
     assert len(rows) == 2
     assert rows[0].startswith("problem,") and rows[1].split(",")[11] == "2"
+
+
+def test_experiment_csv_that_cannot_be_written_fails_before_any_trial(capsys, tmp_path):
+    args = ["experiment", "--problem", "lwe", "--q", "7", "--n", "1", "--trials", "3", "--csv"]
+    for path in (tmp_path, tmp_path / "missing" / "report.csv"):
+        code, out, err = run_cli(capsys, *args, str(path))
+        assert (code, out) == (2, ""), path
+        assert err == f"error: cannot write --csv {path}: not a file in an existing directory\n"
+    assert list(tmp_path.iterdir()) == []  # the check creates nothing
+
+
+def test_sweep_csv_that_cannot_be_written_fails_before_any_row(capsys, tmp_path):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"problem": "lwe", "q": 5, "n": 2, "trials": 3, "noise": "none"}] * 2))
+    for path in (tmp_path, tmp_path / "missing" / "sweep.csv"):
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--csv", str(path))
+        assert (code, out) == (2, ""), path
+        assert "cannot write --csv" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
 
 
 def test_experiment_with_too_many_error_draws_exits_2(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from functools import partial
@@ -15,6 +16,7 @@ from quditlearn.learners import (
     lwe_learn,
     lwr_classical_drawer,
     lwr_decode,
+    lwr_decoding_table,
     lwr_learn,
     lwr_noise_bound,
     lwr_round,
@@ -24,6 +26,7 @@ from quditlearn.learners import (
     test_candidate,
 )
 from quditlearn.samples import (
+    ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
     classical_drawer,
@@ -147,6 +150,33 @@ def test_vacuous_candidate_test_accepts_everything():
     rng = make_rng(507)
     classical = classical_drawer(fp, 1, (7,), 11, NoiseModel.bounded_uniform(1))
     assert all(test_candidate((c,), classical, 11, 1, 5, rng) for c in range(11))  # k = (q-1)/2
+
+
+@pytest.mark.parametrize("q", [3, 11, 101])
+def test_candidate_test_accepts_exactly_the_centered_residues_within_k(q):
+    # b - a.candidate = r for a = (1, 2) and candidate (3, 5); r runs over three periods
+    for k in (0, 1, (q - 1) // 2, q, 2 * q + 1):
+        for r in range(-q, 2 * q):
+            draws = 0
+
+            def classical(rng):
+                nonlocal draws
+                draws += 1
+                return (1, 2), r + 13
+
+            accepted = centered_abs(r, q) <= k
+            assert test_candidate((3, 5), classical, q, 3, k, None) == accepted, (k, r)
+            assert draws == (3 if accepted else 1)  # stops at the first rejecting sample
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_candidate_test_rejects_an_even_modulus_before_any_draw(q):
+    def classical(rng):
+        raise AssertionError("drew a sample")
+
+    for k in (0, 1, q):
+        with pytest.raises(ParameterError, match="odd modulus"):
+            test_candidate((1,), classical, q, 1, k, None)
 
 
 # --- the repetition learner --------------------------------------------------
@@ -345,6 +375,35 @@ def test_rounding_map_is_identity_at_p_equals_q():
         assert lwr_decode(lwr_round(x, q, q), q, q) == x
     with pytest.raises(ParameterError):
         lwr_noise_bound(q, q)
+
+
+@pytest.mark.parametrize("q, p", [(3, 2), (11, 3), (101, 8), (257, 16), (65537, 4096)])
+def test_lwr_decoding_table_and_residuals_match_the_scalar_maps(q, p):
+    decoded = [lwr_decode(lwr_round(x, p, q), p, q) for x in range(q)]
+    residual = [centered(d - x, q) for x, d in enumerate(decoded)]
+    table = lwr_decoding_table(q, p)
+    assert table.dtype == np.int64 and not table.flags.writeable and lwr_decoding_table(q, p) is table
+    assert table.tolist() == decoded
+    fp = FieldParams(q)
+    classical, rng = lwr_classical_drawer(fp, 1, (1,), p), make_rng(q)
+    assert all(b == decoded[a[0]] for a, b in (classical(rng) for _ in range(50)))
+    if 2 * lwr_noise_bound(p, q) + 1 > q:  # (3, 2): the residual support outgrows Z_q
+        with pytest.raises(ParameterError):
+            lwr_sample_spec(fp, 1, (1,), p)
+        return
+    assert lwr_sample_spec(fp, 1, (1,), p).errors.tolist() == residual  # a.s = a: one error per residue
+    n = next(n for n in itertools.count(1) if q**n > ENUMERABLE_LIMIT)
+    counts: dict[int, int] = {}  # the scalar reference, in first-occurrence order
+    for r in residual:
+        counts[r] = counts.get(r, 0) + q ** (n - 1)
+    assert list(lwr_sample_spec(fp, n, (1,) * n, p).histogram.items()) == list(counts.items())
+    assert lwr_sample_spec(fp, n, (0,) * n, p).histogram == {residual[0]: q**n}
+
+
+def test_lwr_decoding_table_rejects_what_it_cannot_tabulate():
+    for q, p in ((31, 1), (31, 31), (67108879, 16)):  # p below 2, p = q, a prime q above 2**26
+        with pytest.raises(ParameterError):
+            lwr_decoding_table(q, p)
 
 
 def test_lwr_spec_roundtrip_against_direct_construction():
