@@ -62,7 +62,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     golden = golden_tables()
     configs = dict(golden["CONFIGS"])
     configs["lwr-dense"] = (*configs["lwr-fixed-spec"], "--engine", "dense")
-    configs["lwr-histogram"] = ("--problem", "lwr", "--q", "101", "--n", "3", "--p", "8", "--M", "1")
+    # q^n > ENUMERABLE_LIMIT; at q = 103, p = 16 a residual histogram in sorted order moves exact_prob's last bit
+    configs["lwr-histogram"] = ("--problem", "lwr", "--q", "103", "--n", "3", "--p", "16", "--M", "1")
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
     # later flags override the golden ones

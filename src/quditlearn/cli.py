@@ -208,8 +208,10 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ParameterError(f"{what}: {exc}") from exc
         csv_path = getattr(args, "csv", None)  # checked before any trial, creating nothing
-        if csv_path and (os.path.isdir(csv_path) or not os.path.isdir(os.path.dirname(csv_path) or ".")):
-            raise ParameterError(f"cannot write --csv {csv_path}: not a file in an existing directory")
+        if csv_path is not None and (
+            not csv_path or os.path.isdir(csv_path) or not os.path.isdir(os.path.dirname(csv_path) or ".")
+        ):
+            raise ParameterError(f"cannot write --csv {csv_path or repr(csv_path)}: not a file in an existing directory")
         return handlers[args.subcommand](args)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code) if exc.code is not None else 2

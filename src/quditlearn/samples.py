@@ -589,22 +589,34 @@ def materialize_dense(spec: SampleSpec) -> DenseState:
     return DenseState.uniform(spec.fp, spec.n + 1, support)
 
 
-# Up to this n, n scalar draws beat one array draw: a scalar draw costs
-# 3-4.5 us and an array call 7-10 us (NumPy 2.4.6, 2-core x86-64). They tie
-# at n = 3; at n = 8 the scalars take 2-3x as long, at n = 20 5-6x.
-_SCALAR_DRAWS_UP_TO = 2
+# Up to this n, coordinates drawn from the bit generator (0.4-0.8 us each at
+# q = 101 and 257) beat one array draw (4.5-5 us; NumPy 2.4.6, 2-core x86-64).
+# They tie at n = 11; near q = 2**31, where half of all words are rejected, at n = 6.
+_SCALAR_DRAWS_UP_TO = 10
 
 
 def uniform_vector(q: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniform vector of F_q^n: ``rng.integers(0, q, size=n)``, made cheap for small n.
 
-    For n <= _SCALAR_DRAWS_UP_TO it draws n scalars, which give the same values
-    and leave the same generator state (the 32-bit half-word buffer lives in
-    the bit generator, not in the call) without the array call's set-up.
+    For 2 <= q <= 2**32 and n <= _SCALAR_DRAWS_UP_TO it draws each coordinate from
+    the bit generator's ``next_uint32`` by NumPy's bounded rule (Lemire's
+    multiply-and-reject, ``buffered_bounded_lemire_uint32``): the same values and
+    generator state, buffered 32-bit half-word included, pinned by a test against
+    ``rng.integers``. It skips the bit generator's lock, which ``integers`` takes:
+    every run in this package owns its generator in one thread.
     """
-    if n <= _SCALAR_DRAWS_UP_TO:
-        return tuple(int(rng.integers(q)) for _ in range(n))
-    return tuple(rng.integers(0, q, size=n).tolist())
+    if not (2 <= q <= 2**32 and n <= _SCALAR_DRAWS_UP_TO):  # below 2 NumPy draws nothing, above it takes 64 bits
+        return tuple(rng.integers(0, q, size=n).tolist())
+    vector, ct = [], rng.bit_generator.ctypes
+    next_uint32, state = ct.next_uint32, ct.state
+    for _ in range(n):
+        m = next_uint32(state) * q
+        if m & 0xFFFFFFFF < q:  # the biased low words lie below 2**32 mod q < q
+            threshold = (2**32 - q) % q
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * q
+        vector.append(m >> 32)
+    return tuple(vector)
 
 
 def draw_classical_sample(

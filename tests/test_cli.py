@@ -233,17 +233,19 @@ def test_experiment_csv_replaces_the_file(capsys, tmp_path):
 
 def test_experiment_csv_that_cannot_be_written_fails_before_any_trial(capsys, tmp_path):
     args = ["experiment", "--problem", "lwe", "--q", "7", "--n", "1", "--trials", "3", "--csv"]
-    for path in (tmp_path, tmp_path / "missing" / "report.csv"):
+    # an empty path once ran every trial and wrote no file, with exit 0
+    for path in (tmp_path, tmp_path / "missing" / "report.csv", ""):
         code, out, err = run_cli(capsys, *args, str(path))
         assert (code, out) == (2, ""), path
-        assert err == f"error: cannot write --csv {path}: not a file in an existing directory\n"
+        assert err == f"error: cannot write --csv {path or repr(path)}: not a file in an existing directory\n"
     assert list(tmp_path.iterdir()) == []  # the check creates nothing
 
 
 def test_sweep_csv_that_cannot_be_written_fails_before_any_row(capsys, tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([{"problem": "lwe", "q": 5, "n": 2, "trials": 3, "noise": "none"}] * 2))
-    for path in (tmp_path, tmp_path / "missing" / "sweep.csv"):
+    # an empty path once ran every row and then failed to open ''
+    for path in (tmp_path, tmp_path / "missing" / "sweep.csv", ""):
         code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--csv", str(path))
         assert (code, out) == (2, ""), path
         assert "cannot write --csv" in err

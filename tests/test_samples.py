@@ -393,17 +393,14 @@ def test_outcome_law_rejects_a_modulus_beyond_2_to_the_26_before_any_array():
 
 
 class _FixedUniforms:
-    """A generator stub: random() returns the given uniforms in turn, integers() draws from a real generator."""
+    """A generator stub: random() returns the given uniforms in turn, and uniform_vector draws from bit_generator."""
 
     def __init__(self, uniforms, key: int):
         self._uniforms = iter(uniforms)
-        self._rng = make_rng(key)
+        self.bit_generator = make_rng(key).bit_generator
 
     def random(self) -> float:
         return next(self._uniforms)
-
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs)
 
 
 def test_field_bv_decides_as_the_float_law_at_category_boundaries():
@@ -502,18 +499,30 @@ def test_materialize_accepts_degenerate_histogram():
 
 def _state_of(rng):
     """A generator's full state with its arrays as lists, so two states compare with ==."""
-    state = rng.bit_generator.state
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in
-            state.items() if k != "state"} | {k: v.tolist() for k, v in state["state"].items()}
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
 
 
-@pytest.mark.parametrize("q", [2, 3, 101, 257, 65537])
-def test_uniform_vector_is_the_array_draw(q):
+# At 2**31 + 1 about half of all 32-bit words are rejected, at 2**32 every word
+# is a draw as it is, and above 2**32 NumPy's 64-bit rule runs, on the array draw.
+# uniform_vector reads any bit generator's next_uint32, so two cases run on others.
+@pytest.mark.parametrize("q, bit_generator", [
+    *(pytest.param(q, "Philox", id=str(q)) for q in (2, 3, 101, 257, 65537, 2**31 - 1, 2**31 + 1, 2**32 - 5,
+                                                    2**32, 2**32 + 15)),
+    (101, "PCG64"),
+    (2**31 + 1, "MT19937"),
+])
+def test_uniform_vector_is_the_array_draw(q, bit_generator):
     # Reports are pinned to the stream of rng.integers(0, q, size=n); a numpy
     # release that moves either draw must fail here, not in a golden.
-    scalar, array = make_rng(0x5CA1A), make_rng(0x5CA1A)
-    # odd sizes leave a buffered 32-bit half-word behind; n = 8 and 20 take the array draw
-    for n in (1, 2, 3, 4, 3, 1, 2, 4, 8, 1, 20, 2):
+    scalar, array = (make_rng(0x5CA1A) if bit_generator == "Philox" else
+                     np.random.Generator(getattr(np.random, bit_generator)(0x5CA1A)) for _ in range(2))
+    cut = samples._SCALAR_DRAWS_UP_TO
+    # odd sizes leave a buffered 32-bit half-word behind; n = cut + 1 and 20 take the array draw
+    for n in (1, 2, 3, 4, 3, 1, 2, cut, 4, cut + 1, 1, 20, 2, cut - 1):
         assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
         assert scalar.random() == array.random()
         assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
