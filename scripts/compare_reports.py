@@ -10,9 +10,10 @@ through ``cli.main``:
 
   - ``experiment`` on the golden configurations of tests/test_golden.py, plus
     lwr on the dense engine, lwr above ``ENUMERABLE_LIMIT`` (its histogram
-    spec and exact oracle), lpn on the analytic engine, ring-global at m = 3
-    and lwe-dense on a proper subset (v = 100), with global noise and with
-    gaussian noise, each at every seed, at the golden trial count;
+    spec and exact oracle), lwr with a wide residual support (p = 64 at
+    q = 8191), lpn on the analytic engine, ring-global at m = 3 and lwe-dense
+    on a proper subset (v = 100), with global noise and with gaussian noise,
+    each at every seed, at the golden trial count;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs.
 
@@ -64,6 +65,8 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lwr-dense"] = (*configs["lwr-fixed-spec"], "--engine", "dense")
     # q^n > ENUMERABLE_LIMIT; at q = 103, p = 16 a residual histogram in sorted order moves exact_prob's last bit
     configs["lwr-histogram"] = ("--problem", "lwr", "--q", "103", "--n", "3", "--p", "16", "--M", "1")
+    # a wide residual support: 131 x 8190 phases
+    configs["lwr-wide-support"] = ("--problem", "lwr", "--q", "8191", "--n", "1", "--p", "64", "--M", "1")
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
     # later flags override the golden ones

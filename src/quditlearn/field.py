@@ -91,7 +91,6 @@ def phase_table(q: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return roots_of_unity(q)[np.multiply.outer(rows, cols) % q]
 
 
-@lru_cache(maxsize=64)  # an exception is not cached, so a bad q raises on every call
 def _require_odd_prime(q: int) -> None:
     if q % 2 == 0 or not is_prime(q):
         raise ParameterError(f"centered representatives need an odd prime modulus, got {q}")
@@ -117,7 +116,6 @@ def mod_inverse(a: int, q: int) -> int:
     return pow(a, -1, q)
 
 
-@lru_cache(maxsize=None)
 def _prime_divisors(m: int) -> tuple[int, ...]:
     out = []
     d = 2

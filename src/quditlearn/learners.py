@@ -189,7 +189,7 @@ def lwr_decoding_table(q: int, p: int) -> np.ndarray:
     lwr_noise_bound(p, q)
     if q > 2**26:  # the outcome law's cap; it also keeps 2pq within int64
         raise ParameterError("the LWR decoding table holds q entries; q too large")
-    decoded = (2 * q * ((2 * p * np.arange(q, dtype=np.int64) + q) // (2 * q) % p) + p) // (2 * p) % q
+    decoded = lwr_decode(lwr_round(np.arange(q, dtype=np.int64), p, q), p, q)
     decoded.setflags(write=False)
     return decoded
 

@@ -13,9 +13,9 @@ per spec (the law is kept with the spec that it describes).  Its total good
 mass is exact: by Parseval over j* it is the collision count
 (q sum_b c_b^2 - v^2) / (v q^(n+1)), found in O(support) time from integers
 and rounded once.  The per-j* masses take O(q * support) time and are built
-on first read; their omega^(b j*) rows come from one read-only table per
-(q, noise support).  ``dense_outcome_distribution`` reads the same law off
-the dense engine.
+on first read, from omega^(b j*) rows gathered over the histogram's own
+values.  ``dense_outcome_distribution`` reads the same law off the dense
+engine.
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -95,8 +95,8 @@ class NoiseModel:
         object.__setattr__(self, "k", int(self.k))
         if self.kind in ("bounded-uniform", "gaussian") and self.k < 0:
             raise ParameterError("noise magnitude bound k must be >= 0")
-        if self.kind == "gaussian" and not (self.sigma > 0.0 and 2.0 * self.sigma * self.sigma > 0.0):
-            raise ParameterError(f"gaussian noise needs sigma > 0 with 2 sigma^2 > 0 in floats, got {self.sigma}")
+        if self.kind == "gaussian" and not (0.0 < self.sigma < math.inf and 2.0 * self.sigma * self.sigma > 0.0):
+            raise ParameterError(f"gaussian noise needs sigma > 0, finite, with 2 sigma^2 > 0 in floats, got {self.sigma}")
         if self.kind == "bernoulli" and not 0.0 <= self.eta < 0.5:
             raise ParameterError(f"flip probability must lie in [0, 1/2), got {self.eta}")
         if self.kind == "global-shift":
@@ -185,6 +185,7 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
     assert values == tuple(range(values[0], values[-1] + 1))
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
+    cdf.flags.writeable = False  # shared by every later draw at this (noise, q)
     return values, weights, cdf
 
 
@@ -222,19 +223,6 @@ def _check_arguments(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise:
     if not 1 <= v <= qn:
         raise ParameterError(f"subset size v = {v} outside [1, q^n = {qn}]")
     return _distribution(noise, q)  # validates the noise for q on a cache miss
-
-
-# Largest good-phase table, in entries (16 MiB), kept for a (q, support); a
-# wider support is gathered per spec over the spec's own values instead.
-_PHASE_TABLE_LIMIT = 2**20
-
-
-@lru_cache(maxsize=8)  # a run reads one (q, support); tests and sweeps a few
-def _good_phases(q: int, low: int, high: int) -> np.ndarray:
-    """Read-only omega^(b j*) for b = low..high (support order, one row each) and j* = 1..q-1."""
-    table = phase_table(q, np.arange(low, high + 1, dtype=np.int64) % q, np.arange(1, q, dtype=np.int64))
-    table.flags.writeable = False  # shared by every law at this (q, support)
-    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,21 +312,18 @@ class SampleSpec:
         # support's values are distinct mod q; one int division rounds the exact ratio once
         collisions = sum(c * c for c in hist.values())
         correct = (q * collisions - self.v * self.v) / (self.v * q ** (self.n + 1))
-        good = partial(_good_masses, q, self.n, self.v, self.noise, hist)
+        good = partial(_good_masses, q, self.n, self.v, hist)
         return OutcomeDistribution(correct, 1.0 / q, good)  # bot: Parseval over the j* = 0 slice
 
 
-def _good_masses(q: int, n: int, v: int, noise: NoiseModel, hist: dict[int, int]) -> np.ndarray:
+def _good_masses(q: int, n: int, v: int, hist: dict[int, int]) -> np.ndarray:
     """P(good at j*) = |sum_b c_b omega^(b j*)|^2 / (q^(n+1) v) for each j* (entry 0 is zero)."""
-    support = _distribution(noise, q)[0]
+    if len(hist) * (q - 1) > 2**27:  # the phases and their exponents would take over 3 GiB
+        raise ParameterError(f"the per-j* outcome law needs {len(hist)} x {q - 1} phases, over 2**27")
     values = np.fromiter(hist.keys(), dtype=np.int64)
     counts = np.fromiter(hist.values(), dtype=np.float64)
-    if len(support) * q <= _PHASE_TABLE_LIMIT:
-        # rows in the histogram's own order: summing in support order would move the last bit
-        phases = _good_phases(q, support[0], support[-1])[values - support[0]]
-    else:
-        phases = phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
-    good_amp_sums = counts @ phases
+    # rows in the histogram's own order: summing in support order would move the last bit
+    good_amp_sums = counts @ phase_table(q, values % q, np.arange(1, q, dtype=np.int64))
     per = np.zeros(q, dtype=np.float64)
     per[1:] = np.abs(good_amp_sums) ** 2 / (float(v) * float(q) ** (n + 1))
     return per

@@ -279,7 +279,7 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
 def test_gaussian_sigma_whose_square_underflows_exits_2(capsys):
     argv = ("experiment", "--problem", "lwe", "--q", "3", "--n", "1", "--noise", "gaussian", "--k", "1",
             "--trials", "5")
-    for sigma in ("1e-300", "1e-162"):  # 2 sigma^2 underflows to 0.0
+    for sigma in ("1e-300", "1e-162", "inf"):  # 2 sigma^2 underflows to 0.0, or sigma is not finite
         code, out, err = run_cli(capsys, *argv, "--sigma", sigma)
         assert code == 2
         assert out == ""
@@ -351,6 +351,16 @@ def test_lwr_candidate_test_beyond_the_enumeration_limit_runs(capsys):
         code, out, err = run_cli(capsys, *argv, "--M", M)
         assert (code, err) == (0, "")
         assert f"M: {M}" in out.splitlines()
+
+
+def test_lwr_law_too_wide_to_gather_exits_2(capsys):
+    # 16,385 residual values x 65,536 values of j* would take over 8 GiB of phases
+    code, out, err = run_cli(capsys, "experiment", "--problem", "lwr", "--q", "65537", "--n", "1", "--p", "4",
+                             "--L", "3", "--trials", "2")
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line == "error: the per-j* outcome law needs 16385 x 65536 phases, over 2**27"
 
 
 @pytest.mark.parametrize("command", ["learn", "experiment"])

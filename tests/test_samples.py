@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quditlearn import learners, samples
+from quditlearn import samples
 from quditlearn.dense import StateError, weighted_index
 from quditlearn.experiments import ExperimentConfig, run_experiment
 from quditlearn.field import FieldParams, ParameterError, centered, phase_table
@@ -20,7 +20,6 @@ from quditlearn.samples import (
     DECISION_MARGIN,
     NoiseModel,
     SampleSpec,
-    _good_phases,
     _vectors_at,
     dense_outcome_distribution,
     draw_classical_sample,
@@ -45,6 +44,15 @@ def test_gaussian_weights_normalized_and_shaped():
     assert values == (-2, -1, 0, 1, 2)
     assert abs(math.fsum(weights) - 1.0) <= 1e-12
     assert weights[2] > weights[1] == weights[3] > weights[0] == weights[4]
+
+
+def test_the_cached_noise_cdf_is_read_only():
+    # every later error draw at a (noise, q) reads the one cached CDF
+    for noise in (NoiseModel.gaussian(1.5, 3), NoiseModel.global_shift(NoiseModel.bounded_uniform(2))):
+        cdf = samples._distribution(noise, 11)[2]
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
 
 
 def test_noise_support_must_fit_field():
@@ -298,8 +306,8 @@ def test_error_draws_and_dense_supports_match_the_gather_formulas():
     assert {noise.kind for _, _, noise in _DRAW_CASES} == set(samples._NOISE_KEYS)  # all five kinds
 
 
-def _formula_before_the_shared_table(spec):
-    """The law as written before the phase table was shared: a table over the spec's own values."""
+def _formula_over_the_spec_values(spec):
+    """The law written out: one phase row per histogram value, in the histogram's order."""
     q = spec.fp.q
     hist = spec.error_histogram()
     values = np.fromiter(hist.keys(), dtype=np.int64)
@@ -311,49 +319,18 @@ def _formula_before_the_shared_table(spec):
     return per, p_correct, 1.0 / q, max(1.0 - p_correct - 1.0 / q, 0.0)
 
 
-def test_outcome_law_reads_one_table_per_support_bit_for_bit(monkeypatch):
-    _good_phases.cache_clear()
+def test_outcome_law_reads_one_table_per_support_bit_for_bit():
     checked = 0
     for spec in _drawn_specs(240, 72):
-        per, p_correct, p_bot, p_wrong = _formula_before_the_shared_table(spec)
+        per, p_correct, p_bot, p_wrong = _formula_over_the_spec_values(spec)
         law = outcome_distribution(spec)
         assert np.array_equal(law.per_jstar_good, per)
         assert (law.p_correct, law.p_bot, law.p_wrong) == (p_correct, p_bot, p_wrong)
         checked += 1
     assert checked >= 200
-    supports = {(fp.q, noise.distribution(fp.q)[0]) for fp, _, noise in _DRAW_CASES}
-    assert _good_phases.cache_info().currsize == len(supports) == 7
-    q, support = 11, NoiseModel.gaussian(1.5, 3).distribution(11)[0]
-    table = _good_phases(q, support[0], support[-1])
-    assert table.shape == (len(support), q - 1) and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
-    # a support too wide to keep a table for is gathered over the spec's own values, to the same bits
-    monkeypatch.setattr(samples, "_PHASE_TABLE_LIMIT", 0)
-    _good_phases.cache_clear()
     for spec in _drawn_specs(40, 73):
-        per = _formula_before_the_shared_table(spec)[0]
+        per = _formula_over_the_spec_values(spec)[0]
         assert np.array_equal(outcome_distribution(spec).per_jstar_good, per)
-    assert _good_phases.cache_info().currsize == 0
-
-
-def test_runs_share_one_phase_table_per_modulus_and_support(monkeypatch):
-    laws = []
-
-    def recorded(spec):
-        laws.append(outcome_distribution(spec))
-        return laws[-1]
-
-    monkeypatch.setattr(learners, "outcome_distribution", recorded)
-    _good_phases.cache_clear()
-    for seed in range(15):
-        run_experiment(ExperimentConfig(problem="lwr", q=257, n=1, trials=2, seed=seed, p=16, L=5, M=1))
-        run_experiment(ExperimentConfig(problem="lwe", q=101, n=2, trials=2, seed=seed,
-                                        noise=NoiseModel.gaussian(1.0, 2), L=5, M=1, k=2))
-    # an attempt decides from the exact mass, so the per-j* tables are read here, after the runs
-    assert {law.per_jstar_good.shape for law in laws} == {(257,), (101,)}
-    # lwr: the residual support [-10, 10] at q = 257; lwe: [-2, 2] at q = 101
-    assert _good_phases.cache_info().currsize == 2
 
 
 def _exact_correct_mass(spec) -> Fraction:
@@ -371,11 +348,10 @@ def test_exact_correct_mass_matches_the_float_law():
         assert abs(law.p_correct - law.correct_mass) <= DECISION_MARGIN / 1000
         kinds.add((spec.noise.kind, spec.errors is not None, spec.v == spec.fp.q**spec.n))
     assert len({k[0] for k in kinds}) == 5 and {k[1:] for k in kinds} == set(itertools.product((False, True), repeat=2))
-    # supports too wide to keep a table for: each law gathers its rows over the spec's own values
+    # wide supports, at q = 8191 and 12289
     local = make_rng(75)
     wide = 0
     for q, noise in ((8191, NoiseModel.bounded_uniform(4095)), (12289, NoiseModel.gaussian(2000.0, 6144))):
-        assert len(noise.distribution(q)[0]) * q > samples._PHASE_TABLE_LIMIT
         for v, errors_as in ((1, "map"), (40, "histogram"), (90, "map"), (120, "histogram")):
             spec = draw_sample_spec(FieldParams(q), 1, (int(local.integers(q)),), v, noise, local, errors_as=errors_as)
             law = outcome_distribution(spec)
