@@ -55,13 +55,13 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--problem", choices=PROBLEMS, default="lwe")
         p.add_argument("--q", type=int)
-        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--n", type=int)
         p.add_argument("--v", type=int)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--eta", type=float, default=0.1)
         p.add_argument("--p", type=int)
-        p.add_argument("--m", type=int, default=4, help="ring conductor (ring-global)")
+        p.add_argument("--m", type=int, help="ring conductor (ring-global, default 4)")
         p.add_argument("--L", type=int)
         p.add_argument("--M", type=int)
         p.add_argument("--seed", type=int)
@@ -111,7 +111,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     noise = NOISE_MODELS[args.noise or ("bernoulli" if lpn else "none")](args)
     noisy = noise.kind != "none"
     default_L = math.ceil(20 * max(args.k, 1) * math.log(10)) if noisy else 1
-    m = args.m if args.problem == "ring-global" else None
+    ring = args.problem == "ring-global"
+    m = 4 if ring and args.m is None else args.m
     env_seed = os.environ.get("QUDITLEARN_SEED", "0")
     try:
         seed = args.seed if args.seed is not None else int(env_seed)
@@ -120,7 +121,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         problem=args.problem,
         q=q,
-        n=args.n if m is None else RingEmbedding.build(FieldParams(q), m).n,
+        n=args.n if args.n is not None else (RingEmbedding.build(FieldParams(q), m).n if ring else 2),
         trials=getattr(args, "trials", 1),
         seed=seed,
         engine=args.engine,

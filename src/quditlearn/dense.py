@@ -25,9 +25,10 @@ product, so measuring a sample state never builds its amplitude vector.
 Among the learners only the SIS screening, whose operations act on
 amplitudes, reads that vector; it is built and norm-checked on first read,
 and the cross-checks read it too.  The rows agree with ``f @ block`` to
-rounding.  The full transform, ``apply_qft_all`` followed by
-``measure_all``, is the reference that ``measure_qft_all`` reproduces, and
-stays for the cross-checks that need the whole transformed state.
+rounding.  The full transform, ``apply_qft_all`` (``apply_qft`` on every
+register in turn) followed by ``measure_all``, is the reference that
+``measure_qft_all`` reproduces, and stays for the cross-checks that need the
+whole transformed state.
 """
 
 from __future__ import annotations
@@ -173,19 +174,11 @@ class DenseState:
         return DenseState(self.fp, self.num_registers, out)
 
     def apply_qft_all(self) -> "DenseState":
-        """QFT on every register, as one composite operation.
-
-        Each pass X.T @ F = (F @ X).T (F is symmetric) transforms the leading
-        register and cycles it to the last axis, C-contiguous without a copy, so
-        after num_registers passes every register is transformed and in order.
-        """
-        q = self.fp.q
-        f = qft_matrix(q)
-        amps = self.amps
-        rest = amps.size // q
-        for _ in range(self.num_registers):
-            amps = amps.reshape(q, rest).T @ f
-        return DenseState(self.fp, self.num_registers, amps)
+        """QFT on every register: ``apply_qft`` on each in turn."""
+        state = self
+        for register in range(self.num_registers):
+            state = state.apply_qft(register)
+        return state
 
     def _first_pass(self) -> tuple:
         """(live, rows): F applied to register 0, as the real 2q x k array of ``_real_qft``.

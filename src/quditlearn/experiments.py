@@ -124,6 +124,10 @@ class ExperimentConfig:
             raise ParameterError(f"L must be >= 1, got {self.L}")
         if self.M < 0:
             raise ParameterError(f"M must be >= 0, got {self.M}")
+        for name, reader in (("p", "lwr"), ("m", "ring-global")):
+            value = getattr(self, name)
+            if value is not None and self.problem != reader:
+                raise ParameterError(f"only {reader} reads {name}, so {self.problem} cannot take {name} = {value}")
         if self.s is not None:
             if len(self.s) != self.n or not all(map(is_integer, self.s)):
                 raise ParameterError(f"s must be n = {self.n} integers, got s = {self.s!r}")
@@ -206,7 +210,7 @@ def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generat
 def _expected_iteration_success(q: int, n: int, v: int, noise: NoiseModel) -> float:
     """E over error draws of the exact single-attempt success probability."""
     values, weights = noise.distribution(q)
-    if noise.is_global or noise.kind == "none":
+    if noise.is_shared:
         expected_sq = float(v) * v
     else:
         sp2 = math.fsum(w * w for w in weights)
@@ -242,6 +246,14 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         raise ParameterError(
             f"{config.problem} always uses all q^n = {q**n} elements, so v = {config.v} cannot run"
         )
+    if config.problem == "ring-global":  # a wrong n is named before the state size it gives
+        if config.m is None:
+            raise ParameterError("ring-global needs the conductor m")
+        if not config.noise.is_shared:
+            raise ParameterError("ring-global takes noise none or global (no per-element ring noise)")
+        emb = RingEmbedding.build(fp, config.m)
+        if config.n != emb.n:
+            raise ParameterError(f"ring dimension is phi({config.m}) = {emb.n}, got n = {config.n}")
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(
@@ -311,14 +323,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
 
         return run, exact, bound_paper, None
 
-    # ring-global
-    if config.m is None:
-        raise ParameterError("ring-global needs the conductor m")
-    if config.noise.kind not in ("none", "global-shift"):
-        raise ParameterError("ring-global takes noise none or global (no per-element ring noise)")
-    emb = RingEmbedding.build(fp, config.m)
-    if config.n != emb.n:
-        raise ParameterError(f"ring dimension is phi({config.m}) = {emb.n}, got n = {config.n}")
+    # ring-global, whose conductor, noise and dimension were checked above
     exact = ((q - 1) / q) ** emb.n
 
     def run(rng: np.random.Generator) -> tuple[int, ...] | None:

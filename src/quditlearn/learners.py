@@ -2,9 +2,10 @@
 
 ``field_bv`` is the core recovery step: QFT on every register, measure, and
 read the secret off the outcome when the last register j* is nonzero.  It
-accepts either a DenseState (exact small-instance simulation) or a SampleSpec
-(analytic engine: the outcome category is sampled from the closed-form
-distribution; wrong outputs are drawn uniformly over the non-secret vectors,
+accepts either a DenseState (exact small-instance simulation, measured by
+``DenseState.measure_qft_all``) or a SampleSpec (analytic engine: one uniform
+picks the outcome category from the law's exact correct mass and abstention
+probability; wrong outputs are drawn uniformly over the non-secret vectors,
 which preserves the category probabilities that every consumer relies on).
 
 The remaining learners compose this step with the classical candidate test
@@ -28,7 +29,6 @@ import numpy as np
 from .dense import DenseState, checked_size, weighted_index
 from .field import ParameterError, centered, centered_abs, mod_inverse  # noqa: F401 - traced here by perfbench
 from .samples import (
-    DECISION_MARGIN,
     ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
@@ -67,10 +67,8 @@ def _require_arguments(L: int, M: int, k: int, engine: str) -> None:
 def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) -> BvOutcome:
     """One recovery attempt: returns Secret(-(j*)^-1 j mod q) or Bot when j* = 0.
 
-    On a SampleSpec one uniform u picks the category.  The law's exact
-    correct mass and p_bot decide, unless u lies within ``DECISION_MARGIN`` of
-    a category boundary; there the float law (built on first read) decides.
-    So every outcome is the one the float law's p_correct and p_bot give.
+    On a SampleSpec one uniform u picks the category from the law's exact
+    correct mass and p_bot; the float per-j* law is never built here.
     """
     if isinstance(sample, DenseState):
         q = sample.fp.q
@@ -83,15 +81,9 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     if isinstance(sample, SampleSpec):
         dist = outcome_distribution(sample)
         u = rng.random()
-        correct_cut = dist.correct_mass
-        bot_cut = correct_cut + dist.p_bot
-        if abs(u - correct_cut) < DECISION_MARGIN or abs(u - bot_cut) < DECISION_MARGIN:
-            # near a category boundary the float law decides, so every outcome is the one it gives
-            correct_cut = dist.p_correct
-            bot_cut = correct_cut + dist.p_bot
-        if u < correct_cut:
+        if u < dist.correct_mass:
             return BvOutcome(sample.s)
-        if u < bot_cut:
+        if u < dist.correct_mass + dist.p_bot:
             return BOT
         return BvOutcome(_uniform_wrong_vector(sample, rng))
     raise ParameterError(f"field_bv expects a DenseState or SampleSpec, got {type(sample)!r}")
@@ -177,18 +169,21 @@ def lwr_decode(y: int, p: int, q: int) -> int:
 
 
 def lwr_noise_bound(p: int, q: int) -> int:
-    """Magnitude bound ceil(q/(2p)) + 1 on the rounding residual after decoding."""
+    """Magnitude bound k = ceil(q/(2p)) + 1 on the rounding residual after decoding; needs 2k + 1 <= q."""
     if not 2 <= p < q:
         raise ParameterError(f"rounding modulus must satisfy 2 <= p < q, got p={p}, q={q}")
-    return -(-q // (2 * p)) + 1
+    k = -(-q // (2 * p)) + 1
+    if 2 * k + 1 > q:
+        raise ParameterError(f"p={p} is too coarse for q={q}: the rounding residual bound "
+                             f"k = ceil(q/(2p)) + 1 = {k} needs 2k + 1 <= q")
+    return k
 
 
 @lru_cache(maxsize=16)
 def lwr_decoding_table(q: int, p: int) -> np.ndarray:
     """Read-only int64 ``lwr_decode(lwr_round(x, p, q), p, q)`` for x in Z_q; needs 2 <= p < q <= 2**26."""
-    lwr_noise_bound(p, q)
-    if q > 2**26:  # the outcome law's cap; it also keeps 2pq within int64
-        raise ParameterError("the LWR decoding table holds q entries; q too large")
+    if not 2 <= p < q <= 2**26:  # 2**26: the outcome law's cap; it also keeps 2pq within int64
+        raise ParameterError(f"the LWR decoding table needs 2 <= p < q <= 2**26, got p={p}, q={q}")
     decoded = lwr_decode(lwr_round(np.arange(q, dtype=np.int64), p, q), p, q)
     decoded.setflags(write=False)
     return decoded
@@ -202,9 +197,7 @@ def lwr_sample_spec(fp, n: int, s: tuple[int, ...], p: int) -> SampleSpec:
     (read off ``lwr_decoding_table``) as its errors.
     """
     q = fp.q
-    kp = lwr_noise_bound(p, q)
-    noise = NoiseModel.bounded_uniform(kp)
-    noise.validate_for(q)
+    noise = NoiseModel.bounded_uniform(lwr_noise_bound(p, q))
     residual = (lwr_decoding_table(q, p) - np.arange(q) + q // 2) % q - q // 2  # centered: q > p >= 2 is odd
     qn = q**n
     s = tuple(s)

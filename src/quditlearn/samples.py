@@ -14,8 +14,10 @@ mass is exact: by Parseval over j* it is the collision count
 (q sum_b c_b^2 - v^2) / (v q^(n+1)), found in O(support) time from integers
 and rounded once.  The per-j* masses take O(q * support) time and are built
 on first read, from omega^(b j*) rows gathered over the histogram's own
-values.  ``dense_outcome_distribution`` reads the same law off the dense
-engine.
+values: the recovery step (``learners.field_bv``) decides from the exact
+mass and the abstention probability alone, and LWR's exact success,
+``verify`` and the total-variation checks read the per-j* law.
+``dense_outcome_distribution`` reads the same law off the dense engine.
 
 The abstention probability (last register measuring 0) is 1/q exactly, by
 Parseval over the j* = 0 slice, for any subset and any error assignment.
@@ -127,6 +129,11 @@ class NoiseModel:
     def is_global(self) -> bool:
         return self.kind == "global-shift"
 
+    @property
+    def is_shared(self) -> bool:
+        """Every element of a sample carries the same error: a global shift, or no noise."""
+        return self.kind in ("global-shift", "none")
+
     def magnitude_bound(self) -> int:
         """Largest centered magnitude the model can emit."""
         if self.kind == "none":
@@ -191,7 +198,7 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
 
 def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
     """Reject subsets too large for per-element errors to be drawn as a histogram."""
-    if v > MULTINOMIAL_LIMIT and not (noise.is_global or noise.kind == "none"):
+    if v > MULTINOMIAL_LIMIT and not noise.is_shared:
         size = f"{q}^{n}" if v == q**n else v
         raise ParameterError(
             f"subset size v = {size} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
@@ -329,13 +336,6 @@ def _good_masses(q: int, n: int, v: int, hist: dict[int, int]) -> np.ndarray:
     return per
 
 
-# field_bv decides an attempt from ``correct_mass`` unless its uniform lies
-# within this distance of a category boundary, where the float law decides.
-# The two masses agree to 1e-12 (checked whenever the float law is built), so
-# every outcome is the one the float law gives.
-DECISION_MARGIN = 1e-9
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact outcome-category probabilities of the QFT-and-measure recovery step.
@@ -464,7 +464,7 @@ def _spec_draws(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: Nois
     draw_subset = v < qn and errors_as == "map"
     if draw_subset and qn > np.iinfo(np.int64).max:
         raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-    shared = noise.is_global or noise.kind == "none"  # one error value for every element
+    shared = noise.is_shared  # one error value for every element
     values, weights = table[0], np.asarray(table[1])  # an array: multinomial converts a tuple per call
 
     def draws(rng: np.random.Generator) -> tuple[np.ndarray | None, dict[int, int] | None]:

@@ -422,6 +422,34 @@ def test_lwr_and_sis_reject_a_noise_they_never_read(capsys, argv):
     assert err.startswith(f"error: {argv[1]} reads no noise model")
 
 
+@pytest.mark.parametrize("argv, field, reader", [
+    (("--problem", "lwe", "--q", "5", "--p", "3"), "p", "lwr"),
+    (("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "2", "--p", "3"), "p", "lwr"),
+    (("--problem", "lwe", "--q", "5", "--m", "4"), "m", "ring-global"),
+    (("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--m", "4"), "m", "ring-global"),
+])
+def test_p_and_m_on_a_problem_that_never_reads_them_exit_2(capsys, argv, field, reader):
+    code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: only {reader} reads {field}, so {argv[1]} cannot take {field} = {argv[-1]}\n"
+
+
+def test_ring_global_checks_an_explicit_n_against_phi_m(capsys):
+    argv = ("experiment", "--problem", "ring-global", "--q", "13", "--m", "4", "--trials", "2")
+    code, out, err = run_cli(capsys, *argv, "--n", "5")
+    assert (code, out, err) == (2, "", "error: ring dimension is phi(4) = 2, got n = 5\n")
+    code, out, _ = run_cli(capsys, *argv, "--n", "2")
+    assert code == 0 and "n: 2" in out.splitlines()
+
+
+@pytest.mark.parametrize("q, k", [("3", 2), ("5", 3)])
+def test_lwr_without_room_for_its_residual_bound_names_p_and_q(capsys, q, k):
+    code, out, err = run_cli(capsys, "experiment", "--problem", "lwr", "--q", q, "--p", "2", "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: p=2 is too coarse for q={q}: the rounding residual bound "
+                   f"k = ceil(q/(2p)) + 1 = {k} needs 2k + 1 <= q\n")
+
+
 def test_lwe_beyond_the_float_range_exits_2(capsys):
     # v * q^(n+1) = q^(2n+1): 257^261 and 4099^87 exceed sys.float_info.max, 4099^85 does not;
     # lwr always uses v = q^n, so its law meets the same limit

@@ -87,7 +87,7 @@ def test_size_cap_fires_before_any_allocation():
 def test_qft_matrix_unitary(q):
     f = qft_matrix(q)
     assert np.max(np.abs(f.conj().T @ f - np.eye(q))) <= 1e-9
-    assert np.array_equal(f, f.T)  # apply_qft_all multiplies by F from the right
+    assert np.array_equal(f, f.T)  # F[j, k] = omega^(jk) / sqrt(q) is symmetric in j and k
 
 
 def test_qft_of_zero_is_uniform():
@@ -99,16 +99,6 @@ def test_qft_then_inverse_restores_state():
     st_ = random_state(5, 3, key=11)
     back = inverse_qft(st_.apply_qft(1), 1)
     assert np.abs(back.amps - st_.amps).max() <= 1e-9
-
-
-@pytest.mark.parametrize("q, registers", [(2, 5), (3, 3), (7, 2), (13, 4)])
-def test_qft_all_matches_per_register_path(q, registers):
-    st_ = random_state(q, registers, key=12)
-    fused = st_.apply_qft_all()
-    sequential = st_
-    for register in range(registers):
-        sequential = sequential.apply_qft(register)
-    assert np.abs(fused.amps - sequential.amps).max() <= 1e-12
 
 
 def _states_to_measure(q: int, registers: int, key: int) -> list[DenseState]:

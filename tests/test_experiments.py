@@ -233,6 +233,15 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(ParameterError, match=r"\bs = "):
             run_experiment(ExperimentConfig(trials=200, seed=1, **fields))
+    for fields, field in (
+        (dict(problem="lwe", q=5, n=1, p=3), "p"),
+        (dict(problem="sis", q=7, n=2, k=1, L=2, p=3), "p"),
+        (dict(problem="ring-global", q=13, n=2, m=4, p=3), "p"),
+        (dict(problem="lwe", q=5, n=1, m=4), "m"),
+        (dict(problem="lwr", q=257, n=1, p=16, m=4), "m"),
+    ):
+        with pytest.raises(ParameterError, match=rf"^only [a-z-]+ reads {field}, so {fields['problem']} cannot take"):
+            ExperimentConfig(trials=10, seed=0, **fields)
 
 
 def test_csv_row_round_trips_through_writer(tmp_path):

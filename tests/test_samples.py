@@ -17,7 +17,6 @@ from quditlearn.experiments import ExperimentConfig, run_experiment
 from quditlearn.field import FieldParams, ParameterError, centered, phase_table
 from quditlearn.learners import field_bv
 from quditlearn.samples import (
-    DECISION_MARGIN,
     NoiseModel,
     SampleSpec,
     _vectors_at,
@@ -345,7 +344,7 @@ def test_exact_correct_mass_matches_the_float_law():
     for spec in _drawn_specs(240, 74):
         law = outcome_distribution(spec)
         assert law.correct_mass == float(_exact_correct_mass(spec))  # rounded once
-        assert abs(law.p_correct - law.correct_mass) <= DECISION_MARGIN / 1000
+        assert abs(law.p_correct - law.correct_mass) <= 1e-12
         kinds.add((spec.noise.kind, spec.errors is not None, spec.v == spec.fp.q**spec.n))
     assert len({k[0] for k in kinds}) == 5 and {k[1:] for k in kinds} == set(itertools.product((False, True), repeat=2))
     # wide supports, at q = 8191 and 12289
@@ -356,7 +355,7 @@ def test_exact_correct_mass_matches_the_float_law():
             spec = draw_sample_spec(FieldParams(q), 1, (int(local.integers(q)),), v, noise, local, errors_as=errors_as)
             law = outcome_distribution(spec)
             assert law.correct_mass == float(_exact_correct_mass(spec))
-            assert abs(law.p_correct - law.correct_mass) <= DECISION_MARGIN / 1000
+            assert abs(law.p_correct - law.correct_mass) <= 1e-12
             wide += 1
     assert wide == 8
 
@@ -379,21 +378,29 @@ class _FixedUniforms:
         return next(self._uniforms)
 
 
-def test_field_bv_decides_as_the_float_law_at_category_boundaries():
-    below = 0
+def test_field_bv_decides_by_the_exact_masses_where_the_float_law_differs():
+    # q = 3, n = 2, v = 7: the float p_correct lies one rounding step below the exact mass 2/27
+    spec = SampleSpec(fp=FieldParams(3), n=2, s=(2, 1), v=7, noise=NoiseModel.bounded_uniform(1),
+                      histogram={-1: 2, 0: 4, 1: 1})
+    law = outcome_distribution(spec)
+    assert law.p_correct == 0.07407407407407404 < law.correct_mass == float(Fraction(2, 27))
+    assert field_bv(spec, _FixedUniforms([0.07407407407407404], 0)).secret == spec.s
+    between = 0
     for i, spec in enumerate(_drawn_specs(240, 76)):
         law = outcome_distribution(spec)
-        bot_cut = law.correct_mass + law.p_bot
-        uniforms = (law.p_correct, law.p_correct + law.p_bot, law.correct_mass - DECISION_MARGIN / 2,
-                    law.correct_mass + DECISION_MARGIN / 2, bot_cut - DECISION_MARGIN / 2, bot_cut + DECISION_MARGIN / 2)
+        correct_cut, bot_cut = law.correct_mass, law.correct_mass + law.p_bot
+        # the float law's cuts, and the exact cuts with the uniforms one step either side
+        uniforms = {law.p_correct, law.p_correct + law.p_bot}
+        for cut in (correct_cut, bot_cut):
+            uniforms |= {math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)}
         for u in uniforms:
             out = field_bv(spec, _FixedUniforms([u], i))
             got = "bot" if out.is_bot else "correct" if out.secret == spec.s else "wrong"
-            expected = "correct" if u < law.p_correct else "bot" if u < law.p_correct + law.p_bot else "wrong"
+            expected = "correct" if u < correct_cut else "bot" if u < bot_cut else "wrong"
             assert got == expected, (spec.error_histogram(), u)
-        below += law.p_correct < law.correct_mass
-    # where the float p_correct lies below the exact mass, only the fallback gives the float law's outcome at u = p_correct
-    assert below >= 20
+        between += law.p_correct < law.correct_mass
+    # at u = p_correct on these laws the float law would give bot, and the exact law gives the secret
+    assert between >= 20
 
 
 @pytest.mark.parametrize("noise, error, named", [
