@@ -11,9 +11,10 @@ through ``cli.main``:
   - ``experiment`` on the golden configurations of tests/test_golden.py, plus
     lwr on the dense engine, lwr above ``ENUMERABLE_LIMIT`` (its histogram
     spec and exact oracle), lwr with a wide residual support (p = 64 at
-    q = 8191), lpn on the analytic engine, ring-global at m = 3 and lwe-dense
-    on a proper subset (v = 100), with global noise and with gaussian noise,
-    each at every seed, at the golden trial count;
+    q = 8191), lpn on the analytic engine, ring-global at m = 3 and at
+    (q, m) = (5, 4) and (29, 4), and lwe-dense on a proper subset (v = 100),
+    with global noise and with gaussian noise, each at every seed, at the
+    golden trial count;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs.
 
@@ -69,6 +70,9 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lwr-wide-support"] = ("--problem", "lwr", "--q", "8191", "--n", "1", "--p", "64", "--M", "1")
     configs["lpn-analytic"] = (*configs["lpn-dense"][:-2], "--engine", "analytic")
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
+    # m = 4 below and above the golden q = 13: ring states whose first pass keeps the live columns only
+    configs["ring-global-q5"] = ("--problem", "ring-global", "--q", "5", "--m", "4", "--noise", "global")
+    configs["ring-global-q29"] = ("--problem", "ring-global", "--q", "29", "--m", "4", "--noise", "global")
     # later flags override the golden ones
     configs["lwe-dense-v100"] = (*configs["lwe-dense"], "--v", "100")
     configs["lwe-dense-global"] = (*configs["lwe-dense"], "--noise", "global", "--k", "1")

@@ -13,6 +13,7 @@ line naming the file or entry.  QUDITLEARN_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ from .experiments import (
 )
 from .field import FieldParams, ParameterError
 from .learners import ENGINES
-from .ring import RingEmbedding
+from .ring import ring_dimension
 from .samples import NoiseModel
 from .verify import format_results, run_verification
 
@@ -118,10 +119,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         seed = args.seed if args.seed is not None else int(env_seed)
     except ValueError:
         raise ParameterError(f"QUDITLEARN_SEED must be an integer, got {env_seed!r}") from None
-    return ExperimentConfig(
+    config = ExperimentConfig(
         problem=args.problem,
         q=q,
-        n=args.n if args.n is not None else (RingEmbedding.build(FieldParams(q), m).n if ring else 2),
+        n=2 if args.n is None else args.n,
         trials=getattr(args, "trials", 1),
         seed=seed,
         engine=args.engine,
@@ -133,6 +134,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         p=args.p,
         m=m,
     )
+    if ring and args.n is None:  # n = phi(m), once the config has checked m; no embedding is built
+        config = dataclasses.replace(config, n=ring_dimension(FieldParams(q), m))
+    return config
 
 
 def cmd_learn(args: argparse.Namespace) -> int:

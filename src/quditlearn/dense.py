@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,12 +201,12 @@ class DenseState:
         columns = q ** (self.num_registers - 1)
         value = 1.0 / math.sqrt(support.size)
         if support.size * q <= columns:
+            row, column = np.divmod(support, columns)
             mask = np.zeros(columns, dtype=bool)
-            column = support % columns
             mask[column] = True
-            live = np.flatnonzero(mask)
+            live = mask.nonzero()[0]
             block = np.zeros((q, live.size))
-            block[support // columns, live.searchsorted(column)] = value
+            block[row, live.searchsorted(column)] = value
         else:
             live, block = None, np.zeros(q * columns)
             block[support] = value
@@ -239,7 +240,7 @@ class DenseState:
         step = _real_qft(q)
         live, rows = self._first_pass()
         rows = rows.reshape(q, -1)
-        cdf = np.vecdot(rows, rows).cumsum().tolist()  # the inverse CDF runs on Python floats
+        cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
         if abs(cdf[-1] - 1.0) > NORM_TOL:
             raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
         target = rng.random() * cdf[-1]
@@ -247,16 +248,17 @@ class DenseState:
         for register in range(self.num_registers):
             if register:
                 rows = (step @ kept.reshape(2 * q, -1)).reshape(q, -1)
-                cdf = np.vecdot(rows, rows).cumsum().tolist()
+                cdf = list(accumulate(np.vecdot(rows, rows).tolist()))
             # rounding can leave the target past this row's mass; clamp as weighted_index does
             x = min(bisect_right(cdf, target), q - 1)
             if x:
                 target -= cdf[x - 1]
             outcome.append(x)
             kept = rows[x]
-            if live is not None:
-                kept = np.zeros((2, q ** (self.num_registers - 1)))
-                kept[:, live] = rows[x].reshape(2, -1)
+            if live is not None:  # scatter Re then Im over the live columns into a zeroed [Re; Im]
+                columns = q ** (self.num_registers - 1)
+                kept = np.zeros(2 * columns)
+                kept[np.concatenate((live, live + columns))] = rows[x]
                 live = rows = None  # the first pass's rows are not held with the next pass's
         return tuple(outcome)
 

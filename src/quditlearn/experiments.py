@@ -45,7 +45,7 @@ from .learners import (
     sis_learn,
     sis_sample_state,
 )
-from .ring import RingEmbedding, ring_lwe_global_learn, ring_sample_stream
+from .ring import RingEmbedding, ring_dimension, ring_lwe_global_learn, ring_sample_stream
 from .samples import (
     GAMMA_STAR,
     NoiseModel,
@@ -128,6 +128,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and self.problem != reader:
                 raise ParameterError(f"only {reader} reads {name}, so {self.problem} cannot take {name} = {value}")
+        if self.m is not None and self.m < 1:
+            raise ParameterError(f"m must be >= 1, got {self.m}")
         if self.s is not None:
             if len(self.s) != self.n or not all(map(is_integer, self.s)):
                 raise ParameterError(f"s must be n = {self.n} integers, got s = {self.s!r}")
@@ -251,9 +253,9 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
             raise ParameterError("ring-global needs the conductor m")
         if not config.noise.is_shared:
             raise ParameterError("ring-global takes noise none or global (no per-element ring noise)")
-        emb = RingEmbedding.build(fp, config.m)
-        if config.n != emb.n:
-            raise ParameterError(f"ring dimension is phi({config.m}) = {emb.n}, got n = {config.n}")
+        ring_n = ring_dimension(fp, config.m)  # from m alone: the embedding is built after the cap check
+        if config.n != ring_n:
+            raise ParameterError(f"ring dimension is phi({config.m}) = {ring_n}, got n = {config.n}")
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(
@@ -324,7 +326,8 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         return run, exact, bound_paper, None
 
     # ring-global, whose conductor, noise and dimension were checked above
-    exact = ((q - 1) / q) ** emb.n
+    emb = RingEmbedding.build(fp, config.m)
+    exact = ((q - 1) / q) ** n
 
     def run(rng: np.random.Generator) -> tuple[int, ...] | None:
         src = ring_sample_stream(emb, secret, rng, config.noise.is_global)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_Q = 2**40  # the largest modulus accepted; int64 array code checks its own bound (RingEmbedding.build)
+MAX_Q = 2**40  # the largest modulus accepted; int64 array code checks its own bound (ring.ring_dimension)
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24; also is_prime's trial divisors.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -20,6 +20,7 @@ here applies to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .dense import DenseState, checked_size
-from .field import FieldParams, ParameterError, mod_inverse, primitive_mth_root
+from .field import FieldParams, NoRootError, ParameterError, _prime_divisors, mod_inverse, primitive_mth_root
 from .learners import BOT, BvOutcome
-from .samples import uniform_vector
+from .samples import _residues, uniform_vector
 
 
 def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
@@ -44,38 +45,51 @@ def _matrix_inverse_mod(mat: np.ndarray, q: int) -> np.ndarray:
     return aug[:, n:]
 
 
+def ring_dimension(fp: FieldParams, m: int) -> int:
+    """n = phi(m), the ring dimension at conductor m, checked as ``RingEmbedding.build`` checks
+    it but from m alone, so a caller can size a ring before any embedding is built."""
+    q = fp.q
+    if m < 1 or (q - 1) % m != 0:
+        raise NoRootError(f"{m} does not divide {q - 1}, no order-{m} element exists")
+    n = m
+    for p in _prime_divisors(m):
+        n = n // p * (p - 1)
+    if n * (q - 1) ** 2 > 2**63 - 1:  # bounds the int64 products of _matrix_inverse_mod
+        raise ParameterError(f"modulus {q} is too large for int64 ring arithmetic at n = {n}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class RingEmbedding:
     """Evaluation embedding of Z_q[x]/Phi_m(x) into Z_q^n, n = phi(m): one shared,
-    read-only object per (q, m) (``build`` is memoized), compared by identity."""
+    read-only object per (q, m) (``build`` is memoized), compared by identity.
+
+    Both matrices are tuples of rows of Python ints, so ``embed`` and
+    ``unembed`` are Python dot products that cannot wrap.
+    """
 
     fp: FieldParams
     m: int
     n: int
-    eval_matrix: np.ndarray
-    inv_matrix: np.ndarray
+    eval_matrix: tuple[tuple[int, ...], ...]
+    inv_matrix: tuple[tuple[int, ...], ...]
 
     @classmethod
     @lru_cache(maxsize=8)
     def build(cls, fp: FieldParams, m: int) -> "RingEmbedding":
         q = fp.q
-        root = primitive_mth_root(m, q)  # raises NoRootError when m does not divide q-1
-        exponents = tuple(x for x in range(1, m + 1) if math.gcd(x, m) == 1)
-        n = len(exponents)
-        if n * (q - 1) ** 2 > 2**63 - 1:  # the largest dot product of embed and unembed
-            raise ParameterError(f"modulus {q} is too large for int64 ring arithmetic at n = {n}")
-        points = [pow(root, x, q) for x in exponents]
-        eval_matrix = np.array([[pow(pt, j, q) for j in range(n)] for pt in points], dtype=np.int64)
-        inv_matrix = _matrix_inverse_mod(eval_matrix, q)
-        for matrix in (eval_matrix, inv_matrix):
-            matrix.flags.writeable = False  # shared by every caller
+        n = ring_dimension(fp, m)  # raises NoRootError when m does not divide q-1
+        root = primitive_mth_root(m, q)
+        points = [pow(root, x, q) for x in range(1, m + 1) if math.gcd(x, m) == 1]
+        evals = np.array([[pow(pt, j, q) for j in range(n)] for pt in points], dtype=np.int64)
+        eval_matrix, inv_matrix = (tuple(map(tuple, a.tolist())) for a in (evals, _matrix_inverse_mod(evals, q)))
         return cls(fp=fp, m=m, n=n, eval_matrix=eval_matrix, inv_matrix=inv_matrix)
 
-    def _apply(self, matrix: np.ndarray, values: tuple[int, ...], size_error: str) -> tuple[int, ...]:
-        vec = np.asarray([x % self.fp.q for x in values], dtype=np.int64)
-        if vec.size != self.n:
+    def _apply(self, matrix: tuple[tuple[int, ...], ...], values: tuple[int, ...], size_error: str) -> tuple[int, ...]:
+        if len(values) != self.n:
             raise ParameterError(size_error.format(self.n))
-        return tuple(int(x) for x in (matrix @ vec) % self.fp.q)
+        q, values = self.fp.q, list(map(int, values))  # Python ints: a numpy int could wrap
+        return tuple([sum(map(operator.mul, row, values)) % q for row in matrix])
 
     def embed(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """Evaluate the polynomial at the primitive m-th roots of unity."""
@@ -86,8 +100,15 @@ class RingEmbedding:
 
 
 @lru_cache(maxsize=1)  # a run's samples share its embedding and secret
-def _embedded_secret(emb: RingEmbedding, s: tuple[int, ...]) -> tuple[int, ...]:
-    return emb.embed(s)
+def _secret_tables(emb: RingEmbedding, s: tuple[int, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(starts, products), read-only: starts[y] = y q^n is the flat index of |y>|0>, and
+    products[i][y_i] = y_i phi(s)_i mod q is coordinate i of y (.) phi(s)."""
+    q, n = emb.fp.q, emb.n
+    starts = np.arange(q**n, dtype=np.int64) * q**n
+    products = tuple(np.arange(q, dtype=np.int64) * si % q for si in emb.embed(s))
+    for table in (starts, *products):
+        table.flags.writeable = False
+    return starts, products
 
 
 def ring_sample_state(
@@ -100,10 +121,15 @@ def ring_sample_state(
     """
     checked_size(emb.fp, 2 * emb.n)  # the cap, before any index array is built
     q = emb.fp.q
-    second = np.zeros(1, dtype=np.int64)
-    for si, ei in zip(_embedded_secret(emb, s), emb.embed(e)):
-        second = (second[:, None] * q + (np.arange(q) * si + ei) % q).ravel()
-    return DenseState.uniform(emb.fp, 2 * emb.n, np.arange(q**emb.n) * q**emb.n + second)
+    residues = _residues(q)
+    starts, products = _secret_tables(emb, s)
+    # coordinate i of y (.) phi(s) + phi(e), each table + phi(e)_i in [0, 2q)
+    columns = [residues[table + ei] for table, ei in zip(products, emb.embed(e))]
+    second = columns[0]
+    for column in columns[1:]:
+        second = (second[:, None] * q + column).ravel()
+    second += starts  # a fresh array: the flat index of |y>|y (.) phi(s) + phi(e)>
+    return DenseState.uniform(emb.fp, 2 * emb.n, second)
 
 
 def ring_sample_stream(

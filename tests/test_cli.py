@@ -383,6 +383,7 @@ def test_lwe_candidate_test_at_q2_exits_2_at_every_seed(capsys, command, seed):
     (("--problem", "sis", "--q", "7", "--n", "2", "--M", "-1"), "M"),
     (("--problem", "lpn", "--n", "4", "--M", "-3"), "M"),
     (("--problem", "sis", "--q", "2", "--k", "100000000000000000000"), "k"),  # beyond int64 draws
+    (("--problem", "ring-global", "--q", "13", "--m", "-4"), "m"),  # named before phi(m) is sought
 ])
 def test_experiment_rejects_empty_subset_and_negative_k(capsys, argv, named):
     code, out, err = run_cli(capsys, "experiment", *argv, "--trials", "3")

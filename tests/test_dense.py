@@ -206,7 +206,7 @@ def test_uniform_matches_the_scattered_construction_bit_for_bit():
         assert sorted(state.support.tolist()) == sorted(flat)
 
 
-@pytest.mark.parametrize("q, m", [(3, 2), (5, 4), (7, 3), (7, 6), (13, 4), (13, 6)])
+@pytest.mark.parametrize("q, m", [(3, 2), (5, 4), (7, 3), (7, 6), (13, 4), (13, 6), (29, 4)])
 def test_ring_state_matches_the_phi_a_scatter_bit_for_bit(q, m):
     emb = RingEmbedding.build(FieldParams(q), m)
     rng = make_rng(100 * q + m)
@@ -226,6 +226,12 @@ def test_ring_state_matches_the_phi_a_scatter_bit_for_bit(q, m):
         state = ring_sample_state(emb, s, e)
         assert state.amps.tobytes() == _scattered(state.amps.size, flat).tobytes()
         assert sorted(state.support.tolist()) == sorted(flat)
+        # and the support, in order, is the outer sum over y = phi(a) with y_0 most significant
+        second = np.zeros(1, dtype=np.int64)
+        for si, ei in zip(phi_s, phi_e):
+            second = (second[:, None] * q + (np.arange(q) * si + ei) % q).ravel()
+        outer = np.arange(q**emb.n, dtype=np.int64) * q**emb.n + second
+        assert state.support.dtype == np.int64 and state.support.tobytes() == outer.tobytes()
 
 
 @pytest.mark.parametrize("q, registers", [(3, 6), (5, 4), (7, 4), (13, 4)])

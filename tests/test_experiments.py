@@ -242,6 +242,9 @@ def test_invalid_configs_rejected():
     ):
         with pytest.raises(ParameterError, match=rf"^only [a-z-]+ reads {field}, so {fields['problem']} cannot take"):
             ExperimentConfig(trials=10, seed=0, **fields)
+    for m in (0, -4):
+        with pytest.raises(ParameterError, match=rf"^m must be >= 1, got {m}$"):
+            ExperimentConfig(problem="ring-global", q=13, n=2, m=m, trials=10, seed=0)
 
 
 def test_csv_row_round_trips_through_writer(tmp_path):

@@ -34,7 +34,7 @@ def test_embedding_structure_q13_m4():
     emb = RingEmbedding.build(FieldParams(13), 4)
     assert emb.n == 2
     # the evaluation points are the roots of Phi_4 = x^2 + 1 mod 13
-    assert sorted(emb.eval_matrix[:, 1].tolist()) == [x for x in range(13) if (x * x + 1) % 13 == 0]
+    assert sorted(row[1] for row in emb.eval_matrix) == [x for x in range(13) if (x * x + 1) % 13 == 0]
     # n = phi(m) for every conductor m dividing q - 1 = 12
     euler_phi = {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4}
     assert {m: RingEmbedding.build(FieldParams(13), m).n for m in euler_phi} == euler_phi
@@ -78,7 +78,7 @@ def test_larger_conductor_m6_q13():
     emb = RingEmbedding.build(FieldParams(13), 6)
     assert emb.n == 2
     # the evaluation points are the roots of Phi_6 = x^2 - x + 1 mod 13
-    assert sorted(emb.eval_matrix[:, 1].tolist()) == [x for x in range(13) if (x * x - x + 1) % 13 == 0]
+    assert sorted(row[1] for row in emb.eval_matrix) == [x for x in range(13) if (x * x - x + 1) % 13 == 0]
     for a in all_ring_elements(13, 2)[:40]:
         assert emb.unembed(emb.embed(a)) == a
 
@@ -93,12 +93,16 @@ def test_ring_sample_state_shape_and_support():
 
 
 def test_a_streams_samples_embed_its_secret_once():
-    ring._embedded_secret.cache_clear()
+    ring._secret_tables.cache_clear()
     source = ring_sample_stream(RingEmbedding.build(FieldParams(13), 4), (3, 7), make_rng(5))
     for _ in range(5):
         source()
-    info = ring._embedded_secret.cache_info()
+    info = ring._secret_tables.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+    starts, products = ring._secret_tables(RingEmbedding.build(FieldParams(13), 4), (3, 7))
+    for table in (starts, *products):  # shared by every sample of the run
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_embedding_memo_is_bounded_and_read_only():
@@ -106,8 +110,12 @@ def test_embedding_memo_is_bounded_and_read_only():
     emb = RingEmbedding.build(FieldParams(13), 4)
     assert RingEmbedding.build(FieldParams(13), 4) is emb
     for matrix in (emb.eval_matrix, emb.inv_matrix):
-        with pytest.raises(ValueError):
-            matrix[0] = 0
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        assert all(type(x) is int for row in matrix for x in row)
+        with pytest.raises(TypeError):
+            matrix[0] = (0, 0)
+        with pytest.raises(TypeError):
+            matrix[0][0] = 0
 
 
 def test_embeddings_compare_by_identity():
@@ -148,17 +156,41 @@ def test_embedding_refuses_int64_overflow(capsys):
     assert err.startswith("error: modulus 4294967311")
 
 
+def test_ring_dimension_and_cap_are_checked_before_any_embedding_is_built(capsys, monkeypatch):
+    assert ring.ring_dimension(FieldParams(2003), 2002) == 720  # 2002 = 2 * 7 * 11 * 13
+
+    def unbuilt(cls, fp, m):
+        raise AssertionError(f"built the embedding at m = {m}")
+
+    monkeypatch.setattr(RingEmbedding, "build", classmethod(unbuilt))
+    cap = "error: dense engine infeasible: 2003^1440 amplitudes exceed the 2**22 cap\n"
+    for argv, message in (
+        (("--q", "2003", "--m", "2002"), cap),
+        (("--q", "2003", "--m", "2002", "--n", "720"), cap),
+        (("--q", "4001", "--m", "4000"), "error: q^n = 4001^1600 has more than 4300 digits\n"),
+        (("--q", "4294967311", "--m", "3"),
+         "error: modulus 4294967311 is too large for int64 ring arithmetic at n = 2\n"),
+        (("--q", "13", "--m", "5"), "error: 5 does not divide 12, no order-5 element exists\n"),
+    ):
+        code = main(["experiment", "--problem", "ring-global", *argv])
+        assert (code, *capsys.readouterr()) == (2, "", message), argv
+
+
 @pytest.mark.parametrize("q, m", [(17, 16), (97, 32), (7681, 256)])
 def test_embedding_beyond_n4(q, m):
     emb = RingEmbedding.build(FieldParams(q), m)
     n = m // 2
     assert emb.n == n
-    product = [[sum(x * y for x, y in zip(row, col)) % q for col in emb.inv_matrix.T.tolist()]
-               for row in emb.eval_matrix.tolist()]  # tolist() gives Python ints, which cannot wrap
+    product = [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*emb.inv_matrix)]
+               for row in emb.eval_matrix]  # Python ints, which cannot wrap
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
     rng = make_rng(q)
     elements = [tuple(int(x) for x in rng.integers(0, q, size=n)) for _ in range(20)]
+    points = [row[1] for row in emb.eval_matrix]
     for a in elements:
+        # embed evaluates a at each point; unembed is the inverse matrix's Python-int product
+        assert emb.embed(a) == tuple(sum(c * pow(pt, j, q) for j, c in enumerate(a)) % q for pt in points)
+        assert emb.unembed(a) == tuple(sum(x * y for x, y in zip(row, a)) % q for row in emb.inv_matrix)
         assert emb.unembed(emb.embed(a)) == a
     if n <= 16:
         phi_m = (1,) + (0,) * (n - 1) + (1,)  # x^(m/2) + 1

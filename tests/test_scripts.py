@@ -52,7 +52,7 @@ def test_scripts_run_and_write_their_tables(tmp_path):
 def test_compare_reports_names_a_changed_report(tmp_path):
     same = run_script("compare_reports.py", SRC, SRC, "--seeds", "1")
     assert same.returncode == 0, same.stderr
-    assert same.stdout == "26 of 26 identical\n"
+    assert same.stdout == "28 of 28 identical\n"
     shutil.copytree(Path(SRC) / "quditlearn", tmp_path / "quditlearn", ignore=shutil.ignore_patterns("__pycache__"))
     experiments = tmp_path / "quditlearn" / "experiments.py"
     text = experiments.read_text()
@@ -61,4 +61,4 @@ def test_compare_reports_names_a_changed_report(tmp_path):
     changed = run_script("compare_reports.py", SRC, str(tmp_path), "--seeds", "1")
     assert changed.returncode == 1, changed.stderr
     assert "differs: experiment lwe-analytic seed 1\n" in changed.stdout
-    assert changed.stdout.endswith("8 of 26 identical\n")
+    assert changed.stdout.endswith("8 of 28 identical\n")
