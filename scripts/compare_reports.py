@@ -16,10 +16,12 @@ through ``cli.main``:
     with global noise and with gaussian noise, each at every seed, at the
     golden trial count;
   - ``verify`` and ``verify --inject-fault``;
-  - the golden ``learn`` runs.
+  - the golden ``learn`` runs;
+  - each usage rule in ``USAGE_ERRORS`` once, as both ``experiment`` and
+    ``learn``: each exits 2, and its stderr line is the message.
 
-A run matches when its exit code and its stdout, without the
-``wall_time_ms:`` line, are equal in both trees.  The script prints each run
+A run matches when its exit code, its stdout without the ``wall_time_ms:``
+line, and its stderr are equal in both trees.  The script prints each run
 that differs and then "N of N identical", and exits 0 when all match, 1 when
 some differ and 2 when a tree cannot run them.
 """
@@ -34,18 +36,38 @@ from pathlib import Path
 
 GOLDEN_TESTS = Path(__file__).resolve().parent.parent / "tests" / "test_golden.py"
 
-# Runs each argv of the JSON list on stdin in process; prints [exit code, stdout] per run.
+# Runs each argv of the JSON list on stdin in process; prints [exit code, stdout, stderr] per run.
 WORKER = """
 import contextlib, io, json, sys
 from quditlearn.cli import main
 results = []
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
+
+# Flags that break one usage rule each; every learn/experiment run checks its secret draw and its
+# problem's rules in one order, so the message of each shows that order.
+USAGE_ERRORS = {
+    "lwr-v": ("--problem", "lwr", "--q", "257", "--n", "1", "--p", "16", "--v", "5"),
+    "sis-v": ("--problem", "sis", "--q", "7", "--v", "5"),
+    "ring-global-v": ("--problem", "ring-global", "--q", "13", "--v", "5"),
+    "ring-global-noise": ("--problem", "ring-global", "--q", "13", "--noise", "bounded"),
+    "ring-global-n": ("--problem", "ring-global", "--q", "13", "--n", "5"),
+    "ring-global-cap": ("--problem", "ring-global", "--q", "2003", "--m", "2002"),
+    "dense-cap": ("--problem", "lwe", "--q", "101", "--n", "3", "--engine", "dense"),
+    "float-limit": ("--problem", "lwe", "--q", "4099", "--n", "43"),
+    "lpn-q3": ("--problem", "lpn", "--q", "3"),
+    "lpn-no-noise": ("--problem", "lpn", "--noise", "none"),
+    "lwe-q2-test": ("--problem", "lwe", "--q", "2", "--M", "1"),
+    "sis-noise": ("--problem", "sis", "--noise", "bounded"),
+    "sis-k": ("--problem", "sis", "--k", str(2**63)),
+    "lwr-no-p": ("--problem", "lwr", "--q", "257", "--n", "1"),
+    "composite-q": ("--problem", "lwe", "--q", "9"),
+}
 
 
 def golden_tables() -> dict:
@@ -85,10 +107,12 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     ]
     out += [("verify", ["verify"]), ("verify --inject-fault", ["verify", "--inject-fault"])]
     out += [(f"learn {name}", ["learn", *argv]) for name, (argv, _) in golden["LEARN_RUNS"].items()]
+    out += [(f"{command} usage {name}", [command, *flags])
+            for name, flags in USAGE_ERRORS.items() for command in ("experiment", "learn")]
     return out
 
 
-def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str]]:
+def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str, str]]:
     src = str(Path(src).resolve())  # also the working directory, so `-c` puts no other tree first
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs), capture_output=True,
@@ -97,8 +121,8 @@ def run_tree(src: str, argvs: list[list[str]]) -> list[tuple[int, str]]:
         print(f"error: the runs of {src} did not complete:\n{done.stderr}", file=sys.stderr)
         sys.exit(2)
     return [
-        (code, "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wall_time_ms:")))
-        for code, out in json.loads(done.stdout)
+        (code, "".join(line for line in out.splitlines(keepends=True) if not line.startswith("wall_time_ms:")), err)
+        for code, out, err in json.loads(done.stdout)
     ]
 
 

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .experiments import (
-    PROBLEMS, ExperimentConfig, build_trial, draw_secret, run_experiment, sweep, write_csv,
+    PROBLEMS, ExperimentConfig, build_trial, run_experiment, sweep, write_csv,
 )
 from .field import FieldParams, ParameterError
 from .learners import ENGINES
@@ -66,7 +66,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
         p.add_argument("--L", type=int)
         p.add_argument("--M", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--engine", choices=ENGINES, default="analytic")
+        p.add_argument("--engine", choices=ENGINES, help="default: dense for sis and ring-global, else analytic")
         p.add_argument("--noise", choices=tuple(NOISE_MODELS))
         p.add_argument("--config", help="JSON object of flag values; command-line flags win")
 
@@ -143,14 +143,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
     """One harness trial whose secret and samples both come from Philox(key=seed)."""
     config = _experiment_config(args)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    secret = draw_secret(config, rng)
-    recovered = build_trial(config, secret)[0](rng)
-    print(f"secret = {_format_vector(secret)}")
+    trial = build_trial(config, rng)
+    recovered = trial.run(rng)
+    print(f"secret = {_format_vector(trial.secret)}")
     if recovered is None:
         print("recovered = FAIL" if config.problem == "sis" else "recovered = BOT")
         return 1
     print(f"recovered = {_format_vector(recovered)}")
-    return 0 if tuple(recovered) == secret else 1
+    return 0 if tuple(recovered) == trial.secret else 1
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:

@@ -4,8 +4,9 @@ A trial is one full learner run for the configured problem; the empirical
 rate is the fraction of trials recovering the true secret.  Each trial gets
 its own counter-based RNG stream keyed by seed XOR trial-index, so reports
 are bit-identical regardless of how trials are partitioned or interleaved.
-``draw_secret`` and ``build_trial`` are the one table of the five problems;
-the ``learn`` command runs a single trial through them.
+``build_trial`` is the one table of the five problems: it draws the run's
+secret into a ``Trial`` record, and the ``learn`` command runs one trial of it.
+``ExperimentConfig`` decides the engine: sis and ring-global have only the dense one.
 
 Where a closed form exists, the report also carries the exact per-iteration
 success probability and the closed-constant and gamma-optimized lower bounds:
@@ -29,7 +30,7 @@ import math
 import sys
 import time
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class ExperimentConfig:
     n: int
     trials: int
     seed: int
-    engine: str = "analytic"
+    engine: str | None = None  # None: dense for sis and ring-global, which have no other, else analytic
     noise: NoiseModel = NoiseModel.none()
     v: int | None = None
     s: tuple[int, ...] | None = None  # fixed secret; None draws one from the seed
@@ -114,8 +115,13 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:  # a Philox key word; a wider seed would alias a narrower one
             raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
+        dense_only = self.problem in ("sis", "ring-global")
+        if self.engine is None:
+            object.__setattr__(self, "engine", "dense" if dense_only else "analytic")
         if self.engine not in ENGINES:
             raise ParameterError(f"unknown engine {self.engine!r}")
+        if dense_only and self.engine != "dense":
+            raise ParameterError(f"{self.problem} has only the dense engine, so engine = {self.engine} cannot run")
         if self.v is not None and self.v < 1:
             raise ParameterError(f"v must be >= 1, got {self.v}")
         if self.k is not None and self.k < 0:
@@ -145,11 +151,6 @@ class ExperimentConfig:
     def effective_k(self) -> int:
         return self.noise.magnitude_bound() if self.k is None else self.k
 
-    @property
-    def effective_engine(self) -> str:
-        """The engine that runs: sis and ring-global have only the dense one."""
-        return "dense" if self.problem in ("sis", "ring-global") else self.engine
-
 
 @dataclasses.dataclass
 class ExperimentReport:
@@ -172,7 +173,7 @@ class ExperimentReport:
         fmt = lambda x: "" if x is None else repr(float(x))
         return [
             c.problem, str(c.q), str(c.n), str(c.effective_v), str(c.effective_k),
-            str(c.noise), c.effective_engine, str(c.L), str(c.M),
+            str(c.noise), c.engine, str(c.L), str(c.M),
             "" if c.p is None else str(c.p), str(self.trials), str(c.seed),
             repr(self.empirical_rate), repr(self.wilson_lo), repr(self.wilson_hi),
             fmt(self.exact_probability), fmt(self.bound_paper), fmt(self.bound_optimized),
@@ -220,34 +221,31 @@ def _expected_iteration_success(q: int, n: int, v: int, noise: NoiseModel) -> fl
     return (q * expected_sq - float(v) * v) / (float(v) * float(q) ** (n + 1))
 
 
-def draw_secret(config: ExperimentConfig, rng: np.random.Generator) -> tuple[int, ...]:
-    """The configured secret, or a fresh one from rng (coefficients in [-k, k] for sis)."""
-    FieldParams(config.q)  # raises ParameterError for a bad q before any reduction or draw mod q
-    if config.s is not None:
-        return tuple(x % config.q for x in config.s)
-    if config.problem == "sis":
-        k = config.effective_k
-        if k > np.iinfo(np.int64).max:  # rng.integers draws int64
-            raise ParameterError(f"k must be <= 2**63 - 1 for sis, whose secret is drawn from [-k, k]; got k = {k}")
-        return tuple(int(x) % config.q for x in rng.integers(-k, k + 1, size=config.n))
-    return uniform_vector(config.q, config.n, rng)
+class Trial(NamedTuple):
+    """A run: its secret, ``run(rng)`` (the recovered secret, or None on BOT/FAIL) and the report's closed forms."""
+
+    secret: tuple[int, ...]
+    run: Callable[[np.random.Generator], tuple[int, ...] | None]
+    exact: float | None
+    bound_paper: float | None = None
+    bound_optimized: float | None = None
 
 
-def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
-    Callable[[np.random.Generator], tuple[int, ...] | None], float | None, float | None, float | None
-]:
-    """The problem table: a trial closure plus (exact, bound_paper, bound_optimized).
-
-    The closure runs one learner on fresh samples from its rng and returns
-    the recovered secret, or None on BOT/FAIL.
-    """
-    fp = FieldParams(config.q)
+def build_trial(config: ExperimentConfig, rng: np.random.Generator) -> Trial:
+    """The problem table: the run's ``Trial``; its secret, fixed or drawn from rng ([-k, k] for sis), comes first."""
+    fp = FieldParams(config.q)  # raises ParameterError for a bad q before any reduction or draw mod q
     q, n, v = config.q, config.n, config.effective_v
     k = config.effective_k
+    if config.s is not None:
+        secret = tuple(x % q for x in config.s)
+    elif config.problem == "sis":
+        if k > np.iinfo(np.int64).max:  # rng.integers draws int64
+            raise ParameterError(f"k must be <= 2**63 - 1 for sis, whose secret is drawn from [-k, k]; got k = {k}")
+        secret = tuple(int(x) % q for x in rng.integers(-k, k + 1, size=n))
+    else:
+        secret = uniform_vector(q, n, rng)
     if config.problem in ("lwr", "sis", "ring-global") and config.v not in (None, q**n):
-        raise ParameterError(
-            f"{config.problem} always uses all q^n = {q**n} elements, so v = {config.v} cannot run"
-        )
+        raise ParameterError(f"{config.problem} always uses all q^n = {q**n} elements, so v = {config.v} cannot run")
     if config.problem == "ring-global":  # a wrong n is named before the state size it gives
         if config.m is None:
             raise ParameterError("ring-global needs the conductor m")
@@ -257,18 +255,14 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         if config.n != ring_n:
             raise ParameterError(f"ring dimension is phi({config.m}) = {ring_n}, got n = {config.n}")
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
-    if config.effective_engine == "dense" and q**registers > MAX_AMPLITUDES:
-        raise ParameterError(
-            f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap"
-        )
+    if config.engine == "dense" and q**registers > MAX_AMPLITUDES:
+        raise ParameterError(f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap")
     if config.problem in ("lwe", "lpn"):  # one checked drawer per run
         errors_as = "histogram" if config.engine == "analytic" else "map"
         draw = spec_drawer(fp, n, secret, v, config.noise, errors_as)
     if config.problem in ("lwe", "lpn", "lwr") and v * q ** (n + 1) > sys.float_info.max:
         # the success laws divide by v q^(n+1) in floats
-        raise ParameterError(
-            f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}"
-        )
+        raise ParameterError(f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}")
 
     if config.problem in ("lwe", "lpn"):
         exact = _expected_iteration_success(q, n, v, config.noise)
@@ -296,7 +290,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
             def run(rng: np.random.Generator) -> tuple[int, ...] | None:
                 return lwe_learn(config.L, partial(draw, rng), classical, rng, config.M, k, config.engine).secret
 
-        return run, exact, bound_paper, bound_opt
+        return Trial(secret, run, exact, bound_paper, bound_opt)
 
     if config.problem in ("lwr", "sis") and config.noise.kind != "none":
         raise ParameterError(f"{config.problem} reads no noise model, so it takes noise none only")
@@ -312,7 +306,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
             return lwr_learn(config.p, q, lambda: spec, classical, rng, config.L, config.M, config.engine).secret
 
-        return run, exact, bound_paper, bound_opt
+        return Trial(secret, run, exact, bound_paper, bound_opt)
 
     if config.problem == "sis":
         state = sis_sample_state(fp, n, secret)
@@ -323,7 +317,7 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
             return sis_learn(k, config.L, state, rng)
 
-        return run, exact, bound_paper, None
+        return Trial(secret, run, exact, bound_paper)
 
     # ring-global, whose conductor, noise and dimension were checked above
     emb = RingEmbedding.build(fp, config.m)
@@ -333,16 +327,15 @@ def build_trial(config: ExperimentConfig, secret: tuple[int, ...]) -> tuple[
         src = ring_sample_stream(emb, secret, rng, config.noise.is_global)
         return ring_lwe_global_learn(emb, src, rng).secret
 
-    return run, exact, None, None
+    return Trial(secret, run, exact)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured trials; deterministic for a fixed config and seed."""
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox())  # re-keyed before every use
-    secret = draw_secret(config, _rekey(rng, config.seed, 2**63))
-    run, exact, bound_paper, bound_opt = build_trial(config, secret)
-    successes = sum(run(_rekey(rng, config.seed, i)) == secret for i in range(config.trials))
+    trial = build_trial(config, _rekey(rng, config.seed, 2**63))
+    successes = sum(trial.run(_rekey(rng, config.seed, i)) == trial.secret for i in range(config.trials))
     lo, hi = wilson_interval(successes, config.trials)
     return ExperimentReport(
         config=config,
@@ -351,9 +344,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         empirical_rate=successes / config.trials,
         wilson_lo=lo,
         wilson_hi=hi,
-        exact_probability=exact,
-        bound_paper=bound_paper,
-        bound_optimized=bound_opt,
+        exact_probability=trial.exact,
+        bound_paper=trial.bound_paper,
+        bound_optimized=trial.bound_optimized,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
     )
 

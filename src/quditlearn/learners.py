@@ -26,14 +26,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .dense import DenseState, checked_size, weighted_index
+from .dense import DenseState, weighted_index
 from .field import ParameterError, centered, centered_abs, mod_inverse  # noqa: F401 - traced here by perfbench
 from .samples import (
     ENUMERABLE_LIMIT,
     NoiseModel,
     SampleSpec,
     _dots_over_space,
-    _row_starts,
     draw_classical_sample,  # noqa: F401 - perfbench's tracer wraps it in this namespace
     materialize_dense,
     outcome_distribution,
@@ -182,7 +181,7 @@ def lwr_noise_bound(p: int, q: int) -> int:
 @lru_cache(maxsize=16)
 def lwr_decoding_table(q: int, p: int) -> np.ndarray:
     """Read-only int64 ``lwr_decode(lwr_round(x, p, q), p, q)`` for x in Z_q; needs 2 <= p < q <= 2**26."""
-    if not 2 <= p < q <= 2**26:  # 2**26: the outcome law's cap; it also keeps 2pq within int64
+    if not 2 <= p < q <= 2**26:  # 2**26: the per-j* law's cap, which LWR's exact success reads; it keeps 2pq in int64
         raise ParameterError(f"the LWR decoding table needs 2 <= p < q <= 2**26, got p={p}, q={q}")
     decoded = lwr_decode(lwr_round(np.arange(q, dtype=np.int64), p, q), p, q)
     decoded.setflags(write=False)
@@ -238,15 +237,14 @@ def lwr_learn(
 def sis_sample_state(fp, n: int, secret: tuple[int, ...]) -> DenseState:
     """The traced sample (1/sqrt(q^n)) sum_a |a>|a.secret mod q> on n+1 registers.
 
-    The sample is fixed for a run: its amplitudes are read-only, and every
-    operation on it returns a fresh state.
+    It is ``materialize_dense`` of the noiseless spec on all of F_q^n with
+    secret mod q.  The sample is fixed for a run: its amplitudes are
+    read-only, and every operation on it returns a fresh state.
     """
-    checked_size(fp, n + 1)  # the cap, before any index array is built
-    q = fp.q
     if len(secret) != n:
         raise ParameterError(f"secret must be a length-{n} vector")
-    dots = _dots_over_space(q, tuple(x % q for x in secret))
-    return DenseState.uniform(fp, n + 1, _row_starts(q, n) + dots)
+    qn, s = fp.q**n, tuple(x % fp.q for x in secret)
+    return materialize_dense(SampleSpec(fp, n, s, qn, NoiseModel.none(), histogram={0: qn}))
 
 
 def sis_learn(

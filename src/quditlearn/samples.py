@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import DenseState, StateError
+from .dense import DenseState, StateError, checked_size
 from .field import FieldParams, ParameterError, is_integer, phase_table
 
 ENUMERABLE_LIMIT = 10**6  # largest q^n for which index space is materialized
@@ -312,8 +312,6 @@ class SampleSpec:
     @cached_property
     def _outcome(self) -> "OutcomeDistribution":
         q = self.fp.q
-        if q > 2**26:
-            raise ParameterError("outcome_distribution materializes q-length arrays; q too large")
         hist = self.histogram if self.histogram is not None else self.error_histogram()
         # Parseval over j*: sum_{j* != 0} |sum_b c_b omega^(b j*)|^2 = q sum_b c_b^2 - v^2, as the
         # support's values are distinct mod q; one int division rounds the exact ratio once
@@ -325,6 +323,8 @@ class SampleSpec:
 
 def _good_masses(q: int, n: int, v: int, hist: dict[int, int]) -> np.ndarray:
     """P(good at j*) = |sum_b c_b omega^(b j*)|^2 / (q^(n+1) v) for each j* (entry 0 is zero)."""
+    if q > 2**26:
+        raise ParameterError("the per-j* outcome law materializes q-length arrays; q too large")
     if len(hist) * (q - 1) > 2**27:  # the phases and their exponents would take over 3 GiB
         raise ParameterError(f"the per-j* outcome law needs {len(hist)} x {q - 1} phases, over 2**27")
     values = np.fromiter(hist.keys(), dtype=np.int64)
@@ -557,6 +557,7 @@ def draw_sample_spec(
 
 def materialize_dense(spec: SampleSpec) -> DenseState:
     """The state (1/sqrt(v)) sum_{a in V} |a>|a.s + e_a mod q> on n+1 registers."""
+    checked_size(spec.fp, spec.n + 1)  # the cap, before any index array is built
     q = spec.fp.q
     if spec.histogram is not None and len(spec.histogram) > 1:
         raise StateError("histogram spec has no per-vector error assignment")
@@ -646,10 +647,11 @@ def _histogram_pick(histogram: dict[int, int], rng: np.random.Generator) -> int:
 def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     """Exact category probabilities from the error-value histogram (the analytic engine).
 
-    The first call for a spec takes O(support) time: it finds the exact
-    correct mass and p_bot = 1/q (q > 2**26 is rejected).  The per-j* masses
-    and the float p_correct and p_wrong take O(q * support) time and q-length
-    arrays, and are built on first read.  Later calls return the same law.
+    The first call for a spec takes O(support) time and builds no array: it
+    finds the exact correct mass and p_bot = 1/q, at any q.  The per-j*
+    masses and the float p_correct and p_wrong take O(q * support) time and
+    q-length arrays, and are built on first read, which rejects q > 2**26
+    before allocating.  Later calls return the same law.
     """
     return spec._outcome
 

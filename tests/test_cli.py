@@ -435,6 +435,19 @@ def test_p_and_m_on_a_problem_that_never_reads_them_exit_2(capsys, argv, field, 
     assert err == f"error: only {reader} reads {field}, so {argv[1]} cannot take {field} = {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+@pytest.mark.parametrize("argv", [
+    ("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "3"),
+    ("--problem", "ring-global", "--q", "13", "--m", "4"),
+])
+def test_an_analytic_engine_on_a_dense_only_problem_exits_2(capsys, command, argv):
+    code, out, err = run_cli(capsys, command, *argv, "--engine", "analytic")
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} has only the dense engine, so engine = analytic cannot run\n"
+    code, out, _ = run_cli(capsys, command, *argv, "--engine", "dense", "--seed", "1")
+    assert code in (0, 1) and out
+
+
 def test_ring_global_checks_an_explicit_n_against_phi_m(capsys):
     argv = ("experiment", "--problem", "ring-global", "--q", "13", "--m", "4", "--trials", "2")
     code, out, err = run_cli(capsys, *argv, "--n", "5")

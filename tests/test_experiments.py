@@ -245,6 +245,10 @@ def test_invalid_configs_rejected():
     for m in (0, -4):
         with pytest.raises(ParameterError, match=rf"^m must be >= 1, got {m}$"):
             ExperimentConfig(problem="ring-global", q=13, n=2, m=m, trials=10, seed=0)
+    for fields in (dict(problem="sis", q=7, n=2, k=1, L=3), dict(problem="ring-global", q=13, n=2, m=4)):
+        with pytest.raises(ParameterError, match=rf"^{fields['problem']} has only the dense engine, so engine = "
+                                                 r"analytic cannot run$"):
+            ExperimentConfig(trials=10, seed=0, engine="analytic", **fields)
 
 
 def test_csv_row_round_trips_through_writer(tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -15,7 +16,7 @@ from quditlearn import samples
 from quditlearn.dense import StateError, weighted_index
 from quditlearn.experiments import ExperimentConfig, run_experiment
 from quditlearn.field import FieldParams, ParameterError, centered, phase_table
-from quditlearn.learners import field_bv
+from quditlearn.learners import field_bv, sis_sample_state
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
@@ -361,10 +362,20 @@ def test_exact_correct_mass_matches_the_float_law():
 
 
 def test_outcome_law_rejects_a_modulus_beyond_2_to_the_26_before_any_array():
+    # the exact mass builds no array, so an analytic attempt decides at any q; only the per-j* law is q-long
     q = 2**26 + 15  # the least prime above 2**26
-    spec = SampleSpec(fp=FieldParams(q), n=1, s=(1,), v=3, noise=NoiseModel.none(), histogram={0: 3})
-    with pytest.raises(ParameterError, match="q too large"):
-        outcome_distribution(spec)
+    spec = SampleSpec(fp=FieldParams(q), n=1, s=(1,), v=q, noise=NoiseModel.bounded_uniform(1),
+                      histogram={-1: 2, 0: q - 3, 1: 1})
+    tracemalloc.start()
+    try:
+        law = outcome_distribution(spec)
+        assert law.correct_mass == float(_exact_correct_mass(spec)) and law.p_bot == 1 / q
+        with pytest.raises(ParameterError, match="q too large"):
+            law.p_correct
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a q-long float array would take 512 MiB
 
 
 class _FixedUniforms:
@@ -475,6 +486,20 @@ def test_materialize_accepts_degenerate_histogram():
     probs = materialize_dense(spec).probabilities().reshape(5, 5)
     for a in range(5):
         assert probs[a, (a + 1) % 5] == pytest.approx(1 / 5, abs=1e-12)
+
+
+def test_materialize_checks_the_cap_before_building_any_index_array(monkeypatch):
+    def no_index_array(*args):
+        raise AssertionError("an index array was built before the cap check")
+
+    monkeypatch.setattr(samples, "_dots_over_space", no_index_array)
+    monkeypatch.setattr(samples, "_row_starts", no_index_array)
+    fp, n = FieldParams(101), 3  # 101^4 amplitudes; each index array would hold 101^3 int64 entries
+    spec = SampleSpec(fp=fp, n=n, s=(1, 2, 3), v=101**n, noise=NoiseModel.none(), histogram={0: 101**n})
+    with pytest.raises(StateError, match="cap"):
+        materialize_dense(spec)
+    with pytest.raises(StateError, match="cap"):
+        sis_sample_state(fp, n, (1, 0, -1))
 
 
 # --- classical draws ------------------------------------------------------

@@ -52,13 +52,16 @@ def test_scripts_run_and_write_their_tables(tmp_path):
 def test_compare_reports_names_a_changed_report(tmp_path):
     same = run_script("compare_reports.py", SRC, SRC, "--seeds", "1")
     assert same.returncode == 0, same.stderr
-    assert same.stdout == "28 of 28 identical\n"
+    assert same.stdout == "58 of 58 identical\n"  # 28 runs, then 15 usage errors as experiment and as learn
     shutil.copytree(Path(SRC) / "quditlearn", tmp_path / "quditlearn", ignore=shutil.ignore_patterns("__pycache__"))
     experiments = tmp_path / "quditlearn" / "experiments.py"
     text = experiments.read_text()
     assert text.count("_Z95 = 1.959963984540054\n") == 1
+    assert text.count('"lwr needs the rounding modulus p"') == 1
+    text = text.replace('"lwr needs the rounding modulus p"', '"lwr needs p"')  # moves one stderr line only
     experiments.write_text(text.replace("_Z95 = 1.959963984540054\n", "_Z95 = 1.96\n"))  # moves every Wilson bound
     changed = run_script("compare_reports.py", SRC, str(tmp_path), "--seeds", "1")
     assert changed.returncode == 1, changed.stderr
     assert "differs: experiment lwe-analytic seed 1\n" in changed.stdout
-    assert changed.stdout.endswith("8 of 28 identical\n")
+    assert "differs: experiment usage lwr-no-p\ndiffers: learn usage lwr-no-p\n" in changed.stdout
+    assert changed.stdout.endswith("36 of 58 identical\n")
