@@ -15,6 +15,9 @@ through ``cli.main``:
     (q, m) = (5, 4) and (29, 4), and lwe-dense on a proper subset (v = 100),
     with global noise and with gaussian noise, each at every seed, at the
     golden trial count;
+  - the golden ring-global configuration at ``RING_SWITCH_SEEDS``, whose
+    secrets have a zero coordinate, so that ``measure_qft_all`` switches from
+    its support passes to a dense block at every register where it can;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs;
   - each usage rule in ``USAGE_ERRORS`` once, as both ``experiment`` and
@@ -70,6 +73,11 @@ USAGE_ERRORS = {
 }
 
 
+# (q, m) = (13, 4) secrets with phi(s) = (5, 0), (0, 7) and (0, 0): the support passes stop at register 1, 0
+# and 0, where a secret with both coordinates nonzero passes two registers
+RING_SWITCH_SEEDS = (30, 32, 56)
+
+
 def golden_tables() -> dict:
     """TRIALS, CONFIGS and LEARN_RUNS as tests/test_golden.py defines them."""
     names = ("TRIALS", "CONFIGS", "LEARN_RUNS")
@@ -105,6 +113,9 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
         for name, flags in configs.items()
         for seed in seeds
     ]
+    out += [(f"experiment ring-global seed {seed}",
+             ["experiment", *configs["ring-global"], "--trials", str(golden["TRIALS"]), "--seed", str(seed)])
+            for seed in RING_SWITCH_SEEDS]
     out += [("verify", ["verify"]), ("verify --inject-fault", ["verify", "--inject-fault"])]
     out += [(f"learn {name}", ["learn", *argv]) for name, (argv, _) in golden["LEARN_RUNS"].items()]
     out += [(f"{command} usage {name}", [command, *flags])

@@ -14,14 +14,20 @@ fixed sample from it; every other consumer discards a sample after its one
 measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
-transforms and measures one register at a time, each pass one real product
-on the real and imaginary halves of a block, and never forms the
+transforms and measures one register at a time and never forms the
 transformed state.  A sample state built by ``DenseState.uniform`` holds
 only its support, the checked, read-only flat indices of its equal nonzero
-amplitudes.  The first pass of ``measure_qft_all`` builds register 0's
-block from the support as a real array (only its live columns, when at
-most a q-th of them hold amplitude) and applies F to it as one real
-product, so measuring a sample state never builds its amplitude vector.
+amplitudes.  When the support fills at most a q-th of register 0's columns,
+``measure_qft_all`` measures it on its (index, value) entries for as long
+as their columns after the current register stay distinct: each such pass
+is a gather, and since no two entries interfere, every row holds exactly a
+q-th of the kept mass.  At the first register whose columns collide, the
+entries are scattered once into a block of the amplitudes still to be
+measured, and each later pass is one real product on the real and imaginary
+halves of that block.  Any other support, or one that collides at register
+0, starts with a dense first pass built from the support (only its live
+columns, when it is compact), so measuring a sample state never builds its
+amplitude vector.
 Among the learners only the SIS screening, whose operations act on
 amplitudes, reads that vector; it is built and norm-checked on first read,
 and the cross-checks read it too.  The rows agree with ``f @ block`` to
@@ -181,14 +187,15 @@ class DenseState:
             state = state.apply_qft(register)
         return state
 
-    def _first_pass(self) -> tuple:
+    def _first_pass(self, split: tuple | None = None) -> tuple:
         """(live, rows): F applied to register 0, as the real 2q x k array of ``_real_qft``.
 
         A state built by ``uniform`` builds its real block from the support.
         When at most a q-th of the columns hold amplitude, the block keeps
-        only those, the sorted ``live`` columns; else ``live`` is None.
-        Entries sharing a column merge, and a repeated support index leaves
-        the block's mass below 1, which the caller's norm check catches.  Any
+        only those, the sorted ``live`` columns of the support's ``_split``
+        (``split``, when the caller has it); else ``live`` is None.  Entries
+        sharing a column merge, and a repeated support index leaves the
+        block's mass below 1, which the caller's norm check catches.  Any
         other state transforms [Re; Im] of its amplitudes.  Reshaped to q
         rows, row x of ``rows`` is Re then Im of (F @ block)[x].
         """
@@ -201,9 +208,7 @@ class DenseState:
         columns = q ** (self.num_registers - 1)
         value = 1.0 / math.sqrt(support.size)
         if support.size * q <= columns:
-            row, column = np.divmod(support, columns)
-            mask = np.zeros(columns, dtype=bool)
-            mask[column] = True
+            row, column, mask = split or _split(support, columns)
             live = mask.nonzero()[0]
             block = np.zeros((q, live.size))
             block[row, live.searchsorted(column)] = value
@@ -221,31 +226,58 @@ class DenseState:
         untransformed: their transforms are unitary, so the row sums of
         |amplitude|^2 are this register's marginal.  The inverse-CDF target
         u * total picks row x, the mass of the rows before x is subtracted
-        from the target, and the next register continues on row x alone.  The
-        passes shrink by a factor q, so the total cost is about q/(q-1) of one
-        full pass.
+        from the target, and the next register continues on row x alone.
 
-        Every pass is one real product: a block X is held as [Re X; Im X],
-        ``_real_qft(q)`` applies F to it, and row x of the result is the next
-        register's block in the same form.  A state built by ``uniform``
-        never builds its amplitude vector here: its first pass is a real
-        product from the support (``_first_pass``), and a kept row over
-        the live columns only is scattered into a zeroed block over all of
-        them.  The first pass's total is the state's only norm check.  The
+        A state built by ``uniform`` whose support fills at most a q-th of
+        register 0's columns is measured on its (index, value) entries while
+        their columns after the current register stay distinct (``_split``).
+        Such a support pass is a gather: F on register r maps an entry
+        (row, column) to F[x, row] * value at column in row x, and as no two
+        entries share a column, every row holds exactly a q-th of the kept
+        mass.  At the first register whose columns collide, the entries are
+        scattered once into the [Re; Im] block of the amplitudes still to be
+        measured, and the dense passes continue from it.  Each dense pass is
+        one real product: a block X is held as [Re X; Im X], ``_real_qft(q)``
+        applies F to it, and row x of the result is the next register's
+        block in the same form.  Any other state starts with a dense pass
+        (``_first_pass``), whose total is the state's norm check; a support
+        pass's entries are distinct indices, so their total is exact.  The
         rows agree with ``f @ block`` to rounding, and the CDF is summed in
         another order than the reference's, so the two differ only when u
         falls within rounding error of a boundary.
         """
-        q = self.fp.q
-        step = _real_qft(q)
-        live, rows = self._first_pass()
-        rows = rows.reshape(q, -1)
-        cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
-        if abs(cdf[-1] - 1.0) > NORM_TOL:
-            raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
-        target = rng.random() * cdf[-1]
-        outcome = []
-        for register in range(self.num_registers):
+        q, m = self.fp.q, self.num_registers
+        index, split, live, outcome = self._support, None, None, []
+        if index is not None and index.size * q <= q ** (m - 1):
+            value = 1.0 / math.sqrt(index.size)
+            # the support passes; more entries than columns always share one
+            while index.size <= (columns := q ** (m - 1 - len(outcome))):
+                split = _split(index, columns)
+                if np.count_nonzero(split[2]) < index.size:
+                    break
+                row, index, _ = split
+                denominator = q ** (len(outcome) + 1)  # r passes keep mass q^-r, a q-th of it per row
+                cdf = [x / denominator for x in range(1, q + 1)]
+                if not outcome:
+                    target = rng.random()  # times cdf[-1] = 1.0
+                x = min(bisect_right(cdf, target), q - 1)
+                if x:
+                    target -= cdf[x - 1]
+                outcome.append(x)
+                value = qft_matrix(q)[x].take(row) * value
+        step, start = _real_qft(q), len(outcome)
+        if start:  # the columns collide: scatter the entries once, into [Re; Im]
+            kept = np.zeros(q ** (m - start), dtype=np.complex128)
+            kept[index] = value
+            kept = np.concatenate((kept.real, kept.imag))
+        else:
+            live, rows = self._first_pass(split)
+            rows = rows.reshape(q, -1)
+            cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
+            if abs(cdf[-1] - 1.0) > NORM_TOL:
+                raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
+            target = rng.random() * cdf[-1]
+        for register in range(start, m):
             if register:
                 rows = (step @ kept.reshape(2 * q, -1)).reshape(q, -1)
                 cdf = list(accumulate(np.vecdot(rows, rows).tolist()))
@@ -256,7 +288,7 @@ class DenseState:
             outcome.append(x)
             kept = rows[x]
             if live is not None:  # scatter Re then Im over the live columns into a zeroed [Re; Im]
-                columns = q ** (self.num_registers - 1)
+                columns = q ** (m - 1)
                 kept = np.zeros(2 * columns)
                 kept[np.concatenate((live, live + columns))] = rows[x]
                 live = rows = None  # the first pass's rows are not held with the next pass's
@@ -290,6 +322,16 @@ class DenseState:
         """Sample a full computational-basis outcome from |amplitude|^2."""
         idx = weighted_index(self.probabilities(), rng)
         return tuple(int(x) for x in np.unravel_index(idx, self.shape))
+
+
+def _split(index: np.ndarray, columns: int) -> tuple:
+    """(row, column, mask): each flat index's row and column over ``columns`` columns, and
+    the mask of the columns they fill, which has as many set as there are indices iff no two
+    share a column."""
+    row, column = np.divmod(index, columns)
+    mask = np.zeros(columns, dtype=bool)
+    mask[column] = True
+    return row, column, mask
 
 
 def _require_normalized(amps: np.ndarray) -> None:

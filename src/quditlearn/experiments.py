@@ -251,6 +251,7 @@ def build_trial(config: ExperimentConfig, rng: np.random.Generator) -> Trial:
             raise ParameterError("ring-global needs the conductor m")
         if not config.noise.is_shared:
             raise ParameterError("ring-global takes noise none or global (no per-element ring noise)")
+        config.noise.validate_for(q)
         ring_n = ring_dimension(fp, config.m)  # from m alone: the embedding is built after the cap check
         if config.n != ring_n:
             raise ParameterError(f"ring dimension is phi({config.m}) = {ring_n}, got n = {config.n}")

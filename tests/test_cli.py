@@ -456,6 +456,17 @@ def test_ring_global_checks_an_explicit_n_against_phi_m(capsys):
     assert code == 0 and "n: 2" in out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+@pytest.mark.parametrize("k", ["7", "100000"])
+def test_ring_global_noise_wider_than_q_exits_2(capsys, command, k):
+    argv = (command, "--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global")
+    argv += ("--trials", "2") if command == "experiment" else ()
+    code, out, err = run_cli(capsys, *argv, "--k", k)
+    assert (code, out, err) == (2, "", f"error: noise support 2k+1 = {2 * int(k) + 1} exceeds q = 13\n")
+    code, out, _ = run_cli(capsys, *argv, "--k", "6", "--seed", "1")  # the widest support that fits q
+    assert code in (0, 1) and out
+
+
 @pytest.mark.parametrize("q, k", [("3", 2), ("5", 3)])
 def test_lwr_without_room_for_its_residual_bound_names_p_and_q(capsys, q, k):
     code, out, err = run_cli(capsys, "experiment", "--problem", "lwr", "--q", q, "--p", "2", "--trials", "2")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quditlearn import dense
 from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, _real_qft, qft_matrix, weighted_index
 from quditlearn.field import FieldParams
 from quditlearn.learners import sis_sample_state
@@ -121,9 +122,12 @@ def _sample_states(q: int, registers: int, key: int) -> list[DenseState]:
     """Sample states with a recorded support, on both sides of the compact first pass.
 
     An LWE sample over F_q^n has q^n register-0 columns: v = q^(n-1) takes the
-    compact pass, v = q^n the full one.  Ring samples take the compact pass;
+    compact pass, v = q^n the full one.  Ring samples are compact, with
+    phi(s) = (0, 3), (3, 0) and phi(s) all nonzero, each with two errors.  A
+    register's columns stay distinct while phi(s) is nonzero on it and on every
+    register before it, so their support passes stop at registers 0, 1 and 2:
     with phi(s)_0 = 0 the q values of phi(a)_0 that agree elsewhere share a
-    column, which the pass must merge.
+    column at once, which the compact first pass must merge.
     """
     fp, n, local = FieldParams(q), registers - 1, make_rng(key)
     noise = NoiseModel.bernoulli(0.25) if q == 2 else NoiseModel.bounded_uniform(1)
@@ -132,8 +136,7 @@ def _sample_states(q: int, registers: int, key: int) -> list[DenseState]:
               for v in (q ** (n - 1), q**n) if n >= 2]
     if registers == 4 and q in RING_CONDUCTOR:
         emb = RingEmbedding.build(fp, RING_CONDUCTOR[q])
-        zero_first = emb.unembed((0, 3))
-        for secret in (zero_first, (1, 1)):
+        for secret in (emb.unembed((0, 3)), emb.unembed((3, 0)), (1, 1)):
             for error in ((0, 0), (2, 1)):
                 states.append(ring_sample_state(emb, secret, error))
     return states
@@ -185,6 +188,41 @@ def test_sample_states_cover_both_first_passes_and_shared_columns():
             compact = state.support.size * q <= columns
             kinds.add((compact, compact and np.unique(state.support % columns).size < state.support.size))
     assert kinds == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("q", sorted(RING_CONDUCTOR))
+def test_support_passes_stop_where_columns_collide_with_a_qth_of_the_mass_per_row(q, monkeypatch):
+    distinct = []  # per _split call of measure_qft_all: whether no two entries share a column
+
+    def recording(index, columns):
+        parts = split(index, columns)
+        distinct.append(np.count_nonzero(parts[2]) == index.size)
+        return parts
+
+    split = dense._split
+    monkeypatch.setattr(dense, "_split", recording)
+    states = _sample_states(q, 4, key=1000 * q + 4)
+    # lwe at v = q^2 fails the compact rule; ring with phi(s) = (0, 3), (3, 0), then both nonzero, two errors each
+    # (the lwe state at v = q is compact, and where its passes stop depends on its drawn subset)
+    families = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2}
+    assert len(states) == 8
+    for which, state in enumerate(states):
+        support, columns, stop = state.support, q**3, 0
+        if support.size * q <= columns:  # the compact rule, then distinct columns after each register
+            while np.unique(support % columns).size == support.size:
+                stop, columns = stop + 1, columns // q
+        assert families.get(which, stop) == stop
+        for seed in range(5):
+            distinct.clear()
+            outcome = state.measure_qft_all(make_rng(seed))
+            assert distinct[:stop] == [True] * stop and True not in distinct[stop:]
+            kept = state  # the slice that the pass at each register measures, scaled to norm 1
+            for register in range(stop):
+                transformed = kept.apply_qft(0)
+                marginal = transformed.register_marginal(0) * q**-register  # its rows' mass in the whole state
+                assert np.abs(marginal - q ** -(register + 1)).max() <= 1e-12
+                row = transformed.amps.reshape(q, -1)[outcome[register]] * math.sqrt(q)
+                kept = DenseState(state.fp, 3 - register, row)
 
 
 def _scattered(size: int, flat: list[int]) -> np.ndarray:
@@ -282,7 +320,7 @@ def test_a_ring_sample_allocates_no_state_sized_array(q, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < q ** (2 * emb.n) * 16 / 3
+    assert peak < q ** (2 * emb.n) * 16 / q
 
 
 def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:

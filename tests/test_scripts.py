@@ -52,7 +52,7 @@ def test_scripts_run_and_write_their_tables(tmp_path):
 def test_compare_reports_names_a_changed_report(tmp_path):
     same = run_script("compare_reports.py", SRC, SRC, "--seeds", "1")
     assert same.returncode == 0, same.stderr
-    assert same.stdout == "58 of 58 identical\n"  # 28 runs, then 15 usage errors as experiment and as learn
+    assert same.stdout == "61 of 61 identical\n"  # 31 runs, then 15 usage errors as experiment and as learn
     shutil.copytree(Path(SRC) / "quditlearn", tmp_path / "quditlearn", ignore=shutil.ignore_patterns("__pycache__"))
     experiments = tmp_path / "quditlearn" / "experiments.py"
     text = experiments.read_text()
@@ -64,4 +64,5 @@ def test_compare_reports_names_a_changed_report(tmp_path):
     assert changed.returncode == 1, changed.stderr
     assert "differs: experiment lwe-analytic seed 1\n" in changed.stdout
     assert "differs: experiment usage lwr-no-p\ndiffers: learn usage lwr-no-p\n" in changed.stdout
-    assert changed.stdout.endswith("36 of 58 identical\n")
+    assert "differs: experiment ring-global seed 56\n" in changed.stdout
+    assert changed.stdout.endswith("36 of 61 identical\n")
