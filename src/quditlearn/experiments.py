@@ -19,7 +19,9 @@ success probability and the closed-constant and gamma-optimized lower bounds:
 
 Reports serialize to CSV with the fixed header ``CSV_HEADER``; the wall-time
 column is execution-dependent and excluded from the canonical (reproducible)
-serialization used by the determinism tests.
+serialization used by the determinism tests.  The last column, ``error``, is
+empty on a row that ran and holds the reason on a row that failed; the
+canonical text gives that reason on its own last line.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .samples import (
 CSV_COLUMNS = (
     "problem", "q", "n", "v", "k", "noise", "engine", "L", "M", "p",
     "trials", "seed", "empirical_rate", "wilson_lo", "wilson_hi",
-    "exact_prob", "bound_paper", "bound_optimized", "wall_time_ms",
+    "exact_prob", "bound_paper", "bound_optimized", "wall_time_ms", "error",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -177,13 +179,13 @@ class ExperimentReport:
             "" if c.p is None else str(c.p), str(self.trials), str(c.seed),
             repr(self.empirical_rate), repr(self.wilson_lo), repr(self.wilson_hi),
             fmt(self.exact_probability), fmt(self.bound_paper), fmt(self.bound_optimized),
-            repr(self.wall_time_ms),
+            repr(self.wall_time_ms), "" if self.error is None else self.error,
         ]
 
     def canonical_text(self) -> str:
-        """Deterministic serialization: every field except the wall clock."""
+        """Deterministic serialization: every field except the wall clock, and the error last if the run failed."""
         row = self.csv_row()
-        lines = [f"{name}: {value}" for name, value in zip(CSV_COLUMNS, row) if name != "wall_time_ms"]
+        lines = [f"{name}: {value}" for name, value in zip(CSV_COLUMNS, row) if name not in ("wall_time_ms", "error")]
         if self.error is not None:
             lines.append(f"error: {self.error}")
         return "\n".join(lines)
@@ -379,8 +381,7 @@ def write_csv(reports: list[ExperimentReport], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for report in reports:
-            if report.error is None:
-                writer.writerow(report.csv_row())
-            else:
-                row = report.csv_row()
-                writer.writerow(row[:12] + [""] * 7)
+            row = report.csv_row()
+            if report.error is not None:  # a failed row keeps its configuration and its error, and no results
+                row[12:-1] = [""] * 7
+            writer.writerow(row)

@@ -44,7 +44,7 @@ ClassicalOracle = Callable[[np.random.Generator], tuple[tuple[int, ...], int]]
 ENGINES = ("dense", "analytic")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)  # slots: one is built per attempt
 class BvOutcome:
     """Either a recovered secret vector or the abstention outcome."""
 
@@ -69,6 +69,14 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     On a SampleSpec one uniform u picks the category from the law's exact
     correct mass and p_bot; the float per-j* law is never built here.
     """
+    if isinstance(sample, SampleSpec):  # the analytic engine first: its attempts are the cheap, many ones
+        dist = outcome_distribution(sample)
+        u = rng.random()
+        if u < dist.correct_mass:
+            return BvOutcome(sample.s)
+        if u < dist.correct_mass + dist.p_bot:
+            return BOT
+        return BvOutcome(_uniform_wrong_vector(sample, rng))
     if isinstance(sample, DenseState):
         q = sample.fp.q
         outcome = sample.measure_qft_all(rng)
@@ -77,14 +85,6 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
             return BOT
         neg_inv = (-mod_inverse(jstar, q)) % q
         return BvOutcome(tuple((neg_inv * ji) % q for ji in j))
-    if isinstance(sample, SampleSpec):
-        dist = outcome_distribution(sample)
-        u = rng.random()
-        if u < dist.correct_mass:
-            return BvOutcome(sample.s)
-        if u < dist.correct_mass + dist.p_bot:
-            return BOT
-        return BvOutcome(_uniform_wrong_vector(sample, rng))
     raise ParameterError(f"field_bv expects a DenseState or SampleSpec, got {type(sample)!r}")
 
 
@@ -118,14 +118,17 @@ def lwe_learn(
     """Up to L recovery attempts, each vetted by the candidate test; first accept wins.
 
     The test reads M samples of ``classical`` at bound k; M = 0 skips it
-    (noiseless usage; ``classical`` may be None).  Consumes at most L
-    samples of ``source`` and L * M of ``classical``.
+    (noiseless usage; ``classical`` may be None, and M >= 1 without it is
+    refused before any draw).  Consumes at most L samples of ``source`` and
+    L * M of ``classical``.
     """
     _require_arguments(L, M, k, engine)
+    if M >= 1 and classical is None:
+        raise ParameterError(f"the candidate test reads M = {M} classical samples, so it needs an oracle, got None")
+    dense = engine == "dense"
     for _ in range(L):
         spec = source()
-        sample = materialize_dense(spec) if engine == "dense" else spec
-        out = field_bv(sample, rng)
+        out = field_bv(materialize_dense(spec) if dense else spec, rng)
         if out.is_bot:
             continue
         if M == 0 or test_candidate(out.secret, classical, spec.fp.q, M, k, rng):
@@ -141,13 +144,13 @@ def lpn_learn(L: int, source: SpecSource, rng: np.random.Generator, engine: str 
     candidate among rounds with j* = 1 is returned, Bot if there were none.
     """
     _require_arguments(L, 0, 0, engine)
+    dense = engine == "dense"
     votes: Counter[tuple[int, ...]] = Counter()
     for _ in range(L):
         spec = source()
         if spec.fp.q != 2:
             raise ParameterError("lpn_learn requires q = 2 samples")
-        sample = materialize_dense(spec) if engine == "dense" else spec
-        out = field_bv(sample, rng)
+        out = field_bv(materialize_dense(spec) if dense else spec, rng)
         if not out.is_bot:
             votes[out.secret] += 1
     if not votes:

@@ -9,7 +9,8 @@ their value histogram:
 
 where c_b counts the elements of V with error b.  ``outcome_distribution``
 gives the law of a spec without touching the q^(n+1) amplitude vector, once
-per spec (the law is kept with the spec that it describes).  Its total good
+per spec (the law is kept in the instance dict of the spec that it
+describes, and read back without a lock).  Its total good
 mass is exact: by Parseval over j* it is the collision count
 (q sum_b c_b^2 - v^2) / (v q^(n+1)), found in O(support) time from integers
 and rounded once.  The per-j* masses take O(q * support) time and are built
@@ -29,11 +30,15 @@ only in the JSON form, with the documented keys q, n, s, subset, v,
 noise, errors, seed (see ``spec_to_json``).
 
 Validation runs where data enters: the public ``SampleSpec`` constructor and
-``spec_from_json``.  ``spec_drawer`` checks its arguments once per drawer,
-before any draw; every spec its ``draw(rng)`` returns is built from data
-drawn from the noise's own support, without checking that data again.
-``classical_drawer``, the candidate test's sample oracle, makes a fresh
-spec's RNG calls and its classical draw's, but builds no spec.
+``spec_from_json``.  ``spec_drawer`` checks its arguments and chooses its
+kind (histogram, map, subset or shared) once per drawer, before any draw;
+every spec its ``draw(rng)`` returns is built from data drawn from the
+noise's own support, without checking that data again.
+``classical_drawer``, the candidate test's sample oracle, shares those checks
+and that kind.  It makes a fresh spec's RNG calls and its classical draw's,
+but builds no spec: a histogram oracle picks its error from the
+multinomial's count list by ``_histogram_pick``, the rule that
+``draw_classical_sample`` applies to a spec's histogram.
 """
 
 from __future__ import annotations
@@ -250,7 +255,8 @@ class SampleSpec:
     ``spec_drawer`` skips the constructor: its arguments were checked when
     the drawer was built and its data was drawn from the noise's own support,
     and its fresh int64 arrays are read-only.  A spec is not modified after
-    construction: its outcome law is computed on first use and kept with it.
+    construction: its outcome law is computed on first use and kept with it,
+    in the instance dict under ``_law`` (``outcome_distribution``).
     """
 
     fp: FieldParams
@@ -262,6 +268,7 @@ class SampleSpec:
     errors: np.ndarray | None = None
     histogram: dict[int, int] | None = None
     seed: int | None = None
+    _law = None  # not a field: the memoized outcome law, written once into the instance dict
 
     def __post_init__(self) -> None:
         support = _check_arguments(self.fp, self.n, self.s, self.v, self.noise)[0]
@@ -308,17 +315,6 @@ class SampleSpec:
             return dict(self.histogram)
         # the outcome law sums in this order; sorted values would move its last bit
         return dict(Counter(self.errors.tolist()))
-
-    @cached_property
-    def _outcome(self) -> "OutcomeDistribution":
-        q = self.fp.q
-        hist = self.histogram if self.histogram is not None else self.error_histogram()
-        # Parseval over j*: sum_{j* != 0} |sum_b c_b omega^(b j*)|^2 = q sum_b c_b^2 - v^2, as the
-        # support's values are distinct mod q; one int division rounds the exact ratio once
-        collisions = sum(c * c for c in hist.values())
-        correct = (q * collisions - self.v * self.v) / (self.v * q ** (self.n + 1))
-        good = partial(_good_masses, q, self.n, self.v, hist)
-        return OutcomeDistribution(correct, 1.0 / q, good)  # bot: Parseval over the j* = 0 slice
 
 
 def _good_masses(q: int, n: int, v: int, hist: dict[int, int]) -> np.ndarray:
@@ -454,8 +450,12 @@ def _residues(q: int) -> np.ndarray:
 
 
 def _spec_draws(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str):
-    """A drawer's once-per-run checks and ``draws(rng) -> (subset, histogram)``, a fresh spec's RNG calls
-    up to its error map: histogram None means the caller draws the map next (``_draw_errors``)."""
+    """A drawer's once-per-run checks, its kind and ``draws(rng)``: a fresh spec's RNG calls up to its error map.
+
+    The kind is chosen once, here.  ``draws`` returns (subset or None, the one error) for "shared" noise, the
+    error counts (aligned with the noise values, zeros kept) for "histogram", and the explicit proper subset
+    or None for "subset" or "map", whose caller draws the error map next (``_draw_errors``).
+    """
     if errors_as not in ("map", "histogram"):
         raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
     table = _check_arguments(fp, n, s, v, noise)
@@ -464,18 +464,16 @@ def _spec_draws(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: Nois
     draw_subset = v < qn and errors_as == "map"
     if draw_subset and qn > np.iinfo(np.int64).max:
         raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-    shared = noise.is_shared  # one error value for every element
-    values, weights = table[0], np.asarray(table[1])  # an array: multinomial converts a tuple per call
+    weights = np.asarray(table[1])  # an array: multinomial converts a tuple per call
 
-    def draws(rng: np.random.Generator) -> tuple[np.ndarray | None, dict[int, int] | None]:
-        subset = rng.choice(qn, size=v, replace=False) if draw_subset else None
-        if shared:
-            return subset, {int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0: v}
-        if errors_as == "histogram":
-            return subset, {b: c for b, c in zip(values, rng.multinomial(v, weights).tolist()) if c}
-        return subset, None
+    def subset(rng: np.random.Generator) -> np.ndarray | None:
+        return rng.choice(qn, size=v, replace=False) if draw_subset else None
 
-    return table, draws
+    if noise.is_shared:
+        return table, "shared", lambda rng: (subset(rng), int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0)
+    if errors_as == "histogram":
+        return table, "histogram", lambda rng: rng.multinomial(v, weights).tolist()
+    return table, "subset" if draw_subset else "map", subset
 
 
 def spec_drawer(
@@ -487,20 +485,35 @@ def spec_drawer(
     error per element.  ``"histogram"`` (enough for the analytic engine)
     draws only the error counts and leaves a proper subset implicit; the law
     depends on the counts alone.  The arguments are checked here, once per
-    drawer, as the public constructor checks them, and the noise table is
-    looked up once; ``draw`` only makes the RNG calls and builds the frozen
-    spec, whose fresh int64 arrays are read-only.
+    drawer, as the public constructor checks them; the noise table is looked
+    up and the drawer's kind chosen once (``_spec_draws``).  ``draw`` only
+    makes the RNG calls and builds the frozen spec, whose fresh int64 arrays
+    are read-only.
     """
     s = tuple(s)
-    table, draws = _spec_draws(fp, n, s, v, noise, errors_as)
+    table, kind, draws = _spec_draws(fp, n, s, v, noise, errors_as)
+    values = table[0]
     # the fields the frozen __init__ would set; draw writes them straight into each instance dict
-    fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, seed=None)
+    fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, subset=None, errors=None, histogram=None, seed=None)
+
+    if kind == "histogram":
+
+        def draw(rng: np.random.Generator) -> SampleSpec:
+            spec = object.__new__(SampleSpec)
+            vars(spec).update(fields, histogram={b: c for b, c in zip(values, draws(rng)) if c})
+            return spec
+
+        return draw
 
     def draw(rng: np.random.Generator) -> SampleSpec:
-        subset, histogram = draws(rng)
+        if kind == "shared":
+            subset, e = draws(rng)
+            errors, histogram = None, {e: v}
+        else:
+            subset, histogram = draws(rng), None
+            errors = _draw_errors(table, v, rng)
         if subset is not None:
             subset.flags.writeable = False
-        errors = _draw_errors(table, v, rng) if histogram is None else None
         spec = object.__new__(SampleSpec)
         vars(spec).update(fields, subset=subset, errors=errors, histogram=histogram)
         return spec
@@ -513,23 +526,37 @@ def classical_drawer(
 ) -> Callable[[np.random.Generator], tuple[tuple[int, ...], int]]:
     """``classical(rng) -> (a, b)``: ``draw_classical_sample(spec_drawer(...)(rng), rng)`` without the spec.
 
-    It makes the same RNG calls in the same order and returns the same (a, b); of an error map's v
-    uniforms it reads only a's, through the noise CDF (``bisect_right`` as ``searchsorted(..., "right")``).
+    It makes the same RNG calls in the same order and returns the same (a, b). A histogram drawer picks e
+    from the multinomial's count list; of an error map's v uniforms it reads only a's, through the noise CDF
+    (``bisect_right`` as ``searchsorted(..., "right")``).
     """
     q, s, strides = fp.q, tuple(s), [fp.q ** (n - 1 - i) for i in range(n)]
-    (values, _, cdf), draws = _spec_draws(fp, n, s, v, noise, errors_as)
+    (values, _, cdf), kind, draws = _spec_draws(fp, n, s, v, noise, errors_as)
+
+    if kind == "histogram":  # an implicit or full subset: a is uniform over F_q^n
+
+        def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+            counts = draws(rng)
+            a = uniform_vector(q, n, rng)
+            return a, (sum(map(mul, a, s)) + _histogram_pick(values, counts, rng)) % q
+
+        return classical
+
     cdf = cdf.tolist()
 
     def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-        subset, histogram = draws(rng)
-        uniforms = rng.random(v) if histogram is None and len(values) > 1 else None  # _draw_errors's draw
+        if kind == "shared":
+            subset, e = draws(rng)
+        else:
+            subset = draws(rng)
+            uniforms = rng.random(v) if len(values) > 1 else None  # _draw_errors's draw
         if subset is None:
             a = uniform_vector(q, n, rng)
         else:
             pos = int(rng.integers(v))
             a = tuple(_vectors_at(subset[pos], q, n).tolist())
-        if histogram is not None:
-            e = _histogram_pick(histogram, rng)
+        if kind == "shared":
+            e = _histogram_pick((e,), (v,), rng)  # the spec's single-bin histogram: one uniform, that value
         elif uniforms is None:
             e = values[0]
         else:  # the uniform at a's position in V, its row-major flat index when V is F_q^n
@@ -625,22 +652,27 @@ def draw_classical_sample(
         # flat indices are numpy's row-major order, so errors over all of F_q^n index as a (q,)*n grid
         e = int(spec.errors[pos] if spec.subset is not None else spec.errors.reshape((q,) * spec.n)[a])
     else:
-        e = _histogram_pick(spec.histogram, rng)
+        e = _histogram_pick(spec.histogram.keys(), spec.histogram.values(), rng)
     b = (sum(ai * si for ai, si in zip(a, spec.s)) + e) % q
     return a, b
 
 
-def _histogram_pick(histogram: dict[int, int], rng: np.random.Generator) -> int:
-    """``values[weighted_index(counts, rng)]`` bit for bit: one uniform u, the float running sums in
-    the histogram's order, and the first bin whose sum exceeds u times the total (else the last bin)."""
+def _histogram_pick(values, counts, rng: np.random.Generator) -> int:
+    """``values[weighted_index(counts, rng)]`` over the nonzero counts, bit for bit: one uniform u, the float
+    running sums in order, and the first bin whose sum exceeds u times the total (else the last nonzero bin).
+
+    ``values`` and ``counts`` are aligned: a histogram's keys and values, or the noise values and a
+    multinomial's count list.  Zero counts are skipped, so both pick the same bin from the same uniform.
+    """
     total = 0.0
-    for c in histogram.values():
+    for c in counts:
         total += c
     target, running = rng.random() * total, 0.0
-    for e, c in histogram.items():
-        running += c
-        if running > target:
-            break
+    for b, c in zip(values, counts):
+        if c:
+            e, running = b, running + c
+            if running > target:
+                break
     return e
 
 
@@ -652,8 +684,29 @@ def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
     masses and the float p_correct and p_wrong take O(q * support) time and
     q-length arrays, and are built on first read, which rejects q > 2**26
     before allocating.  Later calls return the same law.
+
+    The law is memoized in the spec's instance dict and read back as a plain
+    attribute, with no lock (``cached_property`` takes one on every miss, and
+    every fresh spec misses); it is built as ``spec_drawer`` builds a spec,
+    without the frozen ``__init__``.
     """
-    return spec._outcome
+    law = spec._law
+    if law is not None:
+        return law
+    q, n, v = spec.fp.q, spec.n, spec.v
+    hist = spec.histogram if spec.histogram is not None else spec.error_histogram()
+    counts = hist.values()
+    # Parseval over j*: sum_{j* != 0} |sum_b c_b omega^(b j*)|^2 = q sum_b c_b^2 - v^2, as the
+    # support's values are distinct mod q; one int division rounds the exact ratio once
+    collisions = sum(map(mul, counts, counts))
+    law = object.__new__(OutcomeDistribution)
+    vars(law).update(
+        correct_mass=(q * collisions - v * v) / (v * q ** (n + 1)),
+        p_bot=1.0 / q,  # Parseval over the j* = 0 slice
+        good=partial(_good_masses, q, n, v, hist),
+    )
+    vars(spec)["_law"] = law
+    return law
 
 
 def dense_outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:

@@ -171,7 +171,7 @@ def test_sweep_runs_config_list(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "sweep", "--config", str(config), "--csv", str(out_csv))
     assert code == 0
     rows = out_csv.read_text().splitlines()
-    assert len(rows) == 3 and rows[0].endswith("wall_time_ms")
+    assert len(rows) == 3 and rows[0].endswith("wall_time_ms,error")
     assert out.count("problem: lwe") == 2
 
 

@@ -85,7 +85,7 @@ def test_identical_config_and_seed_reproduce_report():
     a = run_experiment(lwe_config(trials=800, noise=NoiseModel.bounded_uniform(1), L=3, M=1, k=1))
     b = run_experiment(lwe_config(trials=800, noise=NoiseModel.bounded_uniform(1), L=3, M=1, k=1))
     assert a.canonical_text() == b.canonical_text()
-    assert a.canonical_text().count("\n") == len(CSV_COLUMNS) - 2
+    assert a.canonical_text().count("\n") == len(CSV_COLUMNS) - 3  # no wall_time_ms, and no error line
 
 
 def test_rekeyed_generator_replays_a_fresh_philox_per_trial():
@@ -211,6 +211,21 @@ def test_sweep_records_partial_failures(tmp_path):
     assert reports[1].error is None
     rows = (tmp_path / "mixed.csv").read_text().splitlines()
     assert len(rows) == 3  # header + one blank-metrics row + one full row
+
+
+def test_failed_sweep_row_keeps_its_error_in_the_csv(tmp_path):
+    bad = ExperimentConfig(problem="lwr", q=31, n=1, trials=10, seed=1, p=None)
+    good = lwe_config(trials=50)
+    path = tmp_path / "mixed.csv"
+    reports = sweep([bad, good], csv_path=str(path))
+    with open(path, newline="") as handle:
+        header, failed, ran = list(csv.reader(handle))
+    assert header[-1] == "error"
+    error = failed[CSV_COLUMNS.index("error")]
+    assert error == "ParameterError: lwr needs the rounding modulus p"
+    assert reports[0].canonical_text().endswith(f"\nerror: {error}")  # the text the report prints
+    assert failed[:12] == reports[0].csv_row()[:12] and failed[12:-1] == [""] * 7
+    assert ran == reports[1].csv_row() and ran[-1] == ""
 
 
 def test_sweep_rejects_empty_list():

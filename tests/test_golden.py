@@ -4,7 +4,8 @@ A canonical report must stay byte-identical for a fixed configuration and
 seed, so any change to the trial logic, the RNG layout or the float
 arithmetic behind ``exact_prob`` shows up here.  The expected texts live in
 ``tests/golden/<name>-seed<seed>.txt``; the configurations are the four
-benchmark workloads plus one LPN run, two SIS runs, one LWE run on a proper
+benchmark workloads plus one LPN run on each engine (the analytic one draws
+its specs as error counts), two SIS runs, one LWE run on a proper
 subset (v < q^n) on each engine (the dense one draws an explicit subset and
 its error map) and one noiseless ring run at a second conductor (q = 7,
 m = 3).  ``sis`` screens with L = 3, where a wrong
@@ -39,6 +40,7 @@ CONFIGS = {
     "ring-global": ("--problem", "ring-global", "--q", "13", "--m", "4", "--noise", "global", "--k", "1"),
     "ring-global-none": ("--problem", "ring-global", "--q", "7", "--m", "3", "--noise", "none"),
     "lpn-dense": ("--problem", "lpn", "--q", "2", "--n", "8", "--eta", "0.1", "--L", "9", "--engine", "dense"),
+    "lpn-analytic": ("--problem", "lpn", "--q", "2", "--n", "8", "--eta", "0.1", "--L", "9", "--engine", "analytic"),
     "sis": ("--problem", "sis", "--q", "7", "--n", "2", "--k", "1", "--L", "3"),
     "sis-screening": ("--problem", "sis", "--q", "11", "--n", "2", "--k", "2", "--L", "1"),
 }

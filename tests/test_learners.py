@@ -51,9 +51,13 @@ def test_learners_reject_bad_arguments_before_any_draw():
         raise AssertionError("the source was called")
 
     rng = make_rng(500)
-    for kwargs in ({"L": 0}, {"L": 1, "M": -1}, {"L": 1, "k": -1}, {"L": 1, "engine": "qualia"}):
+    for kwargs in ({"L": 0}, {"L": 1, "M": -1}, {"L": 1, "k": -1}, {"L": 1, "engine": "qualia"},
+                   {"L": 1, "M": 1, "classical": None}):  # a test of M >= 1 samples needs an oracle
         with pytest.raises(ParameterError):
-            lwe_learn(source=source, classical=source, rng=rng, **kwargs)
+            lwe_learn(**{"source": source, "classical": source, "rng": rng, **kwargs})
+    with pytest.raises(ParameterError, match=r"^the candidate test reads M = 2 classical samples, so it needs an "
+                                             r"oracle, got None$"):
+        lwr_learn(16, 257, source, None, rng, L=1, M=2)
     for kwargs in ({"L": 0}, {"L": 1, "engine": "qualia"}):
         with pytest.raises(ParameterError):
             lpn_learn(source=source, rng=rng, **kwargs)

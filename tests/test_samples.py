@@ -582,6 +582,8 @@ _GLOBAL = NoiseModel.global_shift(NoiseModel.bounded_uniform(1))
     (5, 2, 10, NoiseModel.bounded_uniform(0), "map"),
     (5, 2, 25, NoiseModel.bounded_uniform(0), "histogram"),
     (7, 2, 49, NoiseModel.global_shift(NoiseModel.none()), "map"),
+    (101, 1, 3, NoiseModel.gaussian(3.0, 9), "histogram"),  # 3 errors over 19 bins: zero counts in the list
+    (2, 6, 64, NoiseModel.bernoulli(0.0), "histogram"),  # counts (64, 0): the last bin is empty
 ])
 def test_classical_drawer_is_the_classical_draw_of_a_fresh_spec(q, n, v, noise, errors_as):
     fp = FieldParams(q)
