@@ -11,7 +11,8 @@ through ``cli.main``:
   - ``experiment`` on the golden configurations of tests/test_golden.py, plus
     lwr on the dense engine, lwr above ``ENUMERABLE_LIMIT`` (its histogram
     spec and exact oracle), lwr with a wide residual support (p = 64 at
-    q = 8191), ring-global at m = 3 and at (q, m) = (5, 4) and (29, 4), and
+    q = 8191), lwr at q = 11 (wrong candidates redrawn, two test samples) and
+    at n = 2, ring-global at m = 3 and at (q, m) = (5, 4) and (29, 4), and
     lwe-dense on a proper subset (v = 100), with global noise and with
     gaussian noise, each at every seed, at the golden trial count;
   - the golden ring-global configuration at ``RING_SWITCH_SEEDS``, whose
@@ -97,6 +98,9 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lwr-histogram"] = ("--problem", "lwr", "--q", "103", "--n", "3", "--p", "16", "--M", "1")
     # a wide residual support: 131 x 8190 phases
     configs["lwr-wide-support"] = ("--problem", "lwr", "--q", "8191", "--n", "1", "--p", "64", "--M", "1")
+    # about 1 attempt in 10 redraws a wrong candidate that is the secret, and each test reads two samples
+    configs["lwr-redraw"] = ("--problem", "lwr", "--q", "11", "--n", "1", "--p", "5", "--M", "2")
+    configs["lwr-n2"] = ("--problem", "lwr", "--q", "101", "--n", "2", "--p", "8", "--M", "1")  # two-coordinate vectors
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
     # m = 4 below and above the golden q = 13: ring states whose first pass keeps the live columns only
     configs["ring-global-q5"] = ("--problem", "ring-global", "--q", "5", "--m", "4", "--noise", "global")

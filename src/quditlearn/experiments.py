@@ -32,6 +32,7 @@ import math
 import sys
 import time
 from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -306,8 +307,11 @@ def build_trial(config: ExperimentConfig, rng: np.random.Generator) -> Trial:
         bound_paper = config.p / (12.0 * (q - 1))
         bound_opt = GAMMA_STAR * v / ((q / (2.0 * config.p)) * q**n)
 
+        p, L, M, engine = config.p, config.L, config.M, config.engine
+        source = repeat(spec).__next__  # every attempt reads the one spec
+
         def run(rng: np.random.Generator) -> tuple[int, ...] | None:
-            return lwr_learn(config.p, q, lambda: spec, classical, rng, config.L, config.M, config.engine).secret
+            return lwr_learn(p, q, source, classical, rng, L, M, engine).secret
 
         return Trial(secret, run, exact, bound_paper, bound_opt)
 

@@ -3,10 +3,12 @@
 ``field_bv`` is the core recovery step: QFT on every register, measure, and
 read the secret off the outcome when the last register j* is nonzero.  It
 accepts either a DenseState (exact small-instance simulation, measured by
-``DenseState.measure_qft_all``) or a SampleSpec (analytic engine: one uniform
-picks the outcome category from the law's exact correct mass and abstention
-probability; wrong outputs are drawn uniformly over the non-secret vectors,
-which preserves the category probabilities that every consumer relies on).
+``DenseState.measure_qft_all``) or a SampleSpec (analytic engine: one uniform,
+``rng.random()`` read lock-free from the bit generator, picks the outcome
+category from the law's exact correct mass and abstention probability; a
+wrong output is redrawn with ``uniform_vector`` until it is not the secret, so
+it is uniform over the non-secret vectors, which preserves the category
+probabilities that every consumer relies on).
 
 The remaining learners compose this step with the classical candidate test
 and problem-specific reductions (repetition, rounding, coordinate-wise
@@ -67,16 +69,21 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     """One recovery attempt: returns Secret(-(j*)^-1 j mod q) or Bot when j* = 0.
 
     On a SampleSpec one uniform u picks the category from the law's exact
-    correct mass and p_bot; the float per-j* law is never built here.
+    correct mass and p_bot; the float per-j* law is never built here.  A wrong
+    output then draws vectors until one is not the secret.
     """
     if isinstance(sample, SampleSpec):  # the analytic engine first: its attempts are the cheap, many ones
         dist = outcome_distribution(sample)
-        u = rng.random()
+        ct = rng.bit_generator.ctypes
+        u = ct.next_double(ct.state)  # rng.random(), without the bit generator's lock (as in uniform_vector)
         if u < dist.correct_mass:
             return BvOutcome(sample.s)
         if u < dist.correct_mass + dist.p_bot:
             return BOT
-        return BvOutcome(_uniform_wrong_vector(sample, rng))
+        wrong = uniform_vector(sample.fp.q, sample.n, rng)
+        while wrong == sample.s:  # a wrong output is uniform over the q^n - 1 other vectors
+            wrong = uniform_vector(sample.fp.q, sample.n, rng)
+        return BvOutcome(wrong)
     if isinstance(sample, DenseState):
         q = sample.fp.q
         outcome = sample.measure_qft_all(rng)
@@ -88,22 +95,16 @@ def field_bv(sample: Union[DenseState, SampleSpec], rng: np.random.Generator) ->
     raise ParameterError(f"field_bv expects a DenseState or SampleSpec, got {type(sample)!r}")
 
 
-def _uniform_wrong_vector(spec: SampleSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    while True:
-        candidate = uniform_vector(spec.fp.q, spec.n, rng)
-        if candidate != spec.s:
-            return candidate
-
-
 def test_candidate(
     candidate: tuple[int, ...], classical: ClassicalOracle, q: int, M: int, k: int, rng: np.random.Generator
 ) -> bool:
     """Accept iff M fresh classical samples ``classical(rng)`` all satisfy |b - a.candidate| <= k mod q, q odd."""
     if q % 2 == 0:  # before any draw
         raise ParameterError(f"the candidate test needs an odd modulus, got q = {q}")
+    high = q - k
     for _ in range(M):
         a, b = classical(rng)
-        if k < (b - sum(map(mul, a, candidate))) % q < q - k:  # |centered| > k, as q is odd
+        if k < (b - sum(map(mul, a, candidate))) % q < high:  # |centered| > k, as q is odd
             return False
     return True
 
@@ -129,7 +130,7 @@ def lwe_learn(
     for _ in range(L):
         spec = source()
         out = field_bv(materialize_dense(spec) if dense else spec, rng)
-        if out.is_bot:
+        if out.secret is None:
             continue
         if M == 0 or test_candidate(out.secret, classical, spec.fp.q, M, k, rng):
             return out
@@ -170,6 +171,7 @@ def lwr_decode(y: int, p: int, q: int) -> int:
     return ((2 * q * (y % p) + p) // (2 * p)) % q
 
 
+@lru_cache(maxsize=16)  # read once per trial by lwr_learn
 def lwr_noise_bound(p: int, q: int) -> int:
     """Magnitude bound k = ceil(q/(2p)) + 1 on the rounding residual after decoding; needs 2k + 1 <= q."""
     if not 2 <= p < q:

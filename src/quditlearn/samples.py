@@ -251,7 +251,8 @@ class SampleSpec:
 
     n, v, the secret and the histogram's values and counts must be integers
     (``field.is_integer``: no floats, no bools).  The constructor checks all
-    of it and stores both arrays as read-only int64 copies.  A spec from a
+    of it and stores both arrays as read-only int64 copies and the histogram
+    with Python-int values and counts.  A spec from a
     ``spec_drawer`` skips the constructor: its arguments were checked when
     the drawer was built and its data was drawn from the noise's own support,
     and its fresh int64 arrays are read-only.  A spec is not modified after
@@ -301,6 +302,8 @@ class SampleSpec:
                 raise ParameterError("an explicit subset carries an error map or a single-bin histogram")
             if not all(is_integer(b) and is_integer(c) for b, c in self.histogram.items()):
                 raise ParameterError(f"histogram values and counts must be integers, got {self.histogram!r}")
+            # the law squares the counts, which would overflow as NumPy's int64
+            object.__setattr__(self, "histogram", {int(b): int(c) for b, c in self.histogram.items()})
             if any(c < 0 for c in self.histogram.values()):
                 raise ParameterError("histogram counts must be non-negative")
             if sum(self.histogram.values()) != self.v:
@@ -611,25 +614,26 @@ _SCALAR_DRAWS_UP_TO = 10
 def uniform_vector(q: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniform vector of F_q^n: ``rng.integers(0, q, size=n)``, made cheap for small n.
 
-    For 2 <= q <= 2**32 and n <= _SCALAR_DRAWS_UP_TO it draws each coordinate from
-    the bit generator's ``next_uint32`` by NumPy's bounded rule (Lemire's
-    multiply-and-reject, ``buffered_bounded_lemire_uint32``): the same values and
+    For 2 <= q <= 2**32 and n <= _SCALAR_DRAWS_UP_TO it reads the bit generator's
+    ``next_uint32`` words in turn by NumPy's bounded rule (Lemire's
+    multiply-and-reject, ``buffered_bounded_lemire_uint32``): word w gives m = w * q,
+    which is the next coordinate m >> 32 unless its low word lies below 2**32 mod q,
+    when the coordinate takes the next word instead.  So a vector costs its
+    ``next_uint32`` calls and one tuple per coordinate, and gives the same values and
     generator state, buffered 32-bit half-word included, pinned by a test against
-    ``rng.integers``. It skips the bit generator's lock, which ``integers`` takes:
+    ``rng.integers``.  It skips the bit generator's lock, which ``integers`` takes:
     every run in this package owns its generator in one thread.
     """
     if not (2 <= q <= 2**32 and n <= _SCALAR_DRAWS_UP_TO):  # below 2 NumPy draws nothing, above it takes 64 bits
         return tuple(rng.integers(0, q, size=n).tolist())
-    vector, ct = [], rng.bit_generator.ctypes
-    next_uint32, state = ct.next_uint32, ct.state
-    for _ in range(n):
+    ct = rng.bit_generator.ctypes
+    next_uint32, state, threshold = ct.next_uint32, ct.state, 2**32 % q
+    vector = ()
+    while len(vector) < n:
         m = next_uint32(state) * q
-        if m & 0xFFFFFFFF < q:  # the biased low words lie below 2**32 mod q < q
-            threshold = (2**32 - q) % q
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * q
-        vector.append(m >> 32)
-    return tuple(vector)
+        if m & 0xFFFFFFFF >= threshold:
+            vector += (m >> 32,)
+    return vector
 
 
 def draw_classical_sample(

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -379,14 +380,40 @@ def test_outcome_law_rejects_a_modulus_beyond_2_to_the_26_before_any_array():
 
 
 class _FixedUniforms:
-    """A generator stub: random() returns the given uniforms in turn, and uniform_vector draws from bit_generator."""
+    """A generator stub: its bit generator's next_double (field_bv's uniform) returns the given uniforms in turn;
+    next_uint32 (uniform_vector's words) is a real generator's."""
 
     def __init__(self, uniforms, key: int):
-        self._uniforms = iter(uniforms)
-        self.bit_generator = make_rng(key).bit_generator
+        uniforms, ct = iter(uniforms), make_rng(key).bit_generator.ctypes
+        self.bit_generator = SimpleNamespace(ctypes=ct._replace(next_double=lambda state: next(uniforms)))
 
-    def random(self) -> float:
-        return next(self._uniforms)
+
+@pytest.mark.parametrize("count", [3_000_000_000, 4_000_000_000])
+def test_numpy_histogram_counts_are_stored_as_python_ints(count):
+    # the law squares each count: 3e9**2 overflows int64 (a wrong, negative mass), 4e9 does not fit in a C long
+    spec = SampleSpec(fp=FieldParams(101), n=5, s=(1, 2, 3, 4, 5), v=count, noise=NoiseModel.none(),
+                      histogram={np.int64(0): np.int64(count)})
+    assert [type(x) for x in (*spec.histogram, *spec.histogram.values())] == [int, int]
+    assert outcome_distribution(spec).correct_mass == 100 * count / 101**6  # (q - 1) v / q^(n+1), rounded once
+
+
+def test_field_bv_redraws_a_wrong_candidate_that_is_the_secret():
+    # q^n = 3 and correct mass 0: one uniform, then vectors until one is not the secret, in that order
+    spec = SampleSpec(fp=FieldParams(3), n=1, s=(1,), v=3, noise=NoiseModel.bounded_uniform(1),
+                      histogram={-1: 1, 0: 1, 1: 1})
+    law = outcome_distribution(spec)
+    assert law.correct_mass == 0.0 and law.p_bot == 1 / 3
+
+    def reference(key):  # the calls field_bv makes on a wrong outcome whose first vector is the secret
+        rng = make_rng(key)
+        return rng.random(), uniform_vector(3, 1, rng), uniform_vector(3, 1, rng), rng
+
+    key = next(k for k in itertools.count()
+               if (r := reference(k))[0] >= law.p_bot and r[1] == spec.s and r[2] != spec.s)
+    _, _, second, after = reference(key)
+    rng = make_rng(key)
+    assert field_bv(spec, rng).secret == second
+    assert _state_of(rng) == _state_of(after)
 
 
 def test_field_bv_decides_by_the_exact_masses_where_the_float_law_differs():
@@ -533,6 +560,8 @@ def test_uniform_vector_is_the_array_draw(q, bit_generator):
     for n in (1, 2, 3, 4, 3, 1, 2, cut, 4, cut + 1, 1, 20, 2, cut - 1):
         assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
         assert scalar.random() == array.random()
+        ct = scalar.bit_generator.ctypes  # field_bv's lock-free uniform
+        assert ct.next_double(ct.state) == array.random()
         assert uniform_vector(q, n, scalar) == tuple(array.integers(0, q, size=n).tolist())
         assert scalar.multinomial(50, [0.2, 0.3, 0.5]).tolist() == array.multinomial(50, [0.2, 0.3, 0.5]).tolist()
         assert _state_of(scalar) == _state_of(array)
