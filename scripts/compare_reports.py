@@ -13,8 +13,9 @@ through ``cli.main``:
     spec and exact oracle), lwr with a wide residual support (p = 64 at
     q = 8191), lwr at q = 11 (wrong candidates redrawn, two test samples) and
     at n = 2, ring-global at m = 3 and at (q, m) = (5, 4) and (29, 4), and
-    lwe-dense on a proper subset (v = 100), with global noise and with
-    gaussian noise, each at every seed, at the golden trial count;
+    lwe-dense on a proper subset (v = 100), with global noise, with
+    gaussian noise and on one and seven samples (v = 1 and v = 7), each at
+    every seed, at the golden trial count;
   - the golden ring-global configuration at ``RING_SWITCH_SEEDS``, whose
     secrets have a zero coordinate, so that ``measure_qft_all`` switches from
     its support passes to a dense block at every register where it can;
@@ -102,13 +103,16 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["lwr-redraw"] = ("--problem", "lwr", "--q", "11", "--n", "1", "--p", "5", "--M", "2")
     configs["lwr-n2"] = ("--problem", "lwr", "--q", "101", "--n", "2", "--p", "8", "--M", "1")  # two-coordinate vectors
     configs["ring-global-m3"] = ("--problem", "ring-global", "--q", "13", "--m", "3", "--noise", "global")
-    # m = 4 below and above the golden q = 13: ring states whose first pass keeps the live columns only
+    # m = 4 below and above the golden q = 13: ring states whose register-0 block keeps the live columns only
     configs["ring-global-q5"] = ("--problem", "ring-global", "--q", "5", "--m", "4", "--noise", "global")
     configs["ring-global-q29"] = ("--problem", "ring-global", "--q", "29", "--m", "4", "--noise", "global")
     # later flags override the golden ones
     configs["lwe-dense-v100"] = (*configs["lwe-dense"], "--v", "100")
     configs["lwe-dense-global"] = (*configs["lwe-dense"], "--noise", "global", "--k", "1")
     configs["lwe-dense-gaussian"] = (*configs["lwe-dense"], "--noise", "gaussian", "--sigma", "1", "--k", "1")
+    # one entry, which passes every register, and seven, whose block is often built after register 0
+    configs["lwe-dense-v1"] = (*configs["lwe-dense"], "--v", "1")
+    configs["lwe-dense-v7"] = (*configs["lwe-dense"], "--v", "7")
     out = [
         (f"experiment {name} seed {seed}",
          ["experiment", *flags, "--trials", str(golden["TRIALS"]), "--seed", str(seed)])

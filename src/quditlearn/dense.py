@@ -17,17 +17,18 @@ The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
 transformed state.  A sample state built by ``DenseState.uniform`` holds
 only its support, the checked, read-only flat indices of its equal nonzero
-amplitudes.  When the support fills at most a q-th of register 0's columns,
-``measure_qft_all`` measures it on its (index, value) entries for as long
-as their columns after the current register stay distinct: each such pass
-is a gather, and since no two entries interfere, every row holds exactly a
-q-th of the kept mass.  At the first register whose columns collide, the
-entries are scattered once into a block of the amplitudes still to be
-measured, and each later pass is one real product on the real and imaginary
-halves of that block.  Any other support, or one that collides at register
-0, starts with a dense first pass built from the support (only its live
-columns, when it is compact), so measuring a sample state never builds its
-amplitude vector.
+amplitudes, and ``measure_qft_all`` has one path for it, in three steps.
+When the support fills at most a q-th of register 0's columns, it is
+measured on its (index, value) entries for as long as their columns after
+the current register stay distinct: each such support pass is a gather,
+and since no two entries interfere, every row holds exactly a q-th of the
+kept mass.  At the register where the passes stop (register 0 for any
+other support), the entries are scattered once into one block, which keeps
+only the live columns when the entries fill at most a q-th of that
+register's columns.  Each dense pass from there on is one real product on
+the real and imaginary halves of the block, so measuring a sample state
+never builds its amplitude vector.  A state that holds amplitudes and no
+support, which no learner builds, is measured by the reference below.
 Among the learners only the SIS screening, whose operations act on
 amplitudes, reads that vector; it is built and norm-checked on first read,
 and the cross-checks read it too.  The rows agree with ``f @ block`` to
@@ -187,37 +188,6 @@ class DenseState:
             state = state.apply_qft(register)
         return state
 
-    def _first_pass(self, split: tuple | None = None) -> tuple:
-        """(live, rows): F applied to register 0, as the real 2q x k array of ``_real_qft``.
-
-        A state built by ``uniform`` builds its real block from the support.
-        When at most a q-th of the columns hold amplitude, the block keeps
-        only those, the sorted ``live`` columns of the support's ``_split``
-        (``split``, when the caller has it); else ``live`` is None.  Entries
-        sharing a column merge, and a repeated support index leaves the
-        block's mass below 1, which the caller's norm check catches.  Any
-        other state transforms [Re; Im] of its amplitudes.  Reshaped to q
-        rows, row x of ``rows`` is Re then Im of (F @ block)[x].
-        """
-        q = self.fp.q
-        step = _real_qft(q)
-        support = self._support
-        if support is None:
-            amps = self.amps.reshape(q, -1)
-            return None, step @ np.concatenate((amps.real, amps.imag))
-        columns = q ** (self.num_registers - 1)
-        value = 1.0 / math.sqrt(support.size)
-        if support.size * q <= columns:
-            row, column, mask = split or _split(support, columns)
-            live = mask.nonzero()[0]
-            block = np.zeros((q, live.size))
-            block[row, live.searchsorted(column)] = value
-        else:
-            live, block = None, np.zeros(q * columns)
-            block[support] = value
-            block = block.reshape(q, columns)
-        return live, step[:, :q] @ block  # the block's imaginary half is zero
-
     def measure_qft_all(self, rng: np.random.Generator) -> tuple[int, ...]:
         """The outcome of ``apply_qft_all().measure_all(rng)``, from the same single uniform.
 
@@ -228,30 +198,36 @@ class DenseState:
         u * total picks row x, the mass of the rows before x is subtracted
         from the target, and the next register continues on row x alone.
 
-        A state built by ``uniform`` whose support fills at most a q-th of
-        register 0's columns is measured on its (index, value) entries while
-        their columns after the current register stay distinct (``_split``).
-        Such a support pass is a gather: F on register r maps an entry
-        (row, column) to F[x, row] * value at column in row x, and as no two
-        entries share a column, every row holds exactly a q-th of the kept
-        mass.  At the first register whose columns collide, the entries are
-        scattered once into the [Re; Im] block of the amplitudes still to be
-        measured, and the dense passes continue from it.  Each dense pass is
-        one real product: a block X is held as [Re X; Im X], ``_real_qft(q)``
-        applies F to it, and row x of the result is the next register's
-        block in the same form.  Any other state starts with a dense pass
-        (``_first_pass``), whose total is the state's norm check; a support
-        pass's entries are distinct indices, so their total is exact.  The
-        rows agree with ``f @ block`` to rounding, and the CDF is summed in
-        another order than the reference's, so the two differ only when u
-        falls within rounding error of a boundary.
+        A state built by ``uniform`` is measured on its support, as (index,
+        value) entries, in three steps.  First, while the support fills at
+        most a q-th of register 0's columns and the entries' columns after the
+        current register stay distinct (``_split``), each register is a
+        support pass: a gather, since F on register r maps an entry (row,
+        column) to F[x, row] * value at column in row x, and as no two entries
+        share a column, every row holds exactly a q-th of the kept mass.
+        Second, at the register where the passes stop (0 for any other
+        support), the entries are scattered once into one block
+        (``_block_pass``), which keeps only the live columns when the entries
+        fill at most a q-th of that register's columns.  Such a compact block
+        fits its entries in its columns, so the passes reached its register
+        and its ``split`` is theirs.  Third, each dense pass is one real
+        product: a block X is held as [Re X; Im X], ``_real_qft(q)`` applies F
+        to it, and row x of the result is the next register's block in the
+        same form.  A support pass's entries are distinct indices, so their
+        total is exact; a block at register 0 sums the state's mass, which is
+        its norm check.  The rows agree with ``f @ block`` to rounding, and
+        the CDF is summed in another order than the reference's, so the two
+        differ only when u falls within rounding error of a boundary.  A state
+        that holds amplitudes and no support, which no learner builds, is
+        measured by the reference itself.
         """
-        q, m = self.fp.q, self.num_registers
-        index, split, live, outcome = self._support, None, None, []
-        if index is not None and index.size * q <= q ** (m - 1):
-            value = 1.0 / math.sqrt(index.size)
+        q, m, index = self.fp.q, self.num_registers, self._support
+        if index is None:
+            return self.apply_qft_all().measure_all(rng)
+        value, split, outcome = np.float64(1.0 / math.sqrt(index.size)), None, []  # a block takes value.dtype
+        if index.size * q <= q ** (m - 1):
             # the support passes; more entries than columns always share one
-            while index.size <= (columns := q ** (m - 1 - len(outcome))):
+            while len(outcome) < m and index.size <= (columns := q ** (m - 1 - len(outcome))):
                 split = _split(index, columns)
                 if np.count_nonzero(split[2]) < index.size:
                     break
@@ -265,22 +241,17 @@ class DenseState:
                     target -= cdf[x - 1]
                 outcome.append(x)
                 value = qft_matrix(q)[x].take(row) * value
-        step, start = _real_qft(q), len(outcome)
-        if start:  # the columns collide: scatter the entries once, into [Re; Im]
-            kept = np.zeros(q ** (m - start), dtype=np.complex128)
-            kept[index] = value
-            kept = np.concatenate((kept.real, kept.imag))
-        else:
-            live, rows = self._first_pass(split)
-            rows = rows.reshape(q, -1)
-            cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
-            if abs(cdf[-1] - 1.0) > NORM_TOL:
-                raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
-            target = rng.random() * cdf[-1]
-        for register in range(start, m):
-            if register:
+        step, start, columns = _real_qft(q), len(outcome), q ** (m - 1 - len(outcome))
+        for register in range(start, m):  # none left when a single entry passed every register
+            if register == start:
+                live, rows = _block_pass(q, index, value, columns, split)
+            else:
                 rows = (step @ kept.reshape(2 * q, -1)).reshape(q, -1)
-                cdf = list(accumulate(np.vecdot(rows, rows).tolist()))
+            cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
+            if not register:
+                if abs(cdf[-1] - 1.0) > NORM_TOL:
+                    raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
+                target = rng.random() * cdf[-1]
             # rounding can leave the target past this row's mass; clamp as weighted_index does
             x = min(bisect_right(cdf, target), q - 1)
             if x:
@@ -288,10 +259,9 @@ class DenseState:
             outcome.append(x)
             kept = rows[x]
             if live is not None:  # scatter Re then Im over the live columns into a zeroed [Re; Im]
-                columns = q ** (m - 1)
                 kept = np.zeros(2 * columns)
                 kept[np.concatenate((live, live + columns))] = rows[x]
-                live = rows = None  # the first pass's rows are not held with the next pass's
+                live = rows = None  # the block pass's rows are not held with the next pass's
         return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":
@@ -322,6 +292,32 @@ class DenseState:
         """Sample a full computational-basis outcome from |amplitude|^2."""
         idx = weighted_index(self.probabilities(), rng)
         return tuple(int(x) for x in np.unravel_index(idx, self.shape))
+
+
+def _block_pass(q: int, index: np.ndarray, value: np.generic | np.ndarray, columns: int, split) -> tuple:
+    """(live, rows): F applied to the first register of the entries (index, value), flat
+    indices into q rows of ``columns`` columns, as the real 2q x k array of ``_real_qft``.
+
+    When the entries fill at most a q-th of the columns, the block keeps only
+    the sorted ``live`` columns that they fill, read from ``split``, their
+    ``_split`` over ``columns``; else it keeps every column and ``live`` is
+    None.  Entries sharing a column merge, so a repeated index leaves the
+    block's mass short, which the caller's norm check catches.  Reshaped to q
+    rows, row x of ``rows`` is Re then Im of (F @ block)[x].
+    """
+    if index.size * q <= columns:
+        row, column, mask = split
+        live = mask.nonzero()[0]
+        block = np.zeros((q, live.size), value.dtype)
+        block[row, live.searchsorted(column)] = value
+    else:
+        live, block = None, np.zeros(q * columns, value.dtype)
+        block[index] = value
+        block = block.reshape(q, columns)
+    if value.dtype.kind == "f":  # a real block's imaginary half is zero
+        return live, (_real_qft(q)[:, :q] @ block).reshape(q, -1)
+    block = np.concatenate((block.real, block.imag))  # rebound, so the complex block is not held with the product
+    return live, (_real_qft(q) @ block).reshape(q, -1)
 
 
 def _split(index: np.ndarray, columns: int) -> tuple:

@@ -103,23 +103,24 @@ def test_qft_then_inverse_restores_state():
 
 
 def _states_to_measure(q: int, registers: int, key: int) -> list[DenseState]:
-    """A random dense state, a random sparse one (about 70% zero amplitudes) and a basis state."""
-    local = make_rng(key)
-    dense = random_state(q, registers, key)
-    sparse = dense.amps * (local.random(dense.amps.size) < 0.3)
-    sparse[local.integers(sparse.size)] = 1.0  # at least one nonzero amplitude
-    basis = np.zeros(q**registers, dtype=np.complex128)
-    basis[local.integers(basis.size)] = 1.0
-    fp = FieldParams(q)
-    sparse = DenseState(fp, registers, sparse / np.linalg.norm(sparse))
-    return [dense, sparse, DenseState(fp, registers, basis)] + _sample_states(q, registers, key)
+    """Uniform states on every index, on a random subset (about 30% of them) and on one index.
+
+    A state that holds amplitudes and no support is measured by the reference
+    itself, so only states with a support test ``measure_qft_all`` here.
+    """
+    local, size, fp = make_rng(key), q**registers, FieldParams(q)
+    subset = (local.random(size) < 0.3).nonzero()[0]
+    if subset.size == 0:
+        subset = local.integers(size, size=1)
+    supports = (np.arange(size), subset, local.integers(size, size=1))
+    return [DenseState.uniform(fp, registers, flat) for flat in supports] + _sample_states(q, registers, key)
 
 
 RING_CONDUCTOR = {5: 4, 7: 3, 13: 4}  # m | q - 1 with phi(m) = 2, so 4 registers
 
 
 def _sample_states(q: int, registers: int, key: int) -> list[DenseState]:
-    """Sample states with a recorded support, on both sides of the compact first pass.
+    """Sample states with a recorded support, on both sides of the compact rule at register 0.
 
     An LWE sample over F_q^n has q^n register-0 columns: v = q^(n-1) takes the
     compact pass, v = q^n the full one.  Ring samples are compact, with
@@ -127,7 +128,7 @@ def _sample_states(q: int, registers: int, key: int) -> list[DenseState]:
     register's columns stay distinct while phi(s) is nonzero on it and on every
     register before it, so their support passes stop at registers 0, 1 and 2:
     with phi(s)_0 = 0 the q values of phi(a)_0 that agree elsewhere share a
-    column at once, which the compact first pass must merge.
+    column at once, which the live-column block at register 0 must merge.
     """
     fp, n, local = FieldParams(q), registers - 1, make_rng(key)
     noise = NoiseModel.bernoulli(0.25) if q == 2 else NoiseModel.bounded_uniform(1)
@@ -164,15 +165,14 @@ def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
         def random(self):
             return self.u
 
-    def transform(block):  # [Re X; Im X] -> rows of F @ X, formed and summed as measure_qft_all does
-        rows = (_real_qft(3) @ block).reshape(3, -1)
-        return rows, np.vecdot(rows, rows).cumsum()
-
-    for key in range(100):
-        state = random_state(3, 2, key)
-        amps = state.amps.reshape(3, 3)
-        rows, first = transform(np.concatenate((amps.real, amps.imag)))
-        row_total = transform(rows[0].reshape(6, 1))[1][-1]
+    # Two or more entries fill more than a q-th of register 0's 3 columns, so the
+    # block is built at register 0 and both registers are dense passes.
+    for flat in itertools.chain.from_iterable(itertools.combinations(range(9), size) for size in range(2, 10)):
+        state = DenseState.uniform(FieldParams(3), 2, flat)
+        _, rows = dense._block_pass(3, state.support, np.float64(1.0 / math.sqrt(len(flat))), 3, None)
+        first = np.vecdot(rows, rows).cumsum()  # formed and summed as measure_qft_all does
+        second = (_real_qft(3) @ rows[0].reshape(6, 1)).reshape(3, -1)
+        row_total = np.vecdot(second, second).sum()
         u = np.nextafter(first[0] / first[-1], 0.0)
         if row_total <= u * first[-1] < first[0]:
             assert state.measure_qft_all(FixedUniform(float(u))) == (0, 2)
@@ -181,7 +181,7 @@ def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
 
 
 def test_sample_states_cover_both_first_passes_and_shared_columns():
-    kinds = set()  # (compact first pass, support entries sharing a column) per state measured above
+    kinds = set()  # (compact at register 0, support entries sharing a column) per state measured above
     for q, registers in ((3, 6), (5, 4), (7, 4), (13, 4)):
         for state in _sample_states(q, registers, key=1000 * q + registers):
             columns = state.amps.size // q
@@ -312,22 +312,29 @@ def test_a_repeated_support_index_fails_the_norm_check_in_both_first_passes():
 @pytest.mark.parametrize("q, m", [(13, 4), (29, 4)])
 def test_a_ring_sample_allocates_no_state_sized_array(q, m):
     emb = RingEmbedding.build(FieldParams(q), m)
-    s, rng = emb.unembed((3, 5)), make_rng(q)
-    ring_sample_state(emb, s, (2, 1)).measure_qft_all(rng)  # warm the memoized matrices
-    tracemalloc.start()
-    try:
-        ring_sample_state(emb, s, (1, 2)).measure_qft_all(rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < q ** (2 * emb.n) * 16 / q
+    qth = q ** (2 * emb.n) * 16 / q  # a q-th of the state's complex amplitudes, in bytes
+    # phi(s) = (3, 5) passes two registers; (0, 7) stops at register 0, with a live-column block, and
+    # (7, 0) at register 1, with a full one.  After either block, the dense pass at register 1 holds its
+    # input and its output, each a q-th of the state.
+    for phi_s, bound in (((3, 5), qth), ((0, 7), 3 * qth), ((7, 0), 3 * qth)):
+        s, rng = emb.unembed(phi_s), make_rng(q)
+        ring_sample_state(emb, s, (2, 1)).measure_qft_all(rng)  # warm the memoized matrices
+        tracemalloc.start()
+        try:
+            ring_sample_state(emb, s, (1, 2)).measure_qft_all(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, phi_s
 
 
 def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
     """``count`` drawn sample states of one builder, each from fresh draws.
 
-    lwe-subset (v = 40 <= 7^2) and ring take the compact first pass; the
-    others take the full one.
+    lwe-subset (v = 40 <= 7^2), ring and lwe-sparse (v = 7) fill at most a
+    q-th of register 0's columns, so their support passes run; lwe-single
+    (v = 1) passes every register.  The others build a full block at
+    register 0.
     """
     rng = make_rng(key)
     if builder == "ring":
@@ -342,27 +349,48 @@ def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
         "lwe-subset": (7, 3, 40, NoiseModel.gaussian(1.0, 2)),
         "lwe-global": (7, 3, 343, NoiseModel.global_shift(NoiseModel.bounded_uniform(2))),
         "lpn": (2, 8, 256, NoiseModel.bernoulli(0.1)),
+        "lwe-single": (7, 3, 1, NoiseModel.bounded_uniform(1)),
+        "lwe-sparse": (7, 3, 7, NoiseModel.bounded_uniform(1)),
     }[builder]
     draw = spec_drawer(FieldParams(q), n, tuple(int(x) for x in rng.integers(q, size=n)), v, noise)
     return [materialize_dense(draw(rng)) for _ in range(count)]
 
 
-BUILDERS = ("lwe-full", "lwe-subset", "lwe-global", "lpn", "ring", "sis")
+BUILDERS = ("lwe-full", "lwe-subset", "lwe-global", "lpn", "ring", "sis", "lwe-single", "lwe-sparse")
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
-def test_the_support_built_first_pass_matches_the_complex_product(builder):
-    compact = set()
-    for state in _builder_states(builder, 1000, key=len(builder)):
-        q = state.fp.q
-        live, rows = state._first_pass()
-        assert state._amps is None  # the first pass reads the support only
-        rows = rows.reshape(q, 2, -1)
-        first = np.zeros((q, state.amps.size // q), dtype=np.complex128)
-        first[:, slice(None) if live is None else live] = rows[:, 0] + 1j * rows[:, 1]
-        assert np.abs(first - qft_matrix(q) @ state.amps.reshape(q, -1)).max() <= 1e-15
-        compact.add(live is not None)
-    assert compact == {builder in ("lwe-subset", "ring")}
+def test_the_support_built_first_pass_matches_the_complex_product(builder, monkeypatch):
+    blocks = []  # (columns, live, rows) per _block_pass call of measure_qft_all
+
+    def recording(q, index, value, columns, split):
+        blocks.append((columns, *block_pass(q, index, value, columns, split)))
+        return blocks[-1][1:]
+
+    block_pass = dense._block_pass
+    monkeypatch.setattr(dense, "_block_pass", recording)
+    kinds = set()  # (built after register 0, compact) per block
+    for seed, state in enumerate(_builder_states(builder, 1000, key=len(builder))):
+        blocks.clear()
+        outcome = state.measure_qft_all(make_rng(seed))
+        assert state._amps is None  # the passes and the block read the support only
+        assert len(blocks) == (builder != "lwe-single")  # one block, unless every register was a support pass
+        q, f = state.fp.q, qft_matrix(state.fp.q)
+        for columns, live, rows in blocks:
+            kept = state.amps  # the slice that the support passes before the block selected
+            for x in outcome[:state.num_registers - 1 - round(math.log(columns, q))]:
+                kept = (f @ kept.reshape(q, -1))[x]
+            rows = rows.reshape(q, 2, -1)
+            first = np.zeros((q, columns), dtype=np.complex128)
+            first[:, slice(None) if live is None else live] = rows[:, 0] + 1j * rows[:, 1]
+            assert np.abs(first - f @ kept.reshape(q, -1)).max() <= 1e-15
+            kinds.add((kept.size < state.amps.size, live is not None))
+    assert kinds == {
+        "lwe-subset": {(False, True), (True, False)},
+        "ring": {(False, True), (True, False)},
+        "lwe-single": set(),
+        "lwe-sparse": {(False, True), (True, True), (True, False)},
+    }.get(builder, {(False, False)})
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -419,7 +447,7 @@ def test_amplitudes_cannot_be_reassigned():
     for state in (uniform, random_state(5, 3, key=19)):
         with pytest.raises(AttributeError):
             state.amps = np.eye(1, 125, dtype=np.complex128).ravel()
-        with pytest.raises(AttributeError):  # the checked support is the first pass's only input
+        with pytest.raises(AttributeError):  # the checked support is the measurement's only input
             state.support = np.array([-1, 3])
 
 
