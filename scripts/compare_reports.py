@@ -16,9 +16,10 @@ through ``cli.main``:
     lwe-dense on a proper subset (v = 100), with global noise, with
     gaussian noise and on one and seven samples (v = 1 and v = 7), each at
     every seed, at the golden trial count;
-  - the golden ring-global configuration at ``RING_SWITCH_SEEDS``, whose
-    secrets have a zero coordinate, so that ``measure_qft_all`` switches from
-    its support passes to a dense block at every register where it can;
+  - the golden ring-global configuration and ring-global at (29, 4) at their
+    ``RING_SWITCH_SEEDS``, whose secrets have a zero coordinate, so that
+    ``measure_qft_all`` builds a live block where it can and turns its chosen
+    row back into entries;
   - ``verify`` and ``verify --inject-fault``;
   - the golden ``learn`` runs;
   - each usage rule in ``USAGE_ERRORS`` once, as both ``experiment`` and
@@ -74,9 +75,10 @@ USAGE_ERRORS = {
 }
 
 
-# (q, m) = (13, 4) secrets with phi(s) = (5, 0), (0, 7) and (0, 0): the support passes stop at register 1, 0
-# and 0, where a secret with both coordinates nonzero passes two registers
-RING_SWITCH_SEEDS = (30, 32, 56)
+# Secrets with phi(s) = (5, 0), (0, 7) and (0, 0) at (q, m) = (13, 4), and (26, 0), (0, 10) and (0, 0) at
+# (29, 4): their gathers stop at register 1, 0 and 0 with a live block, whose chosen row is entries again,
+# where a secret with both coordinates nonzero is gathered at two registers and then takes a full block
+RING_SWITCH_SEEDS = {"ring-global": (30, 32, 56), "ring-global-q29": (10, 14, 56)}
 
 
 def golden_tables() -> dict:
@@ -119,9 +121,9 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
         for name, flags in configs.items()
         for seed in seeds
     ]
-    out += [(f"experiment ring-global seed {seed}",
-             ["experiment", *configs["ring-global"], "--trials", str(golden["TRIALS"]), "--seed", str(seed)])
-            for seed in RING_SWITCH_SEEDS]
+    out += [(f"experiment {name} seed {seed}",
+             ["experiment", *configs[name], "--trials", str(golden["TRIALS"]), "--seed", str(seed)])
+            for name, seeds in RING_SWITCH_SEEDS.items() for seed in seeds]
     out += [("verify", ["verify"]), ("verify --inject-fault", ["verify", "--inject-fault"])]
     out += [(f"learn {name}", ["learn", *argv]) for name, (argv, _) in golden["LEARN_RUNS"].items()]
     out += [(f"{command} usage {name}", [command, *flags])

@@ -17,18 +17,17 @@ The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
 transformed state.  A sample state built by ``DenseState.uniform`` holds
 only its support, the checked, read-only flat indices of its equal nonzero
-amplitudes, and ``measure_qft_all`` has one path for it, in three steps.
-When the support fills at most a q-th of register 0's columns, it is
-measured on its (index, value) entries for as long as their columns after
-the current register stay distinct: each such support pass is a gather,
-and since no two entries interfere, every row holds exactly a q-th of the
-kept mass.  At the register where the passes stop (register 0 for any
-other support), the entries are scattered once into one block, which keeps
-only the live columns when the entries fill at most a q-th of that
-register's columns.  Each dense pass from there on is one real product on
-the real and imaginary halves of the block, so measuring a sample state
-never builds its amplitude vector.  A state that holds amplitudes and no
-support, which no learner builds, is measured by the reference below.
+amplitudes, and ``measure_qft_all`` measures it in one loop over registers
+that holds the kept slice as (index, value) entries, starting from the
+support, or as a dense row.  Entries whose columns after the register are
+distinct take a gather: no two of them interfere, so every row holds
+exactly a q-th of the kept mass.  Other entries are scattered into one
+block: over the live columns when those number at most a q-th of the
+register's columns, and the chosen row is entries again; over every column
+otherwise, and the chosen row is a dense row.  A dense row takes one real
+product on its real and imaginary halves, so measuring a sample state never
+builds its amplitude vector.  A state that holds amplitudes and no support,
+which no learner builds, is measured by the reference below.
 Among the learners only the SIS screening, whose operations act on
 amplitudes, reads that vector; it is built and norm-checked on first read,
 and the cross-checks read it too.  The rows agree with ``f @ block`` to
@@ -198,56 +197,67 @@ class DenseState:
         u * total picks row x, the mass of the rows before x is subtracted
         from the target, and the next register continues on row x alone.
 
-        A state built by ``uniform`` is measured on its support, as (index,
-        value) entries, in three steps.  First, while the support fills at
-        most a q-th of register 0's columns and the entries' columns after the
-        current register stay distinct (``_split``), each register is a
-        support pass: a gather, since F on register r maps an entry (row,
-        column) to F[x, row] * value at column in row x, and as no two entries
-        share a column, every row holds exactly a q-th of the kept mass.
-        Second, at the register where the passes stop (0 for any other
-        support), the entries are scattered once into one block
-        (``_block_pass``), which keeps only the live columns when the entries
-        fill at most a q-th of that register's columns.  Such a compact block
-        fits its entries in its columns, so the passes reached its register
-        and its ``split`` is theirs.  Third, each dense pass is one real
-        product: a block X is held as [Re X; Im X], ``_real_qft(q)`` applies F
-        to it, and row x of the result is the next register's block in the
-        same form.  A support pass's entries are distinct indices, so their
-        total is exact; a block at register 0 sums the state's mass, which is
-        its norm check.  The rows agree with ``f @ block`` to rounding, and
-        the CDF is summed in another order than the reference's, so the two
-        differ only when u falls within rounding error of a boundary.  A state
-        that holds amplitudes and no support, which no learner builds, is
-        measured by the reference itself.
+        A state built by ``uniform`` is measured in one loop over registers,
+        which holds the kept slice either as (index, value) entries, starting
+        from the support, or as a dense row.  Entries are split into each
+        flat index's row (this register's value) and column (the registers
+        after it) while they number at most the register's columns; at
+        register 0 only while they fill at most a q-th of them, so a
+        full-space LWE support goes straight to a full block.  When no two of
+        them share a column, the register is a gather: F maps an entry (row,
+        column) to F[x, row] * value at column in row x, and as no two
+        entries interfere, every row holds exactly a q-th of the kept mass.
+        Otherwise they are scattered into one block, which keeps only the
+        live columns when those number at most a q-th of the register's
+        columns, and every column else.  ``_real_qft(q)`` applies F to the
+        block's real halves [Re X; Im X] (a real block, at register 0, has
+        no Im half), and row x of the product is Re then Im of (F @ X)[x].
+        The chosen row of a live block is entries again, over its live
+        columns; the chosen row of a full block is a dense row, to which F is
+        applied in the same way at each later register.  The kept mass is
+        exact while every register was a gather; a block at register 0 sums
+        the state's mass, which is its norm check.  The rows agree with ``f
+        @ block`` to rounding, and the CDF is summed in another order than
+        the reference's, so the two differ only when u falls within rounding
+        error of a boundary.  A state that holds amplitudes and no support,
+        which no learner builds, is measured by the reference itself.
         """
         q, m, index = self.fp.q, self.num_registers, self._support
         if index is None:
             return self.apply_qft_all().measure_all(rng)
-        value, split, outcome = np.float64(1.0 / math.sqrt(index.size)), None, []  # a block takes value.dtype
-        if index.size * q <= q ** (m - 1):
-            # the support passes; more entries than columns always share one
-            while len(outcome) < m and index.size <= (columns := q ** (m - 1 - len(outcome))):
-                split = _split(index, columns)
-                if np.count_nonzero(split[2]) < index.size:
-                    break
-                row, index, _ = split
-                denominator = q ** (len(outcome) + 1)  # r passes keep mass q^-r, a q-th of it per row
-                cdf = [x / denominator for x in range(1, q + 1)]
-                if not outcome:
-                    target = rng.random()  # times cdf[-1] = 1.0
-                x = min(bisect_right(cdf, target), q - 1)
-                if x:
-                    target -= cdf[x - 1]
-                outcome.append(x)
-                value = qft_matrix(q)[x].take(row) * value
-        step, start, columns = _real_qft(q), len(outcome), q ** (m - 1 - len(outcome))
-        for register in range(start, m):  # none left when a single entry passed every register
-            if register == start:
-                live, rows = _block_pass(q, index, value, columns, split)
+        value, kept, outcome, step = np.float64(1.0 / math.sqrt(index.size)), None, [], _real_qft(q)
+        denominator = 1  # the kept mass is 1 / denominator, exact while every register was a gather
+        for register in range(m):
+            live, distinct = None, False
+            if kept is not None:
+                rows = kept.reshape(2 * q, -1)
             else:
-                rows = (step @ kept.reshape(2 * q, -1)).reshape(q, -1)
-            cdf = list(accumulate(np.vecdot(rows, rows).tolist()))  # cumsum's sums, as Python floats
+                columns = q ** (m - 1 - register)
+                # more entries than columns always share one, and at register 0 more than a q-th of them take a block
+                if index.size <= (columns if register else columns // q):
+                    row, column = np.divmod(index, columns)
+                    mask = np.zeros(columns, dtype=bool)
+                    mask[column] = True
+                    count = np.count_nonzero(mask)
+                    distinct = count == index.size
+                    if not distinct and count * q <= columns:
+                        live = mask.nonzero()[0]
+                # a block, rebound to its product below; a repeated index merges in it, so the norm check fails
+                if live is not None:
+                    rows = np.zeros((q, live.size), value.dtype)
+                    rows[row, live.searchsorted(column)] = value
+                elif not distinct:
+                    rows = np.zeros((q, columns), value.dtype)
+                    rows.reshape(-1)[index] = value
+                if not distinct and value.dtype.kind == "c":
+                    rows = np.concatenate((rows.real, rows.imag))
+            if distinct:
+                denominator *= q
+                cdf = [x / denominator for x in range(1, q + 1)]
+            else:
+                rows = ((step if len(rows) > q else step[:, :q]) @ rows).reshape(q, -1)  # a real block has no Im half
+                masses = np.vecdot(rows, rows).tolist()
+                cdf = list(accumulate(masses))  # cumsum's sums, as Python floats
             if not register:
                 if abs(cdf[-1] - 1.0) > NORM_TOL:
                     raise StateError(f"norm not preserved: sum |amp|^2 = {cdf[-1]!r}")
@@ -257,11 +267,13 @@ class DenseState:
             if x:
                 target -= cdf[x - 1]
             outcome.append(x)
-            kept = rows[x]
-            if live is not None:  # scatter Re then Im over the live columns into a zeroed [Re; Im]
-                kept = np.zeros(2 * columns)
-                kept[np.concatenate((live, live + columns))] = rows[x]
-                live = rows = None  # the block pass's rows are not held with the next pass's
+            if distinct:
+                index, value = column, qft_matrix(q)[x].take(row) * value
+            elif live is None:
+                kept = rows[x]
+            else:  # the chosen row, Re then Im over the live columns, is entries again
+                index, value = live, rows[x].reshape(2, -1).T.copy().view(np.complex128).ravel()
+                denominator = 1 / masses[x] if masses[x] else math.inf  # only the clamp picks a row with no mass
         return tuple(outcome)
 
     def apply_add_multiple(self, source: int, target: int, factor: int) -> "DenseState":
@@ -292,42 +304,6 @@ class DenseState:
         """Sample a full computational-basis outcome from |amplitude|^2."""
         idx = weighted_index(self.probabilities(), rng)
         return tuple(int(x) for x in np.unravel_index(idx, self.shape))
-
-
-def _block_pass(q: int, index: np.ndarray, value: np.generic | np.ndarray, columns: int, split) -> tuple:
-    """(live, rows): F applied to the first register of the entries (index, value), flat
-    indices into q rows of ``columns`` columns, as the real 2q x k array of ``_real_qft``.
-
-    When the entries fill at most a q-th of the columns, the block keeps only
-    the sorted ``live`` columns that they fill, read from ``split``, their
-    ``_split`` over ``columns``; else it keeps every column and ``live`` is
-    None.  Entries sharing a column merge, so a repeated index leaves the
-    block's mass short, which the caller's norm check catches.  Reshaped to q
-    rows, row x of ``rows`` is Re then Im of (F @ block)[x].
-    """
-    if index.size * q <= columns:
-        row, column, mask = split
-        live = mask.nonzero()[0]
-        block = np.zeros((q, live.size), value.dtype)
-        block[row, live.searchsorted(column)] = value
-    else:
-        live, block = None, np.zeros(q * columns, value.dtype)
-        block[index] = value
-        block = block.reshape(q, columns)
-    if value.dtype.kind == "f":  # a real block's imaginary half is zero
-        return live, (_real_qft(q)[:, :q] @ block).reshape(q, -1)
-    block = np.concatenate((block.real, block.imag))  # rebound, so the complex block is not held with the product
-    return live, (_real_qft(q) @ block).reshape(q, -1)
-
-
-def _split(index: np.ndarray, columns: int) -> tuple:
-    """(row, column, mask): each flat index's row and column over ``columns`` columns, and
-    the mask of the columns they fill, which has as many set as there are indices iff no two
-    share a column."""
-    row, column = np.divmod(index, columns)
-    mask = np.zeros(columns, dtype=bool)
-    mask[column] = True
-    return row, column, mask
 
 
 def _require_normalized(amps: np.ndarray) -> None:

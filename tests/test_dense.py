@@ -154,7 +154,38 @@ def test_measure_qft_all_reproduces_the_full_transform_then_measure(q, registers
         assert fast.random() == reference.random()  # both paths draw one uniform per outcome
 
 
-def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
+class _RecordedProducts:
+    """A real QFT matrix that logs each product ``measure_qft_all`` forms with it as (operand, product)."""
+
+    def __init__(self, matrix: np.ndarray, events: list):
+        self.matrix, self.events = matrix, events
+
+    def __getitem__(self, key):
+        return _RecordedProducts(self.matrix[key], self.events)
+
+    def __matmul__(self, operand: np.ndarray) -> np.ndarray:
+        product = self.matrix @ operand
+        self.events.append((operand, product))
+        return product
+
+
+def _record_registers(monkeypatch, q: int) -> list:
+    """The events of the next ``measure_qft_all`` calls at dimension q, one per register in order:
+    None for a gather (its one ``qft_matrix`` read) and (operand, product) for the one real
+    product of a block or a dense row."""
+    events, real_qft, matrix = [], _real_qft, qft_matrix
+    real_qft(q)  # built now, so that building it reads no F into the log
+
+    def gather(q):
+        events.append(None)
+        return matrix(q)
+
+    monkeypatch.setattr(dense, "qft_matrix", gather)
+    monkeypatch.setattr(dense, "_real_qft", lambda q: _RecordedProducts(real_qft(q), events))
+    return events
+
+
+def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass(monkeypatch):
     # The second register's row total is summed anew and can round below the
     # first register's CDF step; a target between the two then lies past every
     # entry of the row, which must still give an outcome in range.
@@ -165,16 +196,18 @@ def test_measure_qft_all_clamps_a_target_past_the_chosen_rows_mass():
         def random(self):
             return self.u
 
-    # Two or more entries fill more than a q-th of register 0's 3 columns, so the
-    # block is built at register 0 and both registers are dense passes.
+    # Two or more entries fill more than a q-th of register 0's 3 columns, so a
+    # full block is built at register 0 and register 1 is its chosen dense row.
+    events = _record_registers(monkeypatch, 3)
     for flat in itertools.chain.from_iterable(itertools.combinations(range(9), size) for size in range(2, 10)):
         state = DenseState.uniform(FieldParams(3), 2, flat)
-        _, rows = dense._block_pass(3, state.support, np.float64(1.0 / math.sqrt(len(flat))), 3, None)
-        first = np.vecdot(rows, rows).cumsum()  # formed and summed as measure_qft_all does
-        second = (_real_qft(3) @ rows[0].reshape(6, 1)).reshape(3, -1)
+        events.clear()
+        state.measure_qft_all(FixedUniform(0.0))  # row 0 wherever it holds mass
+        first, second = (product.reshape(3, -1) for _, product in events)  # the loop's own rows
+        cdf = np.vecdot(first, first).cumsum()  # summed as measure_qft_all sums them
         row_total = np.vecdot(second, second).sum()
-        u = np.nextafter(first[0] / first[-1], 0.0)
-        if row_total <= u * first[-1] < first[0]:
+        u = np.nextafter(cdf[0] / cdf[-1], 0.0)
+        if row_total <= u * cdf[-1] < cdf[0]:
             assert state.measure_qft_all(FixedUniform(float(u))) == (0, 2)
             return
     pytest.fail("no state of the search has a row total below its CDF step")
@@ -192,37 +225,32 @@ def test_sample_states_cover_both_first_passes_and_shared_columns():
 
 @pytest.mark.parametrize("q", sorted(RING_CONDUCTOR))
 def test_support_passes_stop_where_columns_collide_with_a_qth_of_the_mass_per_row(q, monkeypatch):
-    distinct = []  # per _split call of measure_qft_all: whether no two entries share a column
-
-    def recording(index, columns):
-        parts = split(index, columns)
-        distinct.append(np.count_nonzero(parts[2]) == index.size)
-        return parts
-
-    split = dense._split
-    monkeypatch.setattr(dense, "_split", recording)
     states = _sample_states(q, 4, key=1000 * q + 4)
-    # lwe at v = q^2 fails the compact rule; ring with phi(s) = (0, 3), (3, 0), then both nonzero, two errors each
-    # (the lwe state at v = q is compact, and where its passes stop depends on its drawn subset)
-    families = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2}
+    events = _record_registers(monkeypatch, q)
+    # Per register, "g" for a gather and "b" for a block or dense row.  lwe at v = q^2 fails the compact
+    # rule; ring with phi(s) = (0, 3), (3, 0), then both nonzero, two errors each.  A live block's chosen
+    # row is entries again: with phi(s)_0 = 0 they are q entries whose later columns are distinct, and with
+    # phi(s)_1 = 0 they are q entries in one column, whose one-column block leaves one entry.
+    # (the lwe state at v = q is compact, and where its gathers stop depends on its drawn subset)
+    families = {1: "bbbb", 2: "bggb", 3: "bggb", 4: "gbbg", 5: "gbbg", 6: "ggbb", 7: "ggbb"}
     assert len(states) == 8
     for which, state in enumerate(states):
         support, columns, stop = state.support, q**3, 0
         if support.size * q <= columns:  # the compact rule, then distinct columns after each register
             while np.unique(support % columns).size == support.size:
                 stop, columns = stop + 1, columns // q
-        assert families.get(which, stop) == stop
         for seed in range(5):
-            distinct.clear()
+            events.clear()
             outcome = state.measure_qft_all(make_rng(seed))
-            assert distinct[:stop] == [True] * stop and True not in distinct[stop:]
-            kept = state  # the slice that the pass at each register measures, scaled to norm 1
-            for register in range(stop):
-                transformed = kept.apply_qft(0)
-                marginal = transformed.register_marginal(0) * q**-register  # its rows' mass in the whole state
-                assert np.abs(marginal - q ** -(register + 1)).max() <= 1e-12
-                row = transformed.amps.reshape(q, -1)[outcome[register]] * math.sqrt(q)
-                kept = DenseState(state.fp, 3 - register, row)
+            kinds = "".join("b" if event else "g" for event in events)
+            assert kinds.startswith("g" * stop + "b") and families.get(which, kinds) == kinds
+            kept = state.amps  # the slice that each register measures
+            for kind, x in zip(kinds, outcome):
+                transformed = qft_matrix(q) @ kept.reshape(q, -1)
+                if kind == "g":  # each row holds a q-th of the kept mass
+                    masses = np.vecdot(transformed, transformed).real
+                    assert np.abs(masses * q / np.vdot(kept, kept).real - 1.0).max() <= 1e-12
+                kept = transformed[x]
 
 
 def _scattered(size: int, flat: list[int]) -> np.ndarray:
@@ -313,10 +341,9 @@ def test_a_repeated_support_index_fails_the_norm_check_in_both_first_passes():
 def test_a_ring_sample_allocates_no_state_sized_array(q, m):
     emb = RingEmbedding.build(FieldParams(q), m)
     qth = q ** (2 * emb.n) * 16 / q  # a q-th of the state's complex amplitudes, in bytes
-    # phi(s) = (3, 5) passes two registers; (0, 7) stops at register 0, with a live-column block, and
-    # (7, 0) at register 1, with a full one.  After either block, the dense pass at register 1 holds its
-    # input and its output, each a q-th of the state.
-    for phi_s, bound in (((3, 5), qth), ((0, 7), 3 * qth), ((7, 0), 3 * qth)):
+    # phi(s) = (3, 5) gathers two registers; (0, 7) takes a live block at register 0 and (7, 0) at
+    # register 1, whose chosen rows are entries again, so no pass holds a q-th of the state.
+    for phi_s in ((3, 5), (0, 7), (7, 0)):
         s, rng = emb.unembed(phi_s), make_rng(q)
         ring_sample_state(emb, s, (2, 1)).measure_qft_all(rng)  # warm the memoized matrices
         tracemalloc.start()
@@ -325,22 +352,28 @@ def test_a_ring_sample_allocates_no_state_sized_array(q, m):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, phi_s
+        assert peak < qth, phi_s
 
 
 def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
     """``count`` drawn sample states of one builder, each from fresh draws.
 
-    lwe-subset (v = 40 <= 7^2), ring and lwe-sparse (v = 7) fill at most a
-    q-th of register 0's columns, so their support passes run; lwe-single
-    (v = 1) passes every register.  The others build a full block at
-    register 0.
+    lwe-subset (v = 40 <= 7^2), the ring builders and lwe-sparse (v = 7) fill
+    at most a q-th of register 0's columns, so their columns are tested there;
+    lwe-single (v = 1) is a gather at every register.  The others build a
+    full block at register 0.  ring-phi0 draws ring (13, 4) secrets with
+    phi(s)_0 = 0 and phi(s)_1 != 0, so every one takes a live block at
+    register 0 whose chosen row is gathered at registers 1 and 2.
     """
     rng = make_rng(key)
     if builder == "ring":
         emb = RingEmbedding.build(FieldParams(7), 3)
         return [ring_sample_state(emb, tuple(int(x) for x in rng.integers(7, size=2)),
                                   tuple(int(x) for x in rng.integers(7, size=2))) for _ in range(count)]
+    if builder == "ring-phi0":
+        emb = RingEmbedding.build(FieldParams(13), 4)
+        return [ring_sample_state(emb, emb.unembed((0, int(rng.integers(1, 13)))),
+                                  tuple(int(x) for x in rng.integers(13, size=2))) for _ in range(count)]
     if builder == "sis":
         return [sis_sample_state(FieldParams(7), 2, tuple(int(x) for x in rng.integers(-1, 2, size=2)))
                 for _ in range(count)]
@@ -356,40 +389,40 @@ def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
     return [materialize_dense(draw(rng)) for _ in range(count)]
 
 
-BUILDERS = ("lwe-full", "lwe-subset", "lwe-global", "lpn", "ring", "sis", "lwe-single", "lwe-sparse")
+BUILDERS = ("lwe-full", "lwe-subset", "lwe-global", "lpn", "ring", "sis", "lwe-single", "lwe-sparse", "ring-phi0")
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_the_support_built_first_pass_matches_the_complex_product(builder, monkeypatch):
-    blocks = []  # (columns, live, rows) per _block_pass call of measure_qft_all
-
-    def recording(q, index, value, columns, split):
-        blocks.append((columns, *block_pass(q, index, value, columns, split)))
-        return blocks[-1][1:]
-
-    block_pass = dense._block_pass
-    monkeypatch.setattr(dense, "_block_pass", recording)
-    kinds = set()  # (built after register 0, compact) per block
-    for seed, state in enumerate(_builder_states(builder, 1000, key=len(builder))):
-        blocks.clear()
+    states = _builder_states(builder, 1000, key=len(builder))
+    q, f = states[0].fp.q, qft_matrix(states[0].fp.q)
+    events = _record_registers(monkeypatch, q)
+    kinds = set()  # (built after register 0, live columns only) per block
+    for seed, state in enumerate(states):
+        events.clear()
         outcome = state.measure_qft_all(make_rng(seed))
-        assert state._amps is None  # the passes and the block read the support only
-        assert len(blocks) == (builder != "lwe-single")  # one block, unless every register was a support pass
-        q, f = state.fp.q, qft_matrix(state.fp.q)
-        for columns, live, rows in blocks:
-            kept = state.amps  # the slice that the support passes before the block selected
-            for x in outcome[:state.num_registers - 1 - round(math.log(columns, q))]:
-                kept = (f @ kept.reshape(q, -1))[x]
-            rows = rows.reshape(q, 2, -1)
-            first = np.zeros((q, columns), dtype=np.complex128)
-            first[:, slice(None) if live is None else live] = rows[:, 0] + 1j * rows[:, 1]
-            assert np.abs(first - f @ kept.reshape(q, -1)).max() <= 1e-15
-            kinds.add((kept.size < state.amps.size, live is not None))
+        assert state._amps is None  # the gathers and blocks read the support only
+        assert len(events) == state.num_registers
+        kept, blocks = state.amps, True  # the slice that each register measures; blocks until a full one
+        for register, (event, x) in enumerate(zip(events, outcome)):
+            transformed = f @ kept.reshape(q, -1)
+            if event and blocks:
+                rows = event[1].reshape(q, 2, -1)
+                columns, width = transformed.shape[1], rows.shape[2]
+                live = np.unique(state.support % columns)  # the columns that any entry reaches
+                if width < columns:  # a live block leaves out only columns that hold no amplitude
+                    assert width == live.size and not np.delete(transformed, live, axis=1).any()
+                else:
+                    live, blocks = slice(None), False  # its chosen row is a dense row
+                assert np.abs(rows[:, 0] + 1j * rows[:, 1] - transformed[:, live]).max() <= 1e-15
+                kinds.add((register > 0, width < columns))
+            kept = transformed[x]
     assert kinds == {
         "lwe-subset": {(False, True), (True, False)},
-        "ring": {(False, True), (True, False)},
+        "ring": {(False, True), (True, True), (True, False)},
         "lwe-single": set(),
         "lwe-sparse": {(False, True), (True, True), (True, False)},
+        "ring-phi0": {(False, True), (True, False)},
     }.get(builder, {(False, False)})
 
 
