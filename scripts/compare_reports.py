@@ -12,8 +12,9 @@ through ``cli.main``:
     lwr on the dense engine, lwr above ``ENUMERABLE_LIMIT`` (its histogram
     spec and exact oracle), lwr with a wide residual support (p = 64 at
     q = 8191), lwr at q = 11 (wrong candidates redrawn, two test samples) and
-    at n = 2, ring-global at m = 3 and at (q, m) = (5, 4) and (29, 4), and
-    lwe-dense on a proper subset (v = 100), with global noise, with
+    at n = 2, ring-global at m = 3 and at (q, m) = (5, 4) and (29, 4),
+    lwe-analytic with global noise, and lwe-dense on a proper subset
+    (v = 100), with global noise on all of F_q^n and on that subset, with
     gaussian noise and on one and seven samples (v = 1 and v = 7), each at
     every seed, at the golden trial count;
   - the golden ring-global configuration and ring-global at (29, 4) at their
@@ -109,8 +110,10 @@ def runs(seeds: list[int]) -> list[tuple[str, list[str]]]:
     configs["ring-global-q5"] = ("--problem", "ring-global", "--q", "5", "--m", "4", "--noise", "global")
     configs["ring-global-q29"] = ("--problem", "ring-global", "--q", "29", "--m", "4", "--noise", "global")
     # later flags override the golden ones
+    configs["lwe-analytic-global"] = (*configs["lwe-analytic"], "--noise", "global", "--k", "1")
     configs["lwe-dense-v100"] = (*configs["lwe-dense"], "--v", "100")
     configs["lwe-dense-global"] = (*configs["lwe-dense"], "--noise", "global", "--k", "1")
+    configs["lwe-dense-global-v100"] = (*configs["lwe-dense-global"], "--v", "100")
     configs["lwe-dense-gaussian"] = (*configs["lwe-dense"], "--noise", "gaussian", "--sigma", "1", "--k", "1")
     # one entry, which passes every register, and seven, whose block is often built after register 0
     configs["lwe-dense-v1"] = (*configs["lwe-dense"], "--v", "1")

@@ -50,13 +50,12 @@ from .samples import (
     NoiseModel,
     OutcomeDistribution,
     SampleSpec,
-    classical_drawer,
     dense_outcome_distribution,
     draw_classical_sample,
+    drawers,
     draw_sample_spec,
     materialize_dense,
     outcome_distribution,
-    spec_drawer,
     spec_from_json,
     spec_to_json,
     theoretical_bound,

@@ -15,26 +15,13 @@ measurement.
 
 The learners sample the recovery outcome with ``measure_qft_all``, which
 transforms and measures one register at a time and never forms the
-transformed state.  A sample state built by ``DenseState.uniform`` holds
-only its support, the checked, read-only flat indices of its equal nonzero
-amplitudes, and ``measure_qft_all`` measures it in one loop over registers
-that holds the kept slice as (index, value) entries, starting from the
-support, or as a dense row.  Entries whose columns after the register are
-distinct take a gather: no two of them interfere, so every row holds
-exactly a q-th of the kept mass.  Other entries are scattered into one
-block: over the live columns when those number at most a q-th of the
-register's columns, and the chosen row is entries again; over every column
-otherwise, and the chosen row is a dense row.  A dense row takes one real
-product on its real and imaginary halves, so measuring a sample state never
-builds its amplitude vector.  A state that holds amplitudes and no support,
-which no learner builds, is measured by the reference below.
-Among the learners only the SIS screening, whose operations act on
-amplitudes, reads that vector; it is built and norm-checked on first read,
-and the cross-checks read it too.  The rows agree with ``f @ block`` to
-rounding.  The full transform, ``apply_qft_all`` (``apply_qft`` on every
-register in turn) followed by ``measure_all``, is the reference that
-``measure_qft_all`` reproduces, and stays for the cross-checks that need the
-whole transformed state.
+transformed state; its docstring gives the method.  A sample state built by
+``DenseState.uniform`` holds only its support, the checked, read-only flat
+indices of its equal nonzero amplitudes.  Among the learners only the SIS
+screening, whose operations act on amplitudes, reads the amplitude vector;
+it is built and norm-checked on first read, and the cross-checks read it
+too.  The full transform, ``apply_qft_all`` followed by ``measure_all``, is
+the reference that ``measure_qft_all`` reproduces.
 """
 
 from __future__ import annotations

@@ -53,9 +53,8 @@ from .ring import RingEmbedding, ring_dimension, ring_lwe_global_learn, ring_sam
 from .samples import (
     GAMMA_STAR,
     NoiseModel,
-    classical_drawer,
+    drawers,
     outcome_distribution,
-    spec_drawer,
     theoretical_bound,
     uniform_vector,
 )
@@ -261,9 +260,9 @@ def build_trial(config: ExperimentConfig, rng: np.random.Generator) -> Trial:
     registers = 2 * config.n if config.problem == "ring-global" else config.n + 1
     if config.engine == "dense" and q**registers > MAX_AMPLITUDES:
         raise ParameterError(f"dense engine infeasible: {q}^{registers} amplitudes exceed the 2**22 cap")
-    if config.problem in ("lwe", "lpn"):  # one checked drawer per run
+    if config.problem in ("lwe", "lpn"):  # one checked sample source per run: specs and lwe's test samples
         errors_as = "histogram" if config.engine == "analytic" else "map"
-        draw = spec_drawer(fp, n, secret, v, config.noise, errors_as)
+        draw, classical = drawers(fp, n, secret, v, config.noise, errors_as)
     if config.problem in ("lwe", "lpn", "lwr") and v * q ** (n + 1) > sys.float_info.max:
         # the success laws divide by v q^(n+1) in floats
         raise ParameterError(f"{config.problem} needs v * q^(n+1) <= sys.float_info.max = {sys.float_info.max:.6g}")
@@ -284,7 +283,6 @@ def build_trial(config: ExperimentConfig, rng: np.random.Generator) -> Trial:
         else:
             if q == 2 and config.M >= 1:  # centered representatives exist for odd q only
                 raise ParameterError("the lwe candidate test needs an odd q; run lpn, or lwe with --M 0")
-            classical = classical_drawer(fp, n, secret, v, config.noise, errors_as)  # the test samples
             if k >= 1:
                 bound_paper = theoretical_bound(v, k, q, n, "paper")
                 bound_opt = theoretical_bound(v, k, q, n, "optimized")

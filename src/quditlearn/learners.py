@@ -15,7 +15,7 @@ and problem-specific reductions (repetition, rounding, coordinate-wise
 short-solution search).  They take plain arguments: the repetition count L,
 the test-sample count M, the test bound k and the engine, one of ``ENGINES``.
 Its test samples come from a per-run oracle ``classical(rng) -> (a, b)``:
-``samples.classical_drawer`` for LWE, ``lwr_classical_drawer`` for LWR.
+the ``classical`` of ``samples.drawers`` for LWE, ``lwr_classical_drawer`` for LWR.
 """
 
 from __future__ import annotations

@@ -30,15 +30,14 @@ only in the JSON form, with the documented keys q, n, s, subset, v,
 noise, errors, seed (see ``spec_to_json``).
 
 Validation runs where data enters: the public ``SampleSpec`` constructor and
-``spec_from_json``.  ``spec_drawer`` checks its arguments and chooses its
-kind (histogram, map, subset or shared) once per drawer, before any draw;
-every spec its ``draw(rng)`` returns is built from data drawn from the
-noise's own support, without checking that data again.
-``classical_drawer``, the candidate test's sample oracle, shares those checks
-and that kind.  It makes a fresh spec's RNG calls and its classical draw's,
-but builds no spec: a histogram oracle picks its error from the
-multinomial's count list by ``_histogram_pick``, the rule that
-``draw_classical_sample`` applies to a spec's histogram.
+``spec_from_json``.  ``drawers`` builds a run's sample source: it checks its
+arguments and chooses the kind (error counts, one shared error, or an error
+map) once per run, before any draw, and returns the spec ``draw(rng)`` and
+the candidate test's oracle ``classical(rng)`` of that kind together.  Every
+spec ``draw`` returns is built from data drawn from the noise's own support,
+without checking that data again; ``classical`` makes a fresh spec's RNG
+calls and its classical draw's, but builds no spec.  Both picks of an error
+from counts go through ``_histogram_pick``.
 """
 
 from __future__ import annotations
@@ -201,15 +200,6 @@ def _distribution(noise: NoiseModel, q: int) -> tuple[tuple[int, ...], tuple[flo
     return values, weights, cdf
 
 
-def require_drawable(v: int, noise: NoiseModel, q: int, n: int) -> None:
-    """Reject subsets too large for per-element errors to be drawn as a histogram."""
-    if v > MULTINOMIAL_LIMIT and not noise.is_shared:
-        size = f"{q}^{n}" if v == q**n else v
-        raise ParameterError(
-            f"subset size v = {size} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
-        )
-
-
 def _draw_errors(table, size: int, rng: np.random.Generator) -> np.ndarray:
     """``size`` i.i.d. errors from a noise table ``_distribution(noise, q)``, as a read-only int64 array."""
     values, _, cdf = table
@@ -252,9 +242,9 @@ class SampleSpec:
     n, v, the secret and the histogram's values and counts must be integers
     (``field.is_integer``: no floats, no bools).  The constructor checks all
     of it and stores both arrays as read-only int64 copies and the histogram
-    with Python-int values and counts.  A spec from a
-    ``spec_drawer`` skips the constructor: its arguments were checked when
-    the drawer was built and its data was drawn from the noise's own support,
+    with Python-int values and counts.  A spec from a ``drawers`` draw
+    skips the constructor: its arguments were checked when the drawers were
+    built and its data was drawn from the noise's own support,
     and its fresh int64 arrays are read-only.  A spec is not modified after
     construction: its outcome law is computed on first use and kept with it,
     in the instance dict under ``_law`` (``outcome_distribution``).
@@ -452,123 +442,113 @@ def _residues(q: int) -> np.ndarray:
     return residues
 
 
-def _spec_draws(fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str):
-    """A drawer's once-per-run checks, its kind and ``draws(rng)``: a fresh spec's RNG calls up to its error map.
+def drawers(
+    fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
+) -> tuple[Callable[[np.random.Generator], SampleSpec], Callable[[np.random.Generator], tuple[tuple[int, ...], int]]]:
+    """A run's sample source: ``draw(rng)``, a fresh spec per call, and ``classical(rng) -> (a, b)``.
 
-    The kind is chosen once, here.  ``draws`` returns (subset or None, the one error) for "shared" noise, the
-    error counts (aligned with the noise values, zeros kept) for "histogram", and the explicit proper subset
-    or None for "subset" or "map", whose caller draws the error map next (``_draw_errors``).
+    ``errors_as="map"`` (what the dense engine needs) draws a uniform size-v
+    subset and an error per element.  ``"histogram"`` (enough for the
+    analytic engine) draws only the error counts and leaves a proper subset
+    implicit; the law depends on the counts alone.  The arguments are checked
+    here, once per run, as the public constructor checks them, and the kind
+    is chosen once: error counts, one shared error, or an error map over
+    F_q^n or a drawn subset.  ``draw`` only makes the RNG calls and builds
+    the frozen spec, whose fresh int64 arrays are read-only.
+
+    ``classical(rng)``, the candidate test's sample oracle, returns
+    ``draw_classical_sample(draw(rng), rng)`` with the same RNG calls in the
+    same order, but builds no spec: error counts pick e from the
+    multinomial's count list, and of an error map's v uniforms it reads only
+    a's, through the noise CDF (``bisect_right`` as ``searchsorted(...,
+    "right")``).
     """
     if errors_as not in ("map", "histogram"):
         raise ParameterError(f"errors_as must be 'map' or 'histogram', got {errors_as!r}")
+    s = tuple(s)
     table = _check_arguments(fp, n, s, v, noise)
-    require_drawable(v, noise, fp.q, n)
-    qn = fp.q**n
+    values, weights, cdf = table
+    q, qn = fp.q, fp.q**n
+    if v > MULTINOMIAL_LIMIT and not noise.is_shared:
+        size = f"{q}^{n}" if v == qn else v
+        raise ParameterError(
+            f"subset size v = {size} exceeds 2**63 - 1, the largest count of i.i.d. errors that can be drawn"
+        )
     draw_subset = v < qn and errors_as == "map"
     if draw_subset and qn > np.iinfo(np.int64).max:
         raise ParameterError("a proper subset of F_q^n is indexed in int64, so q^n must be <= 2**63 - 1")
-    weights = np.asarray(table[1])  # an array: multinomial converts a tuple per call
-
-    def subset(rng: np.random.Generator) -> np.ndarray | None:
-        return rng.choice(qn, size=v, replace=False) if draw_subset else None
-
-    if noise.is_shared:
-        return table, "shared", lambda rng: (subset(rng), int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0)
-    if errors_as == "histogram":
-        return table, "histogram", lambda rng: rng.multinomial(v, weights).tolist()
-    return table, "subset" if draw_subset else "map", subset
-
-
-def spec_drawer(
-    fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
-) -> Callable[[np.random.Generator], SampleSpec]:
-    """``draw(rng)``, a fresh sample spec per call: uniform size-v subset, errors from the noise model.
-
-    ``errors_as="map"`` (what the dense engine needs) draws the subset and an
-    error per element.  ``"histogram"`` (enough for the analytic engine)
-    draws only the error counts and leaves a proper subset implicit; the law
-    depends on the counts alone.  The arguments are checked here, once per
-    drawer, as the public constructor checks them; the noise table is looked
-    up and the drawer's kind chosen once (``_spec_draws``).  ``draw`` only
-    makes the RNG calls and builds the frozen spec, whose fresh int64 arrays
-    are read-only.
-    """
-    s = tuple(s)
-    table, kind, draws = _spec_draws(fp, n, s, v, noise, errors_as)
-    values = table[0]
     # the fields the frozen __init__ would set; draw writes them straight into each instance dict
     fields = dict(fp=fp, n=n, s=s, v=v, noise=noise, subset=None, errors=None, histogram=None, seed=None)
 
-    if kind == "histogram":
+    if errors_as == "histogram" and not noise.is_shared:  # error counts: a is uniform over F_q^n
+        weights = np.asarray(weights)  # an array: multinomial converts a tuple per call
 
         def draw(rng: np.random.Generator) -> SampleSpec:
             spec = object.__new__(SampleSpec)
-            vars(spec).update(fields, histogram={b: c for b, c in zip(values, draws(rng)) if c})
+            counts = rng.multinomial(v, weights).tolist()
+            vars(spec).update(fields, histogram={b: c for b, c in zip(values, counts) if c})
             return spec
 
-        return draw
-
-    def draw(rng: np.random.Generator) -> SampleSpec:
-        if kind == "shared":
-            subset, e = draws(rng)
-            errors, histogram = None, {e: v}
-        else:
-            subset, histogram = draws(rng), None
-            errors = _draw_errors(table, v, rng)
-        if subset is not None:
-            subset.flags.writeable = False
-        spec = object.__new__(SampleSpec)
-        vars(spec).update(fields, subset=subset, errors=errors, histogram=histogram)
-        return spec
-
-    return draw
-
-
-def classical_drawer(
-    fp: FieldParams, n: int, s: tuple[int, ...], v: int, noise: NoiseModel, errors_as: str = "map"
-) -> Callable[[np.random.Generator], tuple[tuple[int, ...], int]]:
-    """``classical(rng) -> (a, b)``: ``draw_classical_sample(spec_drawer(...)(rng), rng)`` without the spec.
-
-    It makes the same RNG calls in the same order and returns the same (a, b). A histogram drawer picks e
-    from the multinomial's count list; of an error map's v uniforms it reads only a's, through the noise CDF
-    (``bisect_right`` as ``searchsorted(..., "right")``).
-    """
-    q, s, strides = fp.q, tuple(s), [fp.q ** (n - 1 - i) for i in range(n)]
-    (values, _, cdf), kind, draws = _spec_draws(fp, n, s, v, noise, errors_as)
-
-    if kind == "histogram":  # an implicit or full subset: a is uniform over F_q^n
-
         def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-            counts = draws(rng)
+            counts = rng.multinomial(v, weights).tolist()
             a = uniform_vector(q, n, rng)
             return a, (sum(map(mul, a, s)) + _histogram_pick(values, counts, rng)) % q
 
-        return classical
+        return draw, classical
 
-    cdf = cdf.tolist()
+    strides = [q ** (n - 1 - i) for i in range(n)]
 
-    def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
-        if kind == "shared":
-            subset, e = draws(rng)
-        else:
-            subset = draws(rng)
-            uniforms = rng.random(v) if len(values) > 1 else None  # _draw_errors's draw
+    def subset(rng: np.random.Generator) -> np.ndarray | None:
+        """The drawn proper subset, read-only, or None for all of F_q^n or an implicit subset."""
+        if not draw_subset:
+            return None
+        subset = rng.choice(qn, size=v, replace=False)
+        subset.flags.writeable = False
+        return subset
+
+    def element(subset: np.ndarray | None, rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+        """A uniform a of V and its position in V, its row-major flat index when V is F_q^n."""
         if subset is None:
             a = uniform_vector(q, n, rng)
-        else:
-            pos = int(rng.integers(v))
-            a = tuple(_vectors_at(subset[pos], q, n).tolist())
-        if kind == "shared":
-            e = _histogram_pick((e,), (v,), rng)  # the spec's single-bin histogram: one uniform, that value
-        elif uniforms is None:
-            e = values[0]
-        else:  # the uniform at a's position in V, its row-major flat index when V is F_q^n
-            if subset is None:
-                pos = sum(map(mul, a, strides))
-            e = values[0] + bisect_right(cdf, uniforms.item(pos))
+            return a, sum(map(mul, a, strides))
+        pos = int(rng.integers(v))
+        return tuple(_vectors_at(subset[pos], q, n).tolist()), pos
+
+    if noise.is_shared:  # every element carries one error: a global shift's draw, or 0
+
+        def shared(rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
+            return subset(rng), int(_draw_errors(table, 1, rng)[0]) if noise.is_global else 0
+
+        def draw(rng: np.random.Generator) -> SampleSpec:
+            sub, e = shared(rng)
+            spec = object.__new__(SampleSpec)
+            vars(spec).update(fields, subset=sub, histogram={e: v})
+            return spec
+
+        def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+            sub, e = shared(rng)
+            a = element(sub, rng)[0]
+            # the spec's single-bin histogram: one uniform, that value
+            return a, (sum(map(mul, a, s)) + _histogram_pick((e,), (v,), rng)) % q
+
+        return draw, classical
+
+    cdf = cdf.tolist()  # an error map over F_q^n or a drawn subset
+
+    def draw(rng: np.random.Generator) -> SampleSpec:
+        sub = subset(rng)
+        spec = object.__new__(SampleSpec)
+        vars(spec).update(fields, subset=sub, errors=_draw_errors(table, v, rng))
+        return spec
+
+    def classical(rng: np.random.Generator) -> tuple[tuple[int, ...], int]:
+        sub = subset(rng)
+        uniforms = rng.random(v) if len(values) > 1 else None  # _draw_errors's draw
+        a, pos = element(sub, rng)
+        e = values[0] if uniforms is None else values[0] + bisect_right(cdf, uniforms.item(pos))
         return a, (sum(map(mul, a, s)) + e) % q
 
-    return classical
+    return draw, classical
 
 
 def draw_sample_spec(
@@ -581,8 +561,8 @@ def draw_sample_spec(
     *,
     errors_as: str = "map",
 ) -> SampleSpec:
-    """One spec, ``spec_drawer(fp, n, s, v, noise, errors_as)(rng)``; a run builds one drawer instead."""
-    return spec_drawer(fp, n, s, v, noise, errors_as)(rng)
+    """One spec, ``drawers(fp, n, s, v, noise, errors_as)[0](rng)``; a run builds its drawers once instead."""
+    return drawers(fp, n, s, v, noise, errors_as)[0](rng)
 
 
 def materialize_dense(spec: SampleSpec) -> DenseState:
@@ -643,8 +623,8 @@ def draw_classical_sample(
 
     An implicit subset draws a uniform over F_q^n and e by the histogram
     counts (``_histogram_pick``): the marginal law of one draw from a fresh
-    uniform v-subset.  A run's test samples come from ``classical_drawer``,
-    which draws the same (a, b) without building the spec.
+    uniform v-subset.  A run's test samples come from the ``classical`` oracle
+    of ``drawers``, which draws the same (a, b) without building the spec.
     """
     q = spec.fp.q
     if spec.subset is not None:
@@ -691,7 +671,7 @@ def outcome_distribution(spec: SampleSpec) -> OutcomeDistribution:
 
     The law is memoized in the spec's instance dict and read back as a plain
     attribute, with no lock (``cached_property`` takes one on every miss, and
-    every fresh spec misses); it is built as ``spec_drawer`` builds a spec,
+    every fresh spec misses); it is built as a ``drawers`` draw builds a spec,
     without the frozen ``__init__``.
     """
     law = spec._law

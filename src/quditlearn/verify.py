@@ -20,9 +20,9 @@ from .learners import sis_sample_state, test_candidate
 from .samples import (
     NoiseModel,
     SampleSpec,
-    classical_drawer,
     dense_outcome_distribution,
     draw_sample_spec,
+    drawers,
     outcome_distribution,
     theoretical_bound,
     uniform_vector,
@@ -167,7 +167,7 @@ def _check_test_candidate_completeness() -> CheckResult:
     rng = _rng(7)
     fp = FieldParams(11)
     s = (4, 9)
-    classical = classical_drawer(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1))
+    classical = drawers(fp, 2, s, 11**2, NoiseModel.bounded_uniform(1))[1]
     for _ in range(200):
         if not test_candidate(s, classical, 11, 2, 1, rng):
             return CheckResult("test-candidate-completeness", False, "true secret rejected")

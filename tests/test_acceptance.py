@@ -31,12 +31,11 @@ from quditlearn.ring import RingEmbedding, ring_lwe_global_learn, ring_sample_st
 from quditlearn.samples import (
     NoiseModel,
     SampleSpec,
-    classical_drawer,
     dense_outcome_distribution,
     draw_sample_spec,
+    drawers,
     materialize_dense,
     outcome_distribution,
-    spec_drawer,
     theoretical_bound,
 )
 from quditlearn.experiments import wilson_interval
@@ -120,7 +119,7 @@ def test_criterion_3_candidate_test_rates():
     details = []
     for idx, M in enumerate((1, 2, 3)):
         rng = make_rng(0x3003 + idx)
-        classical = classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
+        classical = drawers(fp, 1, s, 11, NoiseModel.bounded_uniform(1))[1]
         accepts = sum(test_candidate(wrong, classical, 11, M, 1, rng) for _ in range(trials))
         p = (3 / 11) ** M
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -128,7 +127,7 @@ def test_criterion_3_candidate_test_rates():
             ok = False
         details.append(f"M={M}: {accepts / trials:.5f} vs {p:.5f}")
     rng = make_rng(0x3007)
-    classical = classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
+    classical = drawers(fp, 1, s, 11, NoiseModel.bounded_uniform(1))[1]
     correct_accepts = sum(test_candidate(s, classical, 11, 1, 1, rng) for _ in range(trials))
     if correct_accepts != trials:
         ok = False
@@ -150,8 +149,8 @@ def test_criterion_4_end_to_end_recovery():
     for run in range(runs):
         rng = make_rng(0x4000 + run)
         s = tuple(int(x) for x in rng.integers(0, q, size=n))
-        inner = partial(spec_drawer(fp, n, s, q**n, noise, errors_as="histogram"), rng)
-        inner_classical = classical_drawer(fp, n, s, q**n, noise, errors_as="histogram")
+        draw, inner_classical = drawers(fp, n, s, q**n, noise, errors_as="histogram")
+        inner = partial(draw, rng)
         consumed = 0
 
         def source():

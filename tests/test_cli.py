@@ -533,6 +533,13 @@ def test_lpn_rejects_non_bernoulli_noise(capsys, command):
     assert err.startswith("error: ") and "bernoulli" in err
 
 
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+def test_lpn_off_q_2_exits_2(capsys, command):
+    extra = ("--trials", "2") if command == "experiment" else ()
+    code, out, err = run_cli(capsys, command, "--problem", "lpn", "--q", "3", "--noise", "none", *extra)
+    assert (code, out, err) == (2, "", "error: lpn requires q = 2\n")
+
+
 @pytest.mark.parametrize("command", ["learn", "experiment", "sweep"])
 def test_q_to_the_n_beyond_printable_digits_exits_2_at_once(capsys, tmp_path, command):
     # a failed sweep row used to print v = 101^(10^20) and never returned

@@ -12,7 +12,7 @@ from quditlearn.dense import MAX_AMPLITUDES, DenseState, StateError, _real_qft, 
 from quditlearn.field import FieldParams
 from quditlearn.learners import sis_sample_state
 from quditlearn.ring import RingEmbedding, ring_sample_state
-from quditlearn.samples import NoiseModel, draw_sample_spec, materialize_dense, spec_drawer
+from quditlearn.samples import NoiseModel, draw_sample_spec, drawers, materialize_dense
 
 from conftest import basis_state, make_rng
 
@@ -385,7 +385,7 @@ def _builder_states(builder: str, count: int, key: int) -> list[DenseState]:
         "lwe-single": (7, 3, 1, NoiseModel.bounded_uniform(1)),
         "lwe-sparse": (7, 3, 7, NoiseModel.bounded_uniform(1)),
     }[builder]
-    draw = spec_drawer(FieldParams(q), n, tuple(int(x) for x in rng.integers(q, size=n)), v, noise)
+    draw = drawers(FieldParams(q), n, tuple(int(x) for x in rng.integers(q, size=n)), v, noise)[0]
     return [materialize_dense(draw(rng)) for _ in range(count)]
 
 

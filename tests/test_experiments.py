@@ -158,7 +158,7 @@ def test_lwr_experiment_bound_row():
 def test_m_sweep_tracks_wrong_candidate_acceptance():
     # wrong-candidate acceptance rates across M, via the learner pipeline:
     # rate of *wrong* final outputs at L=1 equals p_wrong * ((2k+1)/q)^M
-    from quditlearn.samples import classical_drawer, spec_drawer
+    from quditlearn.samples import drawers
     from quditlearn.learners import lwe_learn
     from quditlearn.field import FieldParams
     from conftest import make_rng
@@ -166,13 +166,13 @@ def test_m_sweep_tracks_wrong_candidate_acceptance():
     fp = FieldParams(11)
     s = (7,)
     p_wrong = 1 - _expected_iteration_success(11, 1, 11, NoiseModel.bounded_uniform(1)) - 1 / 11
+    draw, classical = drawers(fp, 1, s, 11, NoiseModel.bounded_uniform(1))
     for M in (1, 2):
         rng = make_rng(700 + M)
         n_runs = 12_000
         wrong = 0
         for _ in range(n_runs):
-            src = partial(spec_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng)
-            out = lwe_learn(1, src, classical_drawer(fp, 1, s, 11, NoiseModel.bounded_uniform(1)), rng, M, 1)
+            out = lwe_learn(1, partial(draw, rng), classical, rng, M, 1)
             wrong += (not out.is_bot) and out.secret != s
         expected = p_wrong * (3 / 11) ** M
         sigma = math.sqrt(expected * (1 - expected) / n_runs)

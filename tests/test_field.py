@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,26 @@ def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(3) and is_prime(101) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(4) and not is_prime(561)  # 561 is Carmichael
     assert not is_prime(2**40 - 1)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    # 11,798 composites below the limit have no factor <= 37 and reach the Miller-Rabin loop (1681 = 41^2 first)
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    assert [is_prime(x) for x in range(limit)] == [bool(x) for x in sieve]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (3215031751, False),  # 151 * 751 * 28351 passes witnesses 2, 3, 5, 7, 19 and 37
+    (3825123056546413051, False),  # passes every witness except 37
+    (2**40 - 87, True),
+])
+def test_is_prime_needs_every_miller_rabin_witness(n, prime):
+    assert is_prime(n) is prime
 
 
 @pytest.mark.parametrize("a, q, expected", [(0, 7, 0), (5, 7, 2), (3, 7, 3)])

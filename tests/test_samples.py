@@ -25,9 +25,9 @@ from quditlearn.samples import (
     dense_outcome_distribution,
     draw_classical_sample,
     draw_sample_spec,
+    drawers,
     materialize_dense,
     outcome_distribution,
-    spec_drawer,
     spec_from_json,
     spec_to_json,
     theoretical_bound,
@@ -174,6 +174,15 @@ def test_spec_validation_catches_inconsistencies():
         SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[0], errors=[0.5])
     with pytest.raises(ParameterError, match="subset must hold integers"):
         SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[1.5], errors=[0])
+    with pytest.raises(ParameterError, match="length must equal v"):
+        SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=noise, subset=[0], errors=[0, 0])
+    for both_or_neither in ({}, {"errors": [0], "histogram": {0: 1}}):
+        with pytest.raises(ParameterError, match="exactly one of"):
+            SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, subset=[0], **both_or_neither)
+    with pytest.raises(ParameterError, match="non-negative"):
+        SampleSpec(fp=fp, n=1, s=(1,), v=1, noise=noise, histogram={0: 2, 1: -1})
+    with pytest.raises(ParameterError, match="histogram value 2 outside the noise support"):
+        SampleSpec(fp=fp, n=1, s=(1,), v=5, noise=noise, histogram={2: 5})
     with pytest.raises(ParameterError, match="implicit subset"):  # an error map needs its vectors
         SampleSpec(fp=fp, n=1, s=(1,), v=2, noise=noise, errors=[0, 1])
     with pytest.raises(ParameterError, match="explicit subset"):  # above 10^6 elements too
@@ -617,8 +626,7 @@ _GLOBAL = NoiseModel.global_shift(NoiseModel.bounded_uniform(1))
 def test_classical_drawer_is_the_classical_draw_of_a_fresh_spec(q, n, v, noise, errors_as):
     fp = FieldParams(q)
     s = tuple(int(x) for x in make_rng(q + n + v).integers(0, q, size=n))
-    draw = spec_drawer(fp, n, s, v, noise, errors_as)
-    classical = samples.classical_drawer(fp, n, s, v, noise, errors_as)
+    draw, classical = drawers(fp, n, s, v, noise, errors_as)
     for seed in range(1_000):
         oracle, reference = make_rng(seed), make_rng(seed)
         assert classical(oracle) == draw_classical_sample(draw(reference), reference)
@@ -839,6 +847,16 @@ def test_theoretical_bound_rejects_noiseless():
         theoretical_bound(7, 0, 7, 1)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((0, 1, 7, 1, "paper"), "outside"),
+    ((8, 1, 7, 1, "paper"), "outside"),
+    ((7, 1, 7, 1, "tight"), "unknown gamma mode"),
+])
+def test_theoretical_bound_rejects_v_outside_the_space_and_an_unknown_mode(args, match):
+    with pytest.raises(ParameterError, match=match):
+        theoretical_bound(*args)
+
+
 def test_exhaustive_bound_and_engine_match_q7_full_subset():
     # all 3^7 error assignments at q=7, n=1, k=1, v=7
     fp = FieldParams(7)
@@ -964,7 +982,7 @@ def test_materialize_all_of_fq_n_matches_the_enumerated_vectors(q, n, noise):
 
 
 def test_spec_drawer_yields_fresh_errors(rng):
-    stream = partial(spec_drawer(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1)), rng)
+    stream = partial(drawers(FieldParams(7), 1, (3,), 7, NoiseModel.bounded_uniform(1))[0], rng)
     histograms = {tuple(sorted(stream().error_histogram().items())) for _ in range(25)}
     assert len(histograms) > 1
 
@@ -979,8 +997,8 @@ def test_a_run_checks_its_sample_arguments_once(monkeypatch, config):
     check = samples._check_arguments
     monkeypatch.setattr(samples, "_check_arguments", lambda *args: calls.append(args) or check(*args))
     run_experiment(ExperimentConfig(trials=40, seed=3, **config))
-    # one check per drawer: the specs of every trial, and lwe's test samples of every trial
-    assert len(calls) == (2 if config["problem"] == "lwe" else 1)
+    # one check per run: its drawers give the specs and lwe's test samples of every trial
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args, errors_as, match", [
@@ -995,9 +1013,8 @@ def test_a_run_checks_its_sample_arguments_once(monkeypatch, config):
     ((FieldParams(5), 1, (1,), 5, NoiseModel.none()), "auto", "errors_as"),
 ])
 def test_spec_drawer_checks_its_arguments_before_any_draw(args, errors_as, match):
-    for drawer in (spec_drawer, samples.classical_drawer):
-        with pytest.raises(ParameterError, match=match):
-            drawer(*args, errors_as)
+    with pytest.raises(ParameterError, match=match):
+        drawers(*args, errors_as)
     rng = make_rng(17)
     before = _state_of(rng)
     with pytest.raises(ParameterError, match=match):
